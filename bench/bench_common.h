@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "mpeg/library_cache.h"
 #include "obs/kernel_profile.h"
 #include "vod/capacity.h"
 #include "vod/config.h"
@@ -164,7 +165,9 @@ inline constexpr int kMemorySweepPoints = 6;
 // With --jobs > 1 runs finish on ParallelRunner worker threads, so the
 // collector is mutex-guarded, and the report distinguishes the summed
 // per-run wall time from the elapsed wall time of the whole harness —
-// their ratio is the achieved parallel speedup.
+// their ratio is the achieved parallel speedup. `library_builds` counts
+// the video libraries the process built (mpeg/library_cache.h): one per
+// replication seed per capacity search, not one per probe.
 
 struct ProfileCollector {
   bool enabled = false;         // --profile: kernel self-profile JSON
@@ -223,6 +226,8 @@ inline void WriteProfileReport() {
       << "  \"elapsed_wall_seconds\": " << elapsed << ",\n"
       << "  \"parallel_speedup\": " << speedup << ",\n"
       << "  \"total_events\": " << events << ",\n"
+      << "  \"library_builds\": " << mpeg::GetLibraryCacheStats().builds
+      << ",\n"
       << "  \"events_per_sec\": " << (wall > 0.0 ? events / wall : 0.0)
       << ",\n  \"per_run\": [";
   for (std::size_t i = 0; i < collector.runs.size(); ++i) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <set>
 
 #include "sim/check.h"
@@ -132,6 +133,21 @@ std::vector<SimConfig> ReplicationConfigs(SimConfig config, int terminals,
   return configs;
 }
 
+// The video library of every replication seed, held for a whole search
+// or curve. Probes differ only in their terminal count, so with these
+// pins every probe of one seed shares a single library build (runner
+// workers included) instead of rebuilding it per probe.
+using LibraryPins = std::vector<std::shared_ptr<const mpeg::VideoLibrary>>;
+
+LibraryPins PinLibraries(const SimConfig& base, int replications) {
+  LibraryPins pins;
+  for (const SimConfig& config :
+       ReplicationConfigs(base, base.terminals, replications)) {
+    pins.push_back(SharedLibraryFor(config));
+  }
+  return pins;
+}
+
 std::uint64_t SumGlitches(const std::vector<SimMetrics>& reps) {
   std::uint64_t total = 0;
   for (const SimMetrics& m : reps) total += m.glitches;
@@ -220,6 +236,11 @@ CapacityResult FindMaxTerminalsParallel(const SimConfig& base,
 
 }  // namespace
 
+// Every SimMetrics field needs a rule below; update the size when one
+// is added.
+static_assert(sizeof(SimMetrics) == 488,
+              "SimMetrics changed: give the new field an aggregation rule");
+
 SimMetrics AggregateReplications(const std::vector<SimMetrics>& reps) {
   SPIFFI_CHECK(!reps.empty());
   SimMetrics a = reps.front();
@@ -249,6 +270,30 @@ SimMetrics AggregateReplications(const std::vector<SimMetrics>& reps) {
     a.prefetches_skipped_dead += m.prefetches_skipped_dead;
     a.requests_redirected += m.requests_redirected;
     a.blocks_rerouted += m.blocks_rerouted;
+    a.share_groups += m.share_groups;
+    a.share_followers += m.share_followers;
+    a.share_patches += m.share_patches;
+    a.share_patch_seconds += m.share_patch_seconds;
+    a.share_handoffs += m.share_handoffs;
+    a.prefix_hits += m.prefix_hits;
+    a.proxy_references += m.proxy_references;
+    a.proxy_hits += m.proxy_hits;
+    a.proxy_attaches += m.proxy_attaches;
+    a.proxy_forwards += m.proxy_forwards;
+    a.proxy_bytes_from_cache += m.proxy_bytes_from_cache;
+    a.admission_admits += m.admission_admits;
+    a.admission_rejects += m.admission_rejects;
+    a.admission_defers += m.admission_defers;
+    a.failover_readmissions += m.failover_readmissions;
+    a.request_retries += m.request_retries;
+    a.retries_exhausted += m.retries_exhausted;
+    a.session_failovers += m.session_failovers;
+    a.duplicate_replies += m.duplicate_replies;
+    a.proxy_forward_retries += m.proxy_forward_retries;
+    a.proxy_stale_replies += m.proxy_stale_replies;
+    a.rebuilds_completed += m.rebuilds_completed;
+    a.rebuild_sec += m.rebuild_sec;
+    a.rebuild_bytes += m.rebuild_bytes;
     // Averaged rates: accumulate, normalized below.
     a.avg_disk_utilization += m.avg_disk_utilization;
     a.avg_cpu_utilization += m.avg_cpu_utilization;
@@ -259,6 +304,7 @@ SimMetrics AggregateReplications(const std::vector<SimMetrics>& reps) {
     a.p50_response_ms += m.p50_response_ms;
     a.p99_response_ms += m.p99_response_ms;
     a.mttr_sec += m.mttr_sec;
+    a.avg_proxy_forward_ms += m.avg_proxy_forward_ms;
     // Extremes: min/max over the set.
     a.min_disk_utilization =
         std::min(a.min_disk_utilization, m.min_disk_utilization);
@@ -266,6 +312,8 @@ SimMetrics AggregateReplications(const std::vector<SimMetrics>& reps) {
         std::max(a.max_disk_utilization, m.max_disk_utilization);
     a.peak_network_bytes_per_sec =
         std::max(a.peak_network_bytes_per_sec, m.peak_network_bytes_per_sec);
+    a.prefix_pinned_pages =
+        std::max(a.prefix_pinned_pages, m.prefix_pinned_pages);
   }
   a.avg_disk_utilization /= n;
   a.avg_cpu_utilization /= n;
@@ -276,6 +324,7 @@ SimMetrics AggregateReplications(const std::vector<SimMetrics>& reps) {
   a.p50_response_ms /= n;
   a.p99_response_ms /= n;
   a.mttr_sec /= n;
+  a.avg_proxy_forward_ms /= n;
   return a;
 }
 
@@ -304,6 +353,7 @@ CapacityResult FindMaxTerminals(const SimConfig& base,
   SPIFFI_CHECK(options.max_terminals >= options.min_terminals);
   SPIFFI_CHECK(options.replications > 0);
 
+  const LibraryPins pins = PinLibraries(base, options.replications);
   int jobs = options.jobs == 1 ? 1 : ResolveJobs(options.jobs);
   if (jobs > 1) return FindMaxTerminalsParallel(base, options, jobs);
 
@@ -331,6 +381,7 @@ CapacityResult FindMaxTerminals(const SimConfig& base,
 std::vector<std::pair<int, std::uint64_t>> GlitchCurve(
     const SimConfig& base, const std::vector<int>& terminal_counts,
     int replications, int jobs) {
+  const LibraryPins pins = PinLibraries(base, replications);
   std::vector<std::pair<int, std::uint64_t>> curve;
   curve.reserve(terminal_counts.size());
   int resolved = jobs == 1 ? 1 : ResolveJobs(jobs);

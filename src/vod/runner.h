@@ -1,13 +1,16 @@
 // Parallel experiment runner: fans independent (SimConfig, seed) runs
 // across a pool of worker threads.
 //
-// Every Simulation owns its entire world (environment, calendar, RNG
-// streams, metrics registry), so independent runs share no mutable state
-// and are embarrassingly parallel. The runner exploits that: submitted
-// runs execute on worker threads and results are collected in submission
-// order, which keeps every aggregate computed from them bit-identical to
-// a serial execution of the same configs — the job count changes only
-// wall-clock time, never results (locked by tests/vod/runner_test.cc).
+// Every Simulation owns its world (environment, calendar, RNG streams,
+// metrics registry) except one immutable object: its video library,
+// shared through a thread-safe process-wide cache with every run of the
+// same library inputs (mpeg/library_cache.h). So independent runs share
+// no mutable state and are embarrassingly parallel. The runner exploits
+// that: submitted runs execute on worker threads and results are
+// collected in submission order, which keeps every aggregate computed
+// from them bit-identical to a serial execution of the same configs —
+// the job count changes only wall-clock time, never results (locked by
+// tests/vod/runner_test.cc).
 //
 // Runs are cooperatively cancellable: Cancel() flips a flag the
 // simulation checks between event slices (Simulation::Run(cancel, out)),

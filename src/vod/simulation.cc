@@ -9,7 +9,7 @@
 #include "layout/nonstriped.h"
 #include "layout/replicated.h"
 #include "layout/striping.h"
-#include "mpeg/zipf.h"
+#include "mpeg/library_cache.h"
 #include "sim/check.h"
 #include "vod/report.h"
 
@@ -49,6 +49,18 @@ void SetRunObserver(RunObserver observer) {
   GlobalRunObserver() = std::move(observer);
 }
 
+std::shared_ptr<const mpeg::VideoLibrary> SharedLibraryFor(
+    const SimConfig& config) {
+  // Videos and their popularity (z = 0 degenerates to uniform).
+  mpeg::LibraryKey key;
+  key.count = config.num_videos();
+  key.duration_seconds = config.video_seconds;
+  key.params = config.mpeg;
+  key.zipf_z = config.zipf_z;
+  key.seed = sim::Rng(config.seed).Child(kLibraryStream).NextU64();
+  return mpeg::SharedLibrary(key);
+}
+
 Simulation::Simulation(const SimConfig& config) : config_(config) {
   std::string error = config.Validate();
   if (!error.empty()) {
@@ -71,11 +83,7 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
   env_ = envs_[0].get();
   sim::Rng master(config.seed);
 
-  // Videos and their popularity (z = 0 degenerates to uniform).
-  mpeg::ZipfDistribution popularity(config.num_videos(), config.zipf_z);
-  library_ = std::make_unique<mpeg::VideoLibrary>(
-      config.num_videos(), config.video_seconds, config.mpeg, popularity,
-      master.Child(kLibraryStream).NextU64());
+  library_ = SharedLibraryFor(config);
 
   // Layout.
   if (config.placement == VideoPlacement::kStriped) {

@@ -75,6 +75,15 @@ using ProgressFn = std::function<void(const RunProgress&)>;
 // (ParallelRunner workers included) and must synchronize its own state.
 void SetRunObserver(RunObserver observer);
 
+// The video library a Simulation of `config` runs on: the process-wide
+// shared instance for its inputs (mpeg/library_cache.h). Simulations own
+// everything else themselves; this one immutable object is shared. A
+// caller that holds the returned pointer across several constructions
+// (a capacity search pins one per replication seed) makes them all
+// share a single build.
+std::shared_ptr<const mpeg::VideoLibrary> SharedLibraryFor(
+    const SimConfig& config);
+
 class Simulation {
  public:
   // Aborts (CHECK) if config.Validate() reports a problem; validate first
@@ -208,7 +217,8 @@ class Simulation {
   // are destroyed last, after everything scheduled on them).
   std::vector<std::unique_ptr<sim::Environment>> envs_;
   sim::Environment* env_ = nullptr;
-  std::unique_ptr<mpeg::VideoLibrary> library_;
+  // Shared with every live run of the same library inputs (immutable).
+  std::shared_ptr<const mpeg::VideoLibrary> library_;
   std::unique_ptr<layout::Layout> layout_;
   std::vector<std::unique_ptr<hw::Network>> networks_;
   hw::Network* network_ = nullptr;
