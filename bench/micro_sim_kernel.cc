@@ -2,22 +2,19 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstring>
-#include <memory>
+#include <vector>
 
 #include "micro_common.h"
 #include "sim/environment.h"
 #include "sim/process.h"
 #include "sim/random.h"
 #include "sim/semaphore.h"
-#include "sim/shard.h"
 
 namespace {
 
 using spiffi::sim::Environment;
 using spiffi::sim::EventHandler;
 using spiffi::sim::Process;
-using spiffi::sim::ShardGroup;
 
 // Raw calendar throughput: schedule + fire.
 class NullHandler final : public EventHandler {
@@ -99,93 +96,6 @@ void BM_SemaphoreHandoff(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * processes * 20);
 }
 BENCHMARK(BM_SemaphoreHandoff)->Arg(10)->Arg(100);
-
-// Cross-shard messaging under the conservative kernel: a ring of actors
-// (one per shard) where each delivery immediately sends onward, at a
-// given boundary-crossing density. shards=1 measures the pure in-shard
-// path for the same traffic; higher counts add mailbox + staging + clock
-// synchronization per crossing. Args: (shards, crossings per window).
-struct RingPayload {
-  ShardGroup* group;
-  int dst;
-  int remaining;
-  double hop;
-};
-
-void RingHop(Environment* env, const void* payload);
-
-void RingSend(const RingPayload& p, Environment* env) {
-  if (p.remaining <= 0) return;
-  RingPayload next = p;
-  next.dst = (p.dst + 1) % p.group->shards();
-  next.remaining = p.remaining - 1;
-  p.group->Send(p.dst, next.dst, env->now() + p.hop, &RingHop, &next,
-                sizeof(next));
-}
-
-void RingHop(Environment* env, const void* payload) {
-  RingPayload p;
-  std::memcpy(&p, payload, sizeof(p));
-  RingSend(p, env);
-}
-
-// Same ring on one calendar: each hop is a self-scheduled event.
-struct LocalHop final : EventHandler {
-  Environment* env = nullptr;
-  int remaining = 0;
-  double hop = 0.0;
-  void OnEvent(std::uint64_t) override {
-    if (remaining <= 0) return;
-    --remaining;
-    env->ScheduleAfter(hop, this);
-  }
-};
-
-void BM_ShardGroupCrossSend(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
-  const int crossings = static_cast<int>(state.range(1));
-  constexpr double kHop = 1e-3;  // = lookahead: worst-case sync density
-  std::vector<std::unique_ptr<Environment>> envs;
-  std::vector<Environment*> raw;
-  for (int s = 0; s < shards; ++s) {
-    envs.push_back(std::make_unique<Environment>());
-    raw.push_back(envs.back().get());
-  }
-  std::int64_t messages = 0;
-  if (shards == 1) {
-    LocalHop hop;
-    hop.env = raw[0];
-    hop.hop = kHop;
-    double window_end = 0.0;
-    for (auto _ : state) {
-      hop.remaining = crossings;
-      raw[0]->ScheduleAfter(kHop, &hop);
-      window_end = raw[0]->now() + kHop * (crossings + 2);
-      raw[0]->RunUntil(window_end);
-      messages += crossings;
-    }
-  } else {
-    // One group for the whole run: thread creation is not the thing
-    // being measured. Each iteration advances one message window.
-    ShardGroup group(raw, kHop);
-    double window_end = 0.0;
-    for (auto _ : state) {
-      RingPayload p{&group, 0, crossings, kHop};
-      RingSend(p, raw[0]);
-      window_end = raw[0]->now() + kHop * (crossings + 2);
-      group.AdvanceTo(window_end);
-      messages += crossings;
-    }
-  }
-  state.SetItemsProcessed(messages);
-}
-BENCHMARK(BM_ShardGroupCrossSend)
-    ->Args({1, 64})
-    ->Args({2, 64})
-    ->Args({4, 64})
-    ->Args({2, 1024})
-    ->Args({4, 1024})
-    ->UseRealTime();
 
 void BM_RngExponential(benchmark::State& state) {
   spiffi::sim::Rng rng(42);

@@ -15,35 +15,30 @@ Network::Network(sim::Environment* env, const NetworkParams& params)
 void Network::Send(std::int64_t bytes, sim::EventHandler* destination,
                    std::uint64_t token) {
   SPIFFI_DCHECK(bytes >= 0);
-  Account(bytes);
-  env_->ScheduleAfter(WireDelay(bytes), destination, token);
-}
-
-void Network::Account(std::int64_t bytes) {
   total_bytes_ += static_cast<std::uint64_t>(bytes);
   ++total_messages_;
   auto bucket = static_cast<std::int64_t>(
       std::floor(env_->now() / params_.bandwidth_bucket_sec));
-  if (first_bucket_ < 0) first_bucket_ = bucket;
-  // Simulated time is monotone within an environment, so the bucket
-  // index never moves backwards; empty buckets stay zero.
-  auto index = static_cast<std::size_t>(bucket - first_bucket_);
-  if (index >= bucket_bytes_.size()) bucket_bytes_.resize(index + 1, 0);
-  bucket_bytes_[index] += static_cast<std::uint64_t>(bytes);
+  if (bucket != open_bucket_) {
+    closed_bucket_peak_ = std::max(closed_bucket_peak_, open_bucket_bytes_);
+    open_bucket_ = bucket;
+    open_bucket_bytes_ = 0;
+  }
+  open_bucket_bytes_ += static_cast<std::uint64_t>(bytes);
+  env_->ScheduleAfter(WireDelay(bytes), destination, token);
 }
 
 void Network::ResetStats() {
   total_bytes_ = 0;
   total_messages_ = 0;
-  first_bucket_ = -1;
-  bucket_bytes_.clear();
+  open_bucket_ = -1;
+  open_bucket_bytes_ = 0;
+  closed_bucket_peak_ = 0;
   stats_start_ = env_->now();
 }
 
 std::uint64_t Network::peak_bytes_per_bucket() const {
-  std::uint64_t peak = 0;
-  for (std::uint64_t b : bucket_bytes_) peak = std::max(peak, b);
-  return peak;
+  return std::max(open_bucket_bytes_, closed_bucket_peak_);
 }
 
 double Network::AverageBandwidth(sim::SimTime now) const {

@@ -15,14 +15,9 @@
 #define SPIFFI_HW_NETWORK_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/calendar.h"
 #include "sim/environment.h"
-
-namespace spiffi::sim {
-class ShardGroup;
-}  // namespace spiffi::sim
 
 namespace spiffi::hw {
 
@@ -52,24 +47,6 @@ class Network final {
            params_.wire_delay_per_byte_sec * static_cast<double>(bytes);
   }
 
-  // --- Sharded routing (see sim/shard.h) ---
-  //
-  // In a sharded run each shard owns one Network instance bound to its
-  // environment. AttachShard tells this instance which shard it is;
-  // PostMessage consults it to decide between the local calendar path
-  // and the group's cross-shard mailboxes.
-  void AttachShard(sim::ShardGroup* group, int shard) {
-    shard_group_ = group;
-    shard_index_ = shard;
-  }
-  sim::ShardGroup* shard_group() const { return shard_group_; }
-  int shard_index() const { return shard_index_; }
-
-  // Stats-only entry for messages whose delivery is scheduled elsewhere:
-  // a cross-shard send is charged on the sending shard's network at send
-  // time, exactly where the single-shard path charges it.
-  void AccountMessage(std::int64_t bytes) { Account(bytes); }
-
   void ResetStats();
 
   std::uint64_t total_bytes() const { return total_bytes_; }
@@ -80,27 +57,17 @@ class Network final {
   double AverageBandwidth(sim::SimTime now) const;
   sim::SimTime stats_start() const { return stats_start_; }
 
-  // Exact per-bucket history since the last reset, for cross-shard
-  // merging: bucket_bytes()[i] is the byte count of absolute bucket
-  // first_bucket() + i. first_bucket() is -1 before any traffic. The
-  // aggregate peak across shards is the max over absolute bucket ids of
-  // the per-shard sums — order-independent, so it merges exactly.
-  std::int64_t first_bucket() const { return first_bucket_; }
-  const std::vector<std::uint64_t>& bucket_bytes() const {
-    return bucket_bytes_;
-  }
-
  private:
-  void Account(std::int64_t bytes);
-
   sim::Environment* env_;
   NetworkParams params_;
-  sim::ShardGroup* shard_group_ = nullptr;
-  int shard_index_ = 0;
   std::uint64_t total_bytes_ = 0;
   std::uint64_t total_messages_ = 0;
-  std::int64_t first_bucket_ = -1;
-  std::vector<std::uint64_t> bucket_bytes_;
+  // Simulated time never runs backwards, so a bucket closes for good
+  // once traffic lands in a later one: only the open bucket and the
+  // peak of the closed ones need keeping.
+  std::int64_t open_bucket_ = -1;  // -1 before any traffic
+  std::uint64_t open_bucket_bytes_ = 0;
+  std::uint64_t closed_bucket_peak_ = 0;
   sim::SimTime stats_start_ = 0.0;
 };
 

@@ -1,11 +1,7 @@
 #include "server/message.h"
 
-#include <cstring>
-#include <type_traits>
-
 #include "obs/trace.h"
 #include "sim/check.h"
-#include "sim/shard.h"
 
 namespace spiffi::server {
 
@@ -43,44 +39,12 @@ class Delivery final : public sim::EventHandler {
   std::uint64_t trace_id_;
 };
 
-// Cross-shard wire format: the sink pointer plus the message by value.
-// Everything a Message carries is trivially copyable (MessageSink* for
-// reply_to included), so a byte copy through the shard mailbox is the
-// same message the local path would have delivered.
-struct RemoteMessage {
-  MessageSink* sink;
-  Message message;
-};
-static_assert(std::is_trivially_copyable_v<RemoteMessage>);
-static_assert(sizeof(RemoteMessage) <= sim::kMaxRemotePayload);
-
-void DeliverRemoteMessage(sim::Environment*, const void* payload) {
-  RemoteMessage remote;
-  std::memcpy(&remote, payload, sizeof(remote));
-  remote.sink->OnMessage(remote.message);
-}
-
 }  // namespace
 
 void PostMessage(sim::Environment* env, hw::Network* network,
                  std::int64_t wire_bytes, MessageSink* sink,
                  const Message& message) {
   SPIFFI_DCHECK(sink != nullptr);
-  if (sim::ShardGroup* group = network->shard_group()) {
-    const int dst = group->ShardOf(sink);
-    if (dst != network->shard_index()) {
-      // Cross-shard: charge the wire here (where the local path charges
-      // it) and hand the message to the destination shard's mailbox.
-      // Trace spans live in per-environment ring buffers and cannot
-      // pair across shards, so the remote path records no wire span.
-      network->AccountMessage(wire_bytes);
-      RemoteMessage remote{sink, message};
-      group->Send(network->shard_index(), dst,
-                  env->now() + network->WireDelay(wire_bytes),
-                  &DeliverRemoteMessage, &remote, sizeof(remote));
-      return;
-    }
-  }
   std::uint64_t trace_id = obs::TraceAsyncBegin(
       env, obs::TraceCategory::kNetwork, "wire", obs::Tracer::kNetworkPid,
       {{"bytes", static_cast<double>(wire_bytes)},

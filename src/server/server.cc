@@ -9,29 +9,13 @@ VideoServer::VideoServer(sim::Environment* env, int num_nodes,
                          hw::Network* network,
                          const mpeg::VideoLibrary* library,
                          const layout::Layout* layout,
-                         const fault::FaultState* fault)
-    : VideoServer(
-          std::vector<sim::Environment*>(static_cast<std::size_t>(num_nodes),
-                                         env),
-          std::vector<hw::Network*>(static_cast<std::size_t>(num_nodes),
-                                    network),
-          node_config, library, layout, fault) {}
-
-VideoServer::VideoServer(const std::vector<sim::Environment*>& node_envs,
-                         const std::vector<hw::Network*>& node_networks,
-                         const NodeConfig& node_config,
-                         const mpeg::VideoLibrary* library,
-                         const layout::Layout* layout,
                          const fault::FaultState* fault) {
-  SPIFFI_CHECK(!node_envs.empty());
-  SPIFFI_CHECK(node_envs.size() == node_networks.size());
-  const int num_nodes = static_cast<int>(node_envs.size());
+  SPIFFI_CHECK(num_nodes > 0);
   nodes_.reserve(static_cast<std::size_t>(num_nodes));
   for (int id = 0; id < num_nodes; ++id) {
     NodeConfig config = node_config;
     config.id = id;
-    nodes_.push_back(std::make_unique<Node>(node_envs[id], config,
-                                            node_networks[id], library,
+    nodes_.push_back(std::make_unique<Node>(env, config, network, library,
                                             layout, this, fault));
   }
 }

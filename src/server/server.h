@@ -31,17 +31,6 @@ class VideoServer final : public NodeDirectory {
               const layout::Layout* layout,
               const fault::FaultState* fault = nullptr);
 
-  // Sharded form: node i lives on node_envs[i] / node_networks[i] (the
-  // vectors must be the same length; repeated pointers are fine — the
-  // single-environment constructor delegates here with every entry
-  // equal). Nodes only reach each other through PostMessage, which
-  // routes across shards when the endpoints' environments differ.
-  VideoServer(const std::vector<sim::Environment*>& node_envs,
-              const std::vector<hw::Network*>& node_networks,
-              const NodeConfig& node_config,
-              const mpeg::VideoLibrary* library, const layout::Layout* layout,
-              const fault::FaultState* fault = nullptr);
-
   VideoServer(const VideoServer&) = delete;
   VideoServer& operator=(const VideoServer&) = delete;
 

@@ -61,10 +61,9 @@ EventId Environment::Schedule(SimTime time, EventHandler* handler,
 
 EventId Environment::ScheduleAfter(SimTime delay, EventHandler* handler,
                                    std::uint64_t token) {
-  // Clamp rather than DCHECK: a negative (or NaN) delay would schedule
-  // into the past, and release builds used to compile the check out —
-  // harmless for a single calendar, but a sharded run must never fire
-  // an event below a clock bound it already announced to other shards.
+  // Clamp rather than DCHECK: release builds compile the check out, and
+  // a negative (or NaN) delay would then schedule into the past and
+  // break the calendar's rule that simulated time never runs backwards.
   if (!(delay >= 0.0)) delay = 0.0;
   return calendar_.Schedule(now_ + delay, handler, token);
 }
@@ -118,16 +117,6 @@ void Environment::Run() {
   while (!stopped_ && !calendar_.empty()) {
     SimTime t = calendar_.PeekTime();
     SPIFFI_DCHECK(t >= now_);
-    now_ = t;
-    calendar_.FireNext();
-  }
-}
-
-void Environment::RunBounded(SimTime bound, SimTime end) {
-  stopped_ = false;
-  while (!stopped_) {
-    SimTime t = calendar_.PeekTime();
-    if (!(t < bound) || t > end) break;
     now_ = t;
     calendar_.FireNext();
   }

@@ -92,28 +92,6 @@ class Environment {
   // Runs all events with time <= end, then sets now() = end.
   void RunUntil(SimTime end);
 
-  // --- Sharded-run support (see sim/shard.h) ---
-
-  // Time of the next pending event; kSimTimeMax when the calendar is
-  // empty. Non-const because peeking discards cancelled heads.
-  SimTime PeekNextTime() { return calendar_.PeekTime(); }
-
-  // Fires every pending event with time < bound and time <= end, in
-  // order, leaving now() at the last fired event. Unlike RunUntil this
-  // never advances now() to `end`: a shard may only move its clock as
-  // far as the group's conservative horizon allows. The bounds differ
-  // in inclusivity on purpose — `bound` is an exclusive safety horizon
-  // (an event exactly at the horizon could still be preceded by a
-  // cross-shard arrival), while `end` is the inclusive phase end that
-  // RunUntil also uses.
-  void RunBounded(SimTime bound, SimTime end);
-
-  // Sets now() = end when the clock is behind it; fires nothing. The
-  // shard loop calls this once the whole group has drained phase `end`.
-  void AdvanceNowTo(SimTime end) {
-    if (now_ < end) now_ = end;
-  }
-
   // Stops the run loop after the event currently being fired.
   void Stop() { stopped_ = true; }
   bool stopped() const { return stopped_; }

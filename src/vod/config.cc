@@ -97,25 +97,6 @@ std::string SimConfig::Validate() const {
     }
   }
   if (rebuild_mbps < 0.0) return "rebuild_mbps must be non-negative";
-  if (shards < 1) return "shards must be >= 1";
-  if (shards > 1) {
-    if (num_nodes < shards) {
-      return "shards cannot exceed num_nodes (each shard owns at least "
-             "one server node)";
-    }
-    if (stream_sharing_enabled()) {
-      return "stream sharing requires shards=1 (the share manager "
-             "couples terminals across nodes outside the message layer)";
-    }
-    if (admission_policy != AdmissionPolicy::kOff) {
-      return "admission control requires shards=1 (the controller is "
-             "shared mutable state across nodes)";
-    }
-    if (fault_plan.enabled()) {
-      return "fault injection requires shards=1 (fault effects mutate "
-             "disks across nodes outside the message layer)";
-    }
-  }
   if (warmup_seconds < start_window_sec) {
     return "warmup must cover the terminal start window";
   }
@@ -176,7 +157,6 @@ std::string SimConfig::Describe() const {
     out << ", retry x" << request_retry_budget;
   }
   if (rebuild_mbps > 0.0) out << ", rebuild " << rebuild_mbps << " Mbps";
-  if (shards > 1) out << ", shards " << shards;
   if (fault_plan.enabled()) out << ", faults: " << fault_plan.Describe();
   return out.str();
 }

@@ -143,18 +143,6 @@ struct SimConfig {
   // replicated layouts have peers to rebuild from.
   double rebuild_mbps = 0.0;
 
-  // --- Sharded kernel (sim/shard.h) ---
-  // Number of per-core event-loop shards one run is partitioned into.
-  // 1 (the default) is the proven single-calendar path. N > 1 assigns
-  // server node n to shard n % shards, proxy p to shard p % shards, and
-  // each terminal to its ingress proxy's shard (or terminal % shards in
-  // a flat topology); cross-shard messages synchronize conservatively
-  // on the network's base wire delay, and results are bit-identical at
-  // any shard count. Subsystems that reach across nodes outside the
-  // message layer (stream sharing, admission control, fault injection)
-  // require shards = 1 — Validate enforces this.
-  int shards = 1;
-
   // --- Run control ---
   // Terminals start at uniform random times in [0, start_window_sec);
   // statistics collection begins at warmup_seconds (>= start window) and

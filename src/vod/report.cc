@@ -83,6 +83,11 @@ void WriteString(std::ostream& out, const std::string& s) {
 
 }  // namespace
 
+// Every SimConfig field needs a digest leaf below; update the size when
+// one is added.
+static_assert(sizeof(SimConfig) == 600,
+              "SimConfig changed: give the new field a ConfigDigest leaf");
+
 std::uint64_t ConfigDigest(const SimConfig& c) {
   Digest d;
   // Hardware.
@@ -176,8 +181,6 @@ std::uint64_t ConfigDigest(const SimConfig& c) {
   d.F64(c.retry_min_timeout_sec);
   d.F64(c.retry_backoff_base_sec);
   d.F64(c.rebuild_mbps);
-  // Sharded kernel.
-  d.I64(c.shards);
   // Run control.
   d.F64(c.start_window_sec);
   d.F64(c.warmup_seconds);

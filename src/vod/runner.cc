@@ -40,10 +40,6 @@ int DefaultJobs() {
 
 int ResolveJobs(int jobs) { return jobs >= 1 ? jobs : DefaultJobs(); }
 
-int BudgetedJobs(int jobs, int shards) {
-  return std::max(1, ResolveJobs(jobs) / std::max(1, shards));
-}
-
 ParallelRunner::ParallelRunner(int jobs) : jobs_(ResolveJobs(jobs)) {
   {
     std::lock_guard<std::mutex> lock(RunnerRegistryMutex());

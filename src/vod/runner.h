@@ -45,11 +45,6 @@ int DefaultJobs();
 // maps to DefaultJobs().
 int ResolveJobs(int jobs);
 
-// Worker count for a fleet of sharded runs: each run occupies `shards`
-// cores, so the resolved jobs budget is divided by the shard count
-// (floor, at least 1). With shards == 1 this is exactly ResolveJobs().
-int BudgetedJobs(int jobs, int shards);
-
 class ParallelRunner {
  public:
   // Runs on the executing worker after the Simulation is constructed and

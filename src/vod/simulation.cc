@@ -68,19 +68,10 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
   }
   SPIFFI_CHECK(error.empty());
 
-  // One environment per shard (one total in the classic configuration).
-  // Pre-size each event heap from the configured load so the calendars
-  // never reallocate mid-run (storage_grows() stays 0 in steady state);
-  // shards split the load, but partitions are uneven, so each shard
-  // keeps a generous half of the single-calendar reservation.
-  envs_.reserve(static_cast<std::size_t>(config.shards));
-  for (int s = 0; s < config.shards; ++s) {
-    envs_.push_back(std::make_unique<sim::Environment>());
-    envs_[s]->ReserveCalendar(config.shards == 1
-                                  ? config.expected_peak_events()
-                                  : config.expected_peak_events() / 2);
-  }
-  env_ = envs_[0].get();
+  // Pre-size the event heap from the configured load so the calendar
+  // never reallocates mid-run (storage_grows() stays 0 in steady state).
+  env_ = std::make_unique<sim::Environment>();
+  env_->ReserveCalendar(config.expected_peak_events());
   sim::Rng master(config.seed);
 
   library_ = SharedLibraryFor(config);
@@ -112,28 +103,7 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
         std::move(bytes), master.Child(kPlacementStream).NextU64());
   }
 
-  // One network instance per shard, all with identical parameters: the
-  // bus has no shared queueing state, so per-shard accounting plus an
-  // exact bucket-history merge reproduces the single-instance stats.
-  networks_.reserve(envs_.size());
-  for (auto& env : envs_) {
-    networks_.push_back(
-        std::make_unique<hw::Network>(env.get(), config.network));
-  }
-  network_ = networks_[0].get();
-  if (config.shards > 1) {
-    std::vector<sim::Environment*> shard_envs;
-    shard_envs.reserve(envs_.size());
-    for (auto& env : envs_) shard_envs.push_back(env.get());
-    // The base wire delay is the guaranteed minimum cross-shard latency
-    // — SPIFFI's bus charges it on every message — and thus the
-    // conservative lookahead.
-    group_ = std::make_unique<sim::ShardGroup>(
-        std::move(shard_envs), config.network.wire_delay_base_sec);
-    for (int s = 0; s < config.shards; ++s) {
-      networks_[s]->AttachShard(group_.get(), s);
-    }
-  }
+  network_ = std::make_unique<hw::Network>(env_.get(), config.network);
 
   // Fault subsystem: built only for an enabled FaultPlan, so the empty
   // default leaves every fault_ pointer null and the run bit-identical
@@ -142,7 +112,7 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
     fault_state_ = std::make_unique<fault::FaultState>(
         config.num_nodes, config.disks_per_node);
     fault_injector_ = std::make_unique<fault::FaultInjector>(
-        env_, config.fault_plan, fault_state_.get(),
+        env_.get(), config.fault_plan, fault_state_.get(),
         master.Child(kFaultStream));
   }
 
@@ -169,20 +139,9 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
   node_config.prefix_cache_fraction = config.prefix_cache_fraction;
   node_config.prefix_recompute_sec = config.prefix_recompute_sec;
   node_config.num_nodes = config.num_nodes;
-  // Node n runs on shard n % shards (its shard's environment + network
-  // instance); with one shard every entry is the primary pair and this
-  // is exactly the classic construction.
-  std::vector<sim::Environment*> node_envs(
-      static_cast<std::size_t>(config.num_nodes));
-  std::vector<hw::Network*> node_networks(
-      static_cast<std::size_t>(config.num_nodes));
-  for (int n = 0; n < config.num_nodes; ++n) {
-    node_envs[n] = envs_[ShardOfNode(n)].get();
-    node_networks[n] = networks_[ShardOfNode(n)].get();
-  }
   server_ = std::make_unique<server::VideoServer>(
-      node_envs, node_networks, node_config, library_.get(), layout_.get(),
-      fault_state_.get());
+      env_.get(), config.num_nodes, node_config, network_.get(),
+      library_.get(), layout_.get(), fault_state_.get());
 
   // Admission control: built only when a policy is selected, so the
   // default `off` run never consults it and stays bit-identical.
@@ -286,7 +245,7 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
 
   if (config.stream_sharing_enabled()) {
     share_ = std::make_unique<client::StreamShareManager>(
-        env_, config.piggyback_window_sec, config.patch_window_sec);
+        env_.get(), config.piggyback_window_sec, config.patch_window_sec);
   }
 
   // Tier routing is always resolvable (proxy hop == -1 when the tier is
@@ -308,9 +267,8 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
       proxy_params.retry_min_timeout_sec = config.retry_min_timeout_sec;
       proxy_params.retry_backoff_base_sec = config.retry_backoff_base_sec;
       proxies_.push_back(std::make_unique<proxy::ProxyNode>(
-          envs_[ShardOfProxy(p)].get(), proxy_params,
-          networks_[ShardOfProxy(p)].get(), server_.get(), router_.get(),
-          library_.get(), fault_state_.get()));
+          env_.get(), proxy_params, network_.get(), server_.get(),
+          router_.get(), library_.get(), fault_state_.get()));
     }
   }
 
@@ -340,29 +298,10 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
     server::MessageSink* ingress =
         proxies_.empty() ? nullptr
                          : proxies_[router_->ProxyForTerminal(t)].get();
-    const int shard = ShardOfTerminal(t);
     terminals_.push_back(std::make_unique<client::Terminal>(
-        envs_[shard].get(), t, terminal_params, networks_[shard].get(),
+        env_.get(), t, terminal_params, network_.get(),
         server_.get(), library_.get(), layout_.get(), rng, start,
         share_.get(), fault_state_.get(), ingress, admission_.get()));
-  }
-
-  // Cross-shard endpoint directory: everything PostMessage can address
-  // (node sinks, proxies, terminals via reply_to) registers its shard.
-  if (group_ != nullptr) {
-    for (int n = 0; n < config.num_nodes; ++n) {
-      group_->RegisterEndpoint(server_->node_sink(n), ShardOfNode(n));
-    }
-    for (int p = 0; p < static_cast<int>(proxies_.size()); ++p) {
-      group_->RegisterEndpoint(
-          static_cast<server::MessageSink*>(proxies_[p].get()),
-          ShardOfProxy(p));
-    }
-    for (int t = 0; t < config.terminals; ++t) {
-      group_->RegisterEndpoint(
-          static_cast<server::MessageSink*>(terminals_[t].get()),
-          ShardOfTerminal(t));
-    }
   }
 
   RegisterMetrics();
@@ -419,7 +358,8 @@ sim::Process Simulation::RebuildDisk(int disk_global) {
         request.bytes = bytes;
         request.deadline = sim::kSimTimeMax;
         request.reply_to = &rebuild_sink_;
-        server::PostMessage(env_, network_, server::kControlMessageBytes,
+        server::PostMessage(env_.get(), network_.get(),
+                            server::kControlMessageBytes,
                             server_->node_sink(peer->node), request);
         bytes_read += static_cast<std::uint64_t>(bytes);
       }
@@ -432,114 +372,12 @@ sim::Process Simulation::RebuildDisk(int disk_global) {
   fault_state_->EndRebuild(disk_global, env_->now(), bytes_read, completed);
 }
 
-int Simulation::ShardOfTerminal(int terminal) const {
-  if (!proxies_.empty()) {
-    return ShardOfProxy(router_->ProxyForTerminal(terminal));
-  }
-  return terminal % config_.shards;
-}
-
-void Simulation::AddBarrierSampler(double interval_sec,
-                                   std::function<void(sim::SimTime)> sample) {
-  SPIFFI_CHECK(interval_sec > 0.0);
-  BarrierSampler sampler;
-  sampler.interval = interval_sec;
-  sampler.next = env_->now() + interval_sec;
-  sampler.sample = std::move(sample);
-  samplers_.push_back(std::move(sampler));
-}
-
-void Simulation::AdvanceTo(sim::SimTime end) {
-  if (group_ == nullptr) {
-    env_->RunUntil(end);
-    return;
-  }
-  // Stop the whole group at each barrier-sample tick at or before
-  // `end`: after group_->AdvanceTo(t) every shard has fired all events
-  // up to exactly t, so a sampler reads a globally consistent state.
-  // The tick chain next = now + interval, iterated in double
-  // arithmetic, matches the single-shard sampler process's Hold chain
-  // exactly, keeping sample times bit-identical across shard counts.
-  for (;;) {
-    sim::SimTime next_tick = sim::kSimTimeMax;
-    for (const BarrierSampler& s : samplers_) {
-      next_tick = std::min(next_tick, s.next);
-    }
-    if (next_tick > end) break;
-    if (next_tick > env_->now()) group_->AdvanceTo(next_tick);
-    for (BarrierSampler& s : samplers_) {
-      if (s.next == next_tick) {
-        s.sample(next_tick);
-        s.next = next_tick + s.interval;
-      }
-    }
-  }
-  if (end > env_->now()) group_->AdvanceTo(end);
-}
-
-std::uint64_t Simulation::total_events_fired() const {
-  std::uint64_t sum = 0;
-  for (const auto& env : envs_) sum += env->events_fired();
-  return sum;
-}
-
-std::uint64_t Simulation::total_network_bytes() const {
-  std::uint64_t sum = 0;
-  for (const auto& network : networks_) sum += network->total_bytes();
-  return sum;
-}
-
-std::uint64_t Simulation::MergedPeakBucketBytes() const {
-  // Align the shards' bucket histories on absolute bucket ids and take
-  // the max of the per-bucket sums. Order-independent, so the merged
-  // peak is exact — and with one shard it is that instance's own peak.
-  std::int64_t lo = 0;
-  std::size_t length = 0;
-  bool any = false;
-  for (const auto& network : networks_) {
-    if (network->first_bucket() < 0) continue;
-    if (!any || network->first_bucket() < lo) {
-      any = true;
-      lo = network->first_bucket();
-    }
-  }
-  if (!any) return 0;
-  for (const auto& network : networks_) {
-    if (network->first_bucket() < 0) continue;
-    length = std::max(
-        length, static_cast<std::size_t>(network->first_bucket() - lo) +
-                    network->bucket_bytes().size());
-  }
-  std::uint64_t peak = 0;
-  for (std::size_t i = 0; i < length; ++i) {
-    std::uint64_t bucket_sum = 0;
-    for (const auto& network : networks_) {
-      if (network->first_bucket() < 0) continue;
-      const std::size_t offset =
-          static_cast<std::size_t>(network->first_bucket() - lo);
-      if (i >= offset && i - offset < network->bucket_bytes().size()) {
-        bucket_sum += network->bucket_bytes()[i - offset];
-      }
-    }
-    peak = std::max(peak, bucket_sum);
-  }
-  return peak;
-}
-
-double Simulation::MergedAverageBandwidth(sim::SimTime now) const {
-  // Every shard network resets together, so any stats_start works; the
-  // computation with one shard is Network::AverageBandwidth verbatim.
-  const double window = now - network_->stats_start();
-  if (window <= 0.0) return 0.0;
-  return static_cast<double>(total_network_bytes()) / window;
-}
-
-void Simulation::RunWarmup() { AdvanceTo(config_.warmup_seconds); }
+void Simulation::RunWarmup() { env_->RunUntil(config_.warmup_seconds); }
 
 void Simulation::ResetAllStats() {
   sim::SimTime now = env_->now();
   server_->ResetStats(now);
-  for (auto& network : networks_) network->ResetStats();
+  network_->ResetStats();
   for (auto& terminal : terminals_) terminal->ResetStats();
   if (share_ != nullptr) share_->ResetStats();
   for (auto& proxy : proxies_) proxy->ResetStats();
@@ -550,7 +388,7 @@ void Simulation::ResetAllStats() {
 }
 
 void Simulation::RunMeasurement() {
-  AdvanceTo(measure_start_ + config_.measure_seconds);
+  env_->RunUntil(measure_start_ + config_.measure_seconds);
 }
 
 SimMetrics Simulation::CollectDirect() const {
@@ -626,10 +464,10 @@ SimMetrics Simulation::CollectDirect() const {
   }
 
   m.peak_network_bytes_per_sec =
-      static_cast<double>(MergedPeakBucketBytes()) /
+      static_cast<double>(network_->peak_bytes_per_bucket()) /
       config_.network.bandwidth_bucket_sec;
-  m.avg_network_bytes_per_sec = MergedAverageBandwidth(now);
-  m.events_simulated = total_events_fired();
+  m.avg_network_bytes_per_sec = network_->AverageBandwidth(now);
+  m.events_simulated = env_->events_fired();
 
   // Stream sharing: all zero when no manager was constructed.
   if (share_ != nullptr) {
@@ -1287,34 +1125,27 @@ void Simulation::RegisterMetrics() {
     return count == 0 ? 0.0 : sum / count * 1e3;
   });
 
-  // --- Network (merged across shard instances; with one shard the
-  // merge reads the single instance bit-for-bit) ---
+  // --- Network ---
   metrics_.AddProbe("network.peak_bytes_per_sec", [this] {
-    return static_cast<double>(MergedPeakBucketBytes()) /
+    return static_cast<double>(network_->peak_bytes_per_bucket()) /
            config_.network.bandwidth_bucket_sec;
   });
   metrics_.AddProbe("network.avg_bytes_per_sec", [this] {
-    return MergedAverageBandwidth(env_->now());
+    return network_->AverageBandwidth(env_->now());
   });
 
-  // --- Kernel self-profile (summed over shard environments) ---
+  // --- Kernel self-profile ---
   metrics_.AddProbe("kernel.events_fired", [this] {
-    return static_cast<double>(total_events_fired());
+    return static_cast<double>(env_->events_fired());
   });
   metrics_.AddProbe("kernel.peak_calendar_size", [this] {
-    std::size_t sum = 0;
-    for (const auto& env : envs_) sum += env->peak_calendar_size();
-    return static_cast<double>(sum);
+    return static_cast<double>(env_->peak_calendar_size());
   });
   metrics_.AddProbe("kernel.calendar_grows", [this] {
-    std::uint64_t sum = 0;
-    for (const auto& env : envs_) sum += env->calendar_storage_grows();
-    return static_cast<double>(sum);
+    return static_cast<double>(env_->calendar_storage_grows());
   });
   metrics_.AddProbe("kernel.peak_processes", [this] {
-    std::size_t sum = 0;
-    for (const auto& env : envs_) sum += env->peak_processes();
-    return static_cast<double>(sum);
+    return static_cast<double>(env_->peak_processes());
   });
 }
 
@@ -1381,7 +1212,7 @@ bool Simulation::Run(const std::atomic<bool>& cancel, SimMetrics* out,
     RunProgress p;
     p.sim_now_seconds = env_->now();
     p.sim_end_seconds = sim_end;
-    p.events_fired = total_events_fired();
+    p.events_fired = env_->events_fired();
     p.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
@@ -1395,7 +1226,7 @@ bool Simulation::Run(const std::atomic<bool>& cancel, SimMetrics* out,
     sim::SimTime end = i == kSlicesPerPhase
                            ? config_.warmup_seconds
                            : config_.warmup_seconds * i / kSlicesPerPhase;
-    AdvanceTo(end);
+    env_->RunUntil(end);
     report_progress(false);
   }
   ResetAllStats();
@@ -1405,7 +1236,7 @@ bool Simulation::Run(const std::atomic<bool>& cancel, SimMetrics* out,
         i == kSlicesPerPhase
             ? measure_start_ + config_.measure_seconds
             : measure_start_ + config_.measure_seconds * i / kSlicesPerPhase;
-    AdvanceTo(end);
+    env_->RunUntil(end);
     report_progress(true);
   }
 
@@ -1423,18 +1254,6 @@ bool Simulation::Run(const std::atomic<bool>& cancel, SimMetrics* out,
     profile.config_summary = config_.Describe();
     profile.metrics = *out;
     profile.kernel = obs::CaptureKernelProfile(*env_);
-    // Sharded runs: fold the other shards' kernels into one profile so
-    // events/sec and peak sizes describe the whole simulation.
-    for (std::size_t s = 1; s < envs_.size(); ++s) {
-      const obs::KernelProfile shard = obs::CaptureKernelProfile(*envs_[s]);
-      profile.kernel.events_fired += shard.events_fired;
-      profile.kernel.calendar_size += shard.calendar_size;
-      profile.kernel.peak_calendar_size += shard.peak_calendar_size;
-      profile.kernel.calendar_grows += shard.calendar_grows;
-      profile.kernel.live_processes += shard.live_processes;
-      profile.kernel.peak_processes += shard.peak_processes;
-      profile.kernel.resume_slots += shard.resume_slots;
-    }
     observer(profile);
   }
   return true;

@@ -32,7 +32,6 @@
 #include "server/server.h"
 #include "sim/environment.h"
 #include "sim/process.h"
-#include "sim/shard.h"
 #include "vod/admission.h"
 #include "vod/config.h"
 #include "vod/metrics.h"
@@ -114,30 +113,8 @@ class Simulation {
   bool Run(const std::atomic<bool>& cancel, SimMetrics* out,
            const ProgressFn& progress);
 
-  // Component access (for tests and custom experiment loops). env() and
-  // network() are shard 0's instances — the only ones when shards == 1.
+  // Component access (for tests and custom experiment loops).
   sim::Environment& env() { return *env_; }
-  // Sharded kernel (config.shards > 1): each shard owns one environment
-  // and one network instance; AdvanceTo drives them together.
-  bool sharded() const { return group_ != nullptr; }
-  int num_shards() const { return static_cast<int>(envs_.size()); }
-  sim::Environment& shard_env(int shard) { return *envs_[shard]; }
-  hw::Network& shard_network(int shard) const { return *networks_[shard]; }
-  // Runs every shard to `end` (plain RunUntil when shards == 1),
-  // stopping at barrier-sampler ticks along the way. RunWarmup /
-  // RunMeasurement / Run all advance time through here.
-  void AdvanceTo(sim::SimTime end);
-  // Registers a callback sampled at now + interval, now + 2*interval,
-  // ... at global barriers: when it fires, every shard has fired all
-  // events up to exactly that instant. TelemetryRecorder uses this in
-  // sharded runs, where a free-running sampler process on one shard
-  // would observe other shards mid-flight.
-  void AddBarrierSampler(double interval_sec,
-                         std::function<void(sim::SimTime)> sample);
-  // Cross-shard aggregates; with one shard these equal the plain
-  // single-instance reads bit-for-bit.
-  std::uint64_t total_events_fired() const;
-  std::uint64_t total_network_bytes() const;
   server::VideoServer& server() { return *server_; }
   const mpeg::VideoLibrary& library() const { return *library_; }
   const layout::Layout& layout() const { return *layout_; }
@@ -188,17 +165,6 @@ class Simulation {
 
  private:
   void RegisterMetrics();
-  // Static partition rule: server node n -> shard n % shards, proxy
-  // p -> shard p % shards, terminal t -> its ingress proxy's shard (or
-  // t % shards in a flat topology), so a terminal and its proxy always
-  // share a calendar and only proxy->origin (or terminal->origin)
-  // traffic crosses shards.
-  int ShardOfNode(int node) const { return node % config_.shards; }
-  int ShardOfProxy(int proxy) const { return proxy % config_.shards; }
-  int ShardOfTerminal(int terminal) const;
-  // Exact merged network stats (see hw::Network bucket history).
-  std::uint64_t MergedPeakBucketBytes() const;
-  double MergedAverageBandwidth(sim::SimTime now) const;
   // Throttled post-repair resync of one disk from replica peers; spawned
   // by the fault effect handler when rebuild_mbps > 0 on a replicated
   // layout. Holds the FaultState `rebuilding` flag for its lifetime.
@@ -212,16 +178,13 @@ class Simulation {
   };
 
   SimConfig config_;
-  // One environment + network per shard; envs_[0] / networks_[0] are
-  // the primary instances env_ / network_ alias (declared first so they
-  // are destroyed last, after everything scheduled on them).
-  std::vector<std::unique_ptr<sim::Environment>> envs_;
-  sim::Environment* env_ = nullptr;
+  // Declared first so it is destroyed last, after everything scheduled
+  // on it.
+  std::unique_ptr<sim::Environment> env_;
   // Shared with every live run of the same library inputs (immutable).
   std::shared_ptr<const mpeg::VideoLibrary> library_;
   std::unique_ptr<layout::Layout> layout_;
-  std::vector<std::unique_ptr<hw::Network>> networks_;
-  hw::Network* network_ = nullptr;
+  std::unique_ptr<hw::Network> network_;
   std::unique_ptr<fault::FaultState> fault_state_;
   std::unique_ptr<fault::FaultInjector> fault_injector_;
   std::unique_ptr<AdmissionController> admission_;
@@ -233,15 +196,6 @@ class Simulation {
   std::vector<std::unique_ptr<client::Terminal>> terminals_;
   obs::MetricsRegistry metrics_;
   sim::SimTime measure_start_ = 0.0;
-  struct BarrierSampler {
-    double interval = 0.0;
-    sim::SimTime next = 0.0;
-    std::function<void(sim::SimTime)> sample;
-  };
-  std::vector<BarrierSampler> samplers_;
-  // Declared last: destroyed first, joining the worker threads before
-  // any component they touch goes away. Null when shards == 1.
-  std::unique_ptr<sim::ShardGroup> group_;
 };
 
 // Convenience: construct, run, and return the metrics.

@@ -12,14 +12,7 @@ TelemetryRecorder::TelemetryRecorder(Simulation* simulation,
   series_.set_retention(options.retention);
   series_.StreamTo(options.jsonl);
   RegisterChannels();
-  if (simulation_->sharded()) {
-    simulation_->AddBarrierSampler(
-        options.interval_sec,
-        [this](sim::SimTime now) { series_.Sample(now); });
-    simulation_->env().Spawn(TickPacer(options.interval_sec));
-  } else {
-    simulation_->env().Spawn(Sampler(options.interval_sec));
-  }
+  simulation_->env().Spawn(Sampler(options.interval_sec));
 }
 
 void TelemetryRecorder::RegisterChannels() {
@@ -106,7 +99,7 @@ void TelemetryRecorder::RegisterChannels() {
 
   // --- Network ---
   series_.AddCounter("network.bytes", [sim] {
-    return static_cast<double>(sim->total_network_bytes());
+    return static_cast<double>(sim->network().total_bytes());
   });
 
   // --- Terminals ---
@@ -283,13 +276,6 @@ sim::Process TelemetryRecorder::Sampler(double interval_sec) {
   for (;;) {
     co_await env->Hold(interval_sec);
     series_.Sample(env->now());
-  }
-}
-
-sim::Process TelemetryRecorder::TickPacer(double interval_sec) {
-  sim::Environment* env = &simulation_->env();
-  for (;;) {
-    co_await env->Hold(interval_sec);
   }
 }
 

@@ -18,14 +18,6 @@
 // byte-identical at any --jobs count (locked by
 // tests/vod/telemetry_test.cc).
 //
-// On sharded runs (config.shards > 1) a free-running sampler process on
-// one shard would observe the other shards mid-flight, so the recorder
-// instead samples through Simulation::AddBarrierSampler — the sample
-// fires when every shard has advanced to exactly the tick instant. A
-// pacer process still holds through the same tick chain on shard 0 so
-// the kernel event count (and thus SimMetrics::events_simulated) is
-// identical to the single-shard sampler's.
-//
 // Construct after the Simulation, before running it. TraceRecorder
 // (vod/trace.h) is the legacy 9-column-CSV view built on top of this.
 
@@ -65,9 +57,6 @@ class TelemetryRecorder {
  private:
   void RegisterChannels();
   sim::Process Sampler(double interval_sec);
-  // Sharded runs: fires the same Hold chain as Sampler but takes no
-  // samples (the barrier sampler does), keeping event counts identical.
-  sim::Process TickPacer(double interval_sec);
 
   Simulation* simulation_;
   obs::TimeSeries series_;

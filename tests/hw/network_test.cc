@@ -78,6 +78,48 @@ TEST(NetworkTest, PeakBucketCapturesBurst) {
   EXPECT_EQ(net.peak_bytes_per_bucket(), 3'000'000u);
 }
 
+TEST(NetworkTest, PeakSitsInTheStillOpenLastBucket) {
+  sim::Environment env;
+  Network net(&env, NetworkParams());
+  Receiver receiver(&env);
+  env.Spawn([](sim::Environment* e, Network* n,
+               Receiver* r) -> sim::Process {
+    // 1.5 MB in second 0, then 2 MB in two sends in second 3, the last
+    // traffic of the run: the peak bucket is never closed.
+    n->Send(1'500'000, r, 1);
+    co_await e->Hold(3.2);
+    n->Send(1'000'000, r, 2);
+    co_await e->Hold(0.5);
+    n->Send(1'000'000, r, 3);
+  }(&env, &net, &receiver));
+  env.Run();
+  EXPECT_EQ(net.peak_bytes_per_bucket(), 2'000'000u);
+}
+
+TEST(NetworkTest, TrafficStraddlesAMidBucketReset) {
+  sim::Environment env;
+  Network net(&env, NetworkParams());
+  Receiver receiver(&env);
+  env.Spawn([](sim::Environment* e, Network* n,
+               Receiver* r) -> sim::Process {
+    // Second 0 carries 3 MB before the reset at t = 0.5 and 1 MB after
+    // it; second 1 carries 0.5 MB. Only post-reset bytes count.
+    co_await e->Hold(0.25);
+    n->Send(3'000'000, r, 1);
+    co_await e->Hold(0.25);
+    n->ResetStats();
+    EXPECT_EQ(n->peak_bytes_per_bucket(), 0u);
+    co_await e->Hold(0.25);
+    n->Send(1'000'000, r, 2);
+    co_await e->Hold(0.75);
+    n->Send(500'000, r, 3);
+  }(&env, &net, &receiver));
+  env.Run();
+  EXPECT_EQ(net.peak_bytes_per_bucket(), 1'000'000u);
+  EXPECT_EQ(net.total_bytes(), 1'500'000u);
+  EXPECT_DOUBLE_EQ(net.stats_start(), 0.5);
+}
+
 TEST(NetworkTest, ResetStatsClearsCounters) {
   sim::Environment env;
   Network net(&env, NetworkParams());

@@ -129,8 +129,8 @@ TEST(EnvironmentTest, ScheduleAfterUsesRelativeDelay) {
 TEST(EnvironmentTest, ScheduleAfterClampsNegativeDelayToNow) {
   // Regression: a negative delay used to schedule into the past (the
   // debug assertion compiled out in release builds), which breaks the
-  // calendar's no-backwards-time invariant and, in sharded runs, the
-  // conservative clocks. It now clamps to "fire at the current time".
+  // calendar's no-backwards-time invariant. It now clamps to "fire at
+  // the current time".
   Environment env;
   std::vector<double> fired;
   struct Waker final : EventHandler {

@@ -1,6 +1,7 @@
 #include "vod/config.h"
 
 #include "gtest/gtest.h"
+#include "vod/report.h"
 
 namespace spiffi::vod {
 namespace {
@@ -113,61 +114,12 @@ TEST(SimConfigTest, ValidatesFaultPlan) {
   }
 }
 
-TEST(SimConfigTest, ValidatesShardCount) {
-  {
-    SimConfig c;  // default num_nodes = 4
-    c.shards = 2;
-    EXPECT_TRUE(c.Validate().empty());
-    c.shards = 4;
-    EXPECT_TRUE(c.Validate().empty());
-  }
-  for (int bad : {0, -1}) {
-    SimConfig c;
-    c.shards = bad;
-    EXPECT_FALSE(c.Validate().empty()) << "shards=" << bad;
-  }
-  {
-    SimConfig c;
-    c.shards = c.num_nodes + 1;  // a shard would own no server node
-    EXPECT_FALSE(c.Validate().empty());
-  }
-}
-
-TEST(SimConfigTest, ShardingExcludesSingleCalendarFeatures) {
-  // Stream sharing, admission, and fault injection coordinate through
-  // process-wide managers that assume one calendar; they require
-  // shards == 1 until they are partitioned too.
-  {
-    SimConfig c;
-    c.shards = 2;
-    c.piggyback_window_sec = 5.0;
-    EXPECT_FALSE(c.Validate().empty());
-    c.shards = 1;
-    EXPECT_TRUE(c.Validate().empty());
-  }
-  {
-    SimConfig c;
-    c.shards = 2;
-    c.admission_policy = AdmissionPolicy::kStaticReservation;
-    EXPECT_FALSE(c.Validate().empty());
-    c.shards = 1;
-    EXPECT_TRUE(c.Validate().empty());
-  }
-  {
-    SimConfig c;
-    c.shards = 2;
-    c.fault_plan.disk_mtbf_sec = 500.0;
-    EXPECT_FALSE(c.Validate().empty());
-    c.shards = 1;
-    EXPECT_TRUE(c.Validate().empty());
-  }
-}
-
-TEST(SimConfigTest, DescribeMentionsShardsOnlyWhenSharded) {
-  SimConfig c;
-  EXPECT_EQ(c.Describe().find("shards"), std::string::npos);
-  c.shards = 2;
-  EXPECT_NE(c.Describe().find("shards 2"), std::string::npos);
+TEST(SimConfigTest, RebuildRateIsPartOfTheConfigDigest) {
+  SimConfig a;
+  SimConfig b = a;
+  b.rebuild_mbps = 40.0;
+  EXPECT_EQ(ConfigDigest(a), ConfigDigest(SimConfig(a)));
+  EXPECT_NE(ConfigDigest(a), ConfigDigest(b));
 }
 
 TEST(SimConfigTest, DescribeMentionsFaultsOnlyWhenEnabled) {

@@ -20,14 +20,6 @@ an error (exit 1): a silently dropped benchmark would otherwise make a
 regression invisible. Benchmarks only in the fresh run are reported but
 never fail — the committed baseline may predate newly added benchmarks.
 Speedups are reported too, as a nudge to refresh the baseline.
-
-A "sharded_scaling" section (from bench/sharded_scaling) is compared by
-its parallel speedup — "sharded_scaling/shards_4" etc., higher is
-better, same ratio rule. Repeatable --min-rate=NAME:VALUE flags impose
-absolute floors on fresh rates regardless of the baseline, e.g.
---min-rate=sharded_scaling/shards_4:2.0 demands >= 2x speedup on the
-machine running the comparison (speedup floors only make sense where
-the cores exist — CI sets this, a laptop smoke run need not).
 """
 
 import json
@@ -39,15 +31,6 @@ def load_rates(path):
     with open(path) as f:
         data = json.load(f)
     rates = {}
-    # A sharded_scaling section can ride along in any shape (the raw
-    # harness output, the committed baseline, a bench_summary.py file).
-    # Its comparable rate is the parallel speedup (higher is better),
-    # one entry per shard count; scalars like "cores" are metadata.
-    scaling = data.get("sharded_scaling")
-    if isinstance(scaling, dict):
-        for name, entry in scaling.items():
-            if isinstance(entry, dict) and "speedup" in entry:
-                rates[f"sharded_scaling/{name}"] = float(entry["speedup"])
     if "benchmarks" in data:
         # Raw google-benchmark output or bench_summary.py output.
         for bench in data["benchmarks"]:
@@ -68,8 +51,6 @@ def load_rates(path):
                       f"(metadata, not a benchmark section)",
                       file=sys.stderr)
                 continue
-            if harness == "sharded_scaling":
-                continue  # handled above, in every shape
             found = 0
             for name, entry in entries.items():
                 if isinstance(entry, dict) and "after_items_per_sec" in entry:
@@ -84,18 +65,10 @@ def load_rates(path):
 
 def main(argv):
     threshold = 0.15
-    min_rates = {}
     paths = []
     for arg in argv:
         if arg.startswith("--threshold="):
             threshold = float(arg.split("=", 1)[1])
-        elif arg.startswith("--min-rate="):
-            name, _, value = arg.split("=", 1)[1].rpartition(":")
-            if not name:
-                print(f"bench_compare: --min-rate wants NAME:VALUE, "
-                      f"got {arg}", file=sys.stderr)
-                return 2
-            min_rates[name] = float(value)
         elif arg.startswith("--"):
             print(f"bench_compare: unknown flag {arg}", file=sys.stderr)
             return 2
@@ -136,20 +109,6 @@ def main(argv):
         print(f"{name:<42} {baseline[name]:>12.3g} {fresh[name]:>12.3g} "
               f"{ratio:>6.2f}x{marker}")
 
-    below_floor = []
-    for name, floor in sorted(min_rates.items()):
-        if name not in fresh:
-            print(f"\nbench_compare: FAIL — --min-rate names {name}, "
-                  f"absent from the fresh run", file=sys.stderr)
-            below_floor.append((name, float("nan")))
-        elif fresh[name] < floor:
-            below_floor.append((name, fresh[name]))
-            print(f"\nbench_compare: FAIL — {name} = {fresh[name]:.3g}, "
-                  f"below the required floor {floor:.3g}", file=sys.stderr)
-        else:
-            print(f"bench_compare: floor ok — {name} = {fresh[name]:.3g} "
-                  f">= {floor:.3g}")
-
     if missing:
         print(f"\nbench_compare: FAIL — {len(missing)} baseline "
               f"benchmark(s) missing from the fresh run (renamed or "
@@ -162,7 +121,7 @@ def main(argv):
               file=sys.stderr)
         for name, ratio in regressions:
             print(f"  {name}: {ratio:.2f}x of baseline", file=sys.stderr)
-    if missing or regressions or below_floor:
+    if missing or regressions:
         return 1
     compared = len(set(baseline) & set(fresh))
     print(f"\nbench_compare: OK ({compared} benchmarks within "

@@ -1,17 +1,11 @@
 #!/usr/bin/env python3
 """Condense google-benchmark JSON output into BENCH_kernel.json.
 
-Usage: bench_summary.py [--section name=file ...] raw1.json [raw2.json ...]
-           > BENCH_kernel.json
+Usage: bench_summary.py raw1.json [raw2.json ...] > BENCH_kernel.json
 
 Keeps one entry per benchmark run: the per-iteration wall time and the
 items-per-second counter (events/sec for the calendar and process
 benchmarks in micro_sim_kernel, pages/sec for micro_buffer_pool).
-
---section name=file embeds a non-google-benchmark JSON result (e.g. the
-bench/sharded_scaling harness output) as a top-level section in the
-summary: if the file's object already has a key `name`, that value is
-taken; otherwise the whole object becomes the section.
 """
 
 import json
@@ -21,20 +15,7 @@ import sys
 def main() -> int:
     entries = []
     context = {}
-    sections = {}
-    args = iter(sys.argv[1:])
-    for arg in args:
-        if arg == "--section" or arg.startswith("--section="):
-            spec = arg.split("=", 1)[1] if "=" in arg else next(args, "")
-            name, _, path = spec.partition("=")
-            if not name or not path:
-                print(f"bench_summary: --section wants name=file, "
-                      f"got {spec!r}", file=sys.stderr)
-                return 2
-            with open(path) as f:
-                data = json.load(f)
-            sections[name] = data.get(name, data)
-            continue
+    for arg in sys.argv[1:]:
         with open(arg) as f:
             data = json.load(f)
         ctx = data.get("context", {})
@@ -53,7 +34,6 @@ def main() -> int:
                 entry["label"] = bench["label"]
             entries.append(entry)
     summary = {"context": context, "benchmarks": entries}
-    summary.update(sections)
     json.dump(summary, sys.stdout, indent=2)
     print()
     return 0
