@@ -103,7 +103,7 @@ inline vod::SimConfig BaseConfig(Preset preset) {
 // hardware_concurrency; --jobs 1 forces the serial path. Results are
 // identical for every value (see docs/parallel_runs.md).
 
-// The raw setting: 0 = default (vod::DefaultJobs()), n >= 1 = exactly n.
+// The raw setting: 0 = default (sim::DefaultJobs()), n >= 1 = exactly n.
 inline int& JobsSetting() {
   static int jobs = 0;
   return jobs;
@@ -168,6 +168,8 @@ inline constexpr int kMemorySweepPoints = 6;
 // their ratio is the achieved parallel speedup. `library_builds` counts
 // the video libraries the process built (mpeg/library_cache.h): one per
 // replication seed per capacity search, not one per probe.
+// `library_draws` counts the frame sizes those builds drew, an exact
+// host-independent measure of set-up work.
 
 struct ProfileCollector {
   bool enabled = false;         // --profile: kernel self-profile JSON
@@ -219,6 +221,7 @@ inline void WriteProfileReport() {
     events += run.kernel.events_fired;
   }
   double speedup = elapsed > 0.0 ? wall / elapsed : 0.0;
+  const mpeg::LibraryCacheStats library = mpeg::GetLibraryCacheStats();
   out << "{\n  \"harness\": \"" << collector.harness << "\",\n"
       << "  \"jobs\": " << ActiveJobs() << ",\n"
       << "  \"runs\": " << collector.runs.size() << ",\n"
@@ -226,8 +229,8 @@ inline void WriteProfileReport() {
       << "  \"elapsed_wall_seconds\": " << elapsed << ",\n"
       << "  \"parallel_speedup\": " << speedup << ",\n"
       << "  \"total_events\": " << events << ",\n"
-      << "  \"library_builds\": " << mpeg::GetLibraryCacheStats().builds
-      << ",\n"
+      << "  \"library_builds\": " << library.builds << ",\n"
+      << "  \"library_draws\": " << library.draws << ",\n"
       << "  \"events_per_sec\": " << (wall > 0.0 ? events / wall : 0.0)
       << ",\n  \"per_run\": [";
   for (std::size_t i = 0; i < collector.runs.size(); ++i) {

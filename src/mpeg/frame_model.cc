@@ -7,7 +7,8 @@
 
 namespace spiffi::mpeg {
 
-FrameModel::FrameModel(const MpegParams& params) : params_(params) {
+FrameModel::FrameModel(const MpegParams& params)
+    : params_(params), gop_frames_(params.gop_frames()) {
   SPIFFI_CHECK(params.gop_frames() > 0);
   double gop_weight =
       static_cast<double>(params.i_per_gop * params.i_size_weight +
@@ -20,6 +21,10 @@ FrameModel::FrameModel(const MpegParams& params) : params_(params) {
                      static_cast<double>(params.gop_frames()) /
                      params.frames_per_second;
   unit_bytes_ = gop_bytes / gop_weight;
+  position_mean_.reserve(gop_frames_);
+  for (int pos = 0; pos < gop_frames_; ++pos) {
+    position_mean_.push_back(MeanBytes(TypeOf(pos)));
+  }
 }
 
 FrameType FrameModel::TypeOf(std::int64_t index) const {
@@ -43,9 +48,8 @@ double FrameModel::MeanBytes(FrameType type) const {
   return 0.0;  // unreachable
 }
 
-std::int64_t FrameModel::FrameBytes(std::uint64_t seed,
-                                    std::int64_t index) const {
-  double mean = MeanBytes(TypeOf(index));
+std::int64_t FrameModel::DrawBytes(std::uint64_t seed, std::int64_t index,
+                                   double mean) {
   double size = sim::ExponentialAt(seed, static_cast<std::uint64_t>(index),
                                    mean);
   auto bytes = static_cast<std::int64_t>(std::ceil(size));

@@ -11,6 +11,7 @@
 #define SPIFFI_MPEG_FRAME_MODEL_H_
 
 #include <cstdint>
+#include <vector>
 
 namespace spiffi::mpeg {
 
@@ -55,13 +56,27 @@ class FrameModel {
   // long-run rate equals params.bits_per_second.
   double MeanBytes(FrameType type) const;
 
+  // Mean size of the frame at position `pos` (0 <= pos < gop_frames) of
+  // a GOP: MeanBytes(TypeOf(pos)), looked up in a table built once.
+  double PositionMean(int pos) const { return position_mean_[pos]; }
+
   // Exponentially distributed size of the frame at `index` of the stream
   // identified by `seed` (deterministic; at least 1 byte).
-  std::int64_t FrameBytes(std::uint64_t seed, std::int64_t index) const;
+  std::int64_t FrameBytes(std::uint64_t seed, std::int64_t index) const {
+    return DrawBytes(seed, index, position_mean_[index % gop_frames_]);
+  }
+
+  // The draw behind FrameBytes, for callers that already know the
+  // frame's GOP position: DrawBytes(seed, i, PositionMean(i % gop)) ==
+  // FrameBytes(seed, i).
+  static std::int64_t DrawBytes(std::uint64_t seed, std::int64_t index,
+                                double mean);
 
  private:
   MpegParams params_;
   double unit_bytes_;  // bytes represented by one size weight unit
+  std::int64_t gop_frames_;
+  std::vector<double> position_mean_;  // one entry per GOP position
 };
 
 }  // namespace spiffi::mpeg

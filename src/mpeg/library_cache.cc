@@ -40,6 +40,7 @@ struct Cache {
   std::condition_variable built;  // some entry finished building
   std::map<LibraryKey, Entry, KeyLess> entries;
   std::uint64_t builds = 0;
+  std::uint64_t draws = 0;
   std::uint64_t hits = 0;
 };
 
@@ -75,10 +76,15 @@ std::shared_ptr<const VideoLibrary> SharedLibrary(const LibraryKey& key) {
   auto library = std::make_shared<const VideoLibrary>(
       key.count, key.duration_seconds, key.params,
       ZipfDistribution(key.count, key.zipf_z), key.seed);
+  std::uint64_t draws = 0;  // one per frame of every video
+  for (int id = 0; id < library->count(); ++id) {
+    draws += static_cast<std::uint64_t>(library->video(id).frame_count());
+  }
   lock.lock();
   it->second.library = library;
   it->second.building = false;
   ++cache.builds;
+  cache.draws += draws;
   lock.unlock();
   cache.built.notify_all();
   return library;
@@ -87,7 +93,7 @@ std::shared_ptr<const VideoLibrary> SharedLibrary(const LibraryKey& key) {
 LibraryCacheStats GetLibraryCacheStats() {
   Cache& cache = TheCache();
   std::lock_guard<std::mutex> lock(cache.mutex);
-  return {cache.builds, cache.hits, cache.entries.size()};
+  return {cache.builds, cache.draws, cache.hits, cache.entries.size()};
 }
 
 }  // namespace spiffi::mpeg

@@ -46,6 +46,7 @@ std::shared_ptr<const VideoLibrary> SharedLibrary(const LibraryKey& key);
 // Monotonic process-wide counters (never reset).
 struct LibraryCacheStats {
   std::uint64_t builds = 0;  // VideoLibrary constructions
+  std::uint64_t draws = 0;   // frame sizes drawn by those builds
   std::uint64_t hits = 0;    // requests served by an existing build
   std::size_t entries = 0;   // keys currently in the map
 };

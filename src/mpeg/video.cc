@@ -1,16 +1,26 @@
 #include "mpeg/video.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <system_error>
+#include <thread>
 
 #include "sim/check.h"
+#include "sim/threads.h"
 
 namespace spiffi::mpeg {
 
 Video::Video(int id, std::uint64_t seed, const FrameModel* model,
              double duration_seconds)
+    : Video(id, seed, model, duration_seconds, Undrawn{}) {
+  DrawFrames();
+}
+
+Video::Video(int id, std::uint64_t seed, const FrameModel* model,
+             double duration_seconds, Undrawn)
     : id_(id), seed_(seed), model_(model),
-      duration_seconds_(duration_seconds) {
+      duration_seconds_(duration_seconds), total_bytes_(0) {
   SPIFFI_CHECK(model != nullptr);
   SPIFFI_CHECK(duration_seconds > 0.0);
   const MpegParams& params = model->params();
@@ -19,14 +29,20 @@ Video::Video(int id, std::uint64_t seed, const FrameModel* model,
   // Round to whole GOPs for a clean pattern (at most half a second off).
   int gop = params.gop_frames();
   frame_count_ = std::max<std::int64_t>(gop, (frame_count_ / gop) * gop);
+  gop_prefix_.reserve(frame_count_ / gop + 1);
+}
 
-  std::int64_t num_gops = frame_count_ / gop;
-  gop_prefix_.reserve(num_gops + 1);
+void Video::DrawFrames() noexcept {
+  const int gop = model_->params().gop_frames();
+  const std::int64_t num_gops = frame_count_ / gop;
   gop_prefix_.push_back(0);
   std::int64_t cumulative = 0;
-  for (std::int64_t f = 0; f < frame_count_; ++f) {
-    cumulative += model_->FrameBytes(seed_, f);
-    if ((f + 1) % gop == 0) gop_prefix_.push_back(cumulative);
+  std::int64_t f = 0;
+  for (std::int64_t g = 0; g < num_gops; ++g) {
+    for (int pos = 0; pos < gop; ++pos, ++f) {
+      cumulative += FrameModel::DrawBytes(seed_, f, model_->PositionMean(pos));
+    }
+    gop_prefix_.push_back(cumulative);
   }
   total_bytes_ = cumulative;
 }
@@ -36,8 +52,8 @@ std::int64_t Video::CumulativeBytesAtFrame(std::int64_t index) const {
   int gop = model_->params().gop_frames();
   std::int64_t g = index / gop;
   std::int64_t bytes = gop_prefix_[g];
-  for (std::int64_t f = g * gop; f < index; ++f) {
-    bytes += model_->FrameBytes(seed_, f);
+  for (std::int64_t f = g * gop, pos = 0; f < index; ++f, ++pos) {
+    bytes += FrameModel::DrawBytes(seed_, f, model_->PositionMean(pos));
   }
   return bytes;
 }
@@ -50,8 +66,9 @@ std::int64_t Video::FrameOfByte(std::int64_t byte) const {
   std::int64_t g = (it - gop_prefix_.begin()) - 1;
   int gop = model_->params().gop_frames();
   std::int64_t cumulative = gop_prefix_[g];
-  for (std::int64_t f = g * gop;; ++f) {
-    std::int64_t next = cumulative + model_->FrameBytes(seed_, f);
+  for (std::int64_t f = g * gop, pos = 0;; ++f, ++pos) {
+    std::int64_t next = cumulative + FrameModel::DrawBytes(
+                                         seed_, f, model_->PositionMean(pos));
     if (byte < next) return f;
     cumulative = next;
   }
@@ -72,10 +89,31 @@ VideoLibrary::VideoLibrary(int count, double duration_seconds,
   SPIFFI_CHECK(popularity.n() == count);
   videos_.reserve(count);
   for (int id = 0; id < count; ++id) {
-    videos_.push_back(std::make_unique<Video>(
-        id, sim::Hash64(seed, static_cast<std::uint64_t>(id)), &model_,
-        duration_seconds));
+    videos_.push_back(std::unique_ptr<Video>(
+        new Video(id, sim::Hash64(seed, static_cast<std::uint64_t>(id)),
+                  &model_, duration_seconds, Video::Undrawn{})));
   }
+  // Threads claim video ids from a shared counter; the calling thread
+  // takes part, so whatever the helpers leave it draws itself.
+  std::atomic<int> next_id{0};
+  auto draw = [&] {
+    for (int id; (id = next_id++) < count;) videos_[id]->DrawFrames();
+  };
+  int wanted = sim::InPoolWorker()
+                   ? 1
+                   : std::max(1, std::min(sim::DefaultJobs(), count / 8));
+  std::vector<std::thread> helpers;
+  helpers.reserve(wanted - 1);
+  for (int i = 1; i < wanted; ++i) {
+    try {
+      helpers.emplace_back(draw);
+    } catch (const std::system_error&) {
+      break;  // no more threads to be had: draw the rest here
+    }
+  }
+  build_threads_ = static_cast<int>(helpers.size()) + 1;
+  draw();
+  for (std::thread& helper : helpers) helper.join();
 }
 
 std::int64_t VideoLibrary::NumBlocks(int id,

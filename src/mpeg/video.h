@@ -42,6 +42,18 @@ class Video {
   std::int64_t FrameOfByte(std::int64_t byte) const;
 
  private:
+  friend class VideoLibrary;
+  struct Undrawn {};
+
+  // Sizes the video and reserves its GOP table without drawing a frame;
+  // DrawFrames() then fills the table without allocating. VideoLibrary
+  // allocates every video on its calling thread this way, so its helper
+  // threads only draw: memory a helper allocated would sit in that
+  // thread's own malloc arena and raise peak RSS.
+  Video(int id, std::uint64_t seed, const FrameModel* model,
+        double duration_seconds, Undrawn);
+  void DrawFrames() noexcept;
+
   int id_;
   std::uint64_t seed_;
   const FrameModel* model_;
@@ -56,6 +68,13 @@ class Video {
 
 // The library of videos offered by the server plus the popularity
 // distribution terminals draw from.
+//
+// Each video is a pure function of (library seed, video id), so the
+// constructor builds them on min(sim::DefaultJobs(), count / 8) threads
+// (at least 1), the calling thread included. On a pool worker
+// (sim::InPoolWorker(), e.g. a vod::ParallelRunner worker) it builds
+// serially, since the pool already fills the cores. Every video is
+// filled by id, so the library is bit-identical at any thread count.
 class VideoLibrary {
  public:
   // Creates `count` videos of `duration_seconds` each; popularity follows
@@ -64,6 +83,8 @@ class VideoLibrary {
                const ZipfDistribution& popularity, std::uint64_t seed);
 
   int count() const { return static_cast<int>(videos_.size()); }
+  // Threads that built the videos, the calling thread included.
+  int build_threads() const { return build_threads_; }
   const Video& video(int id) const { return *videos_[id]; }
   const FrameModel& frame_model() const { return model_; }
 
@@ -81,6 +102,7 @@ class VideoLibrary {
   FrameModel model_;
   std::vector<std::unique_ptr<Video>> videos_;
   ZipfDistribution popularity_;
+  int build_threads_ = 1;
 };
 
 }  // namespace spiffi::mpeg

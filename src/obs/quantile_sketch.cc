@@ -30,11 +30,49 @@ double QuantileSketch::BucketValue(std::int32_t index) const {
   return 2.0 * std::pow(gamma_, index) / (gamma_ + 1.0);
 }
 
+std::uint64_t& QuantileSketch::Store::At(std::int32_t index) {
+  const auto size = static_cast<std::int32_t>(counts.size());
+  if (size == 0) {
+    offset = index;
+    counts.assign(1, 0);
+  } else if (index < offset || index >= offset + size) {
+    // A new extreme: reallocate to exactly the widened span. Extremes
+    // grow rare after the first samples, and exact sizing keeps a store
+    // at 8 bytes per spanned bucket, where geometric growth would waste
+    // up to as much again (more than a std::map of the occupied buckets
+    // costs on the sparse spans of deadline slack).
+    const std::int32_t lo = std::min(index, offset);
+    const std::int32_t hi = std::max(index, offset + size - 1);
+    std::vector<std::uint64_t> wider(hi - lo + 1, 0);
+    std::copy(counts.begin(), counts.end(), wider.begin() + (offset - lo));
+    counts = std::move(wider);
+    offset = lo;
+  }
+  return counts[index - offset];
+}
+
+void QuantileSketch::Store::Add(std::int32_t index, std::uint64_t n) {
+  std::uint64_t& count = At(index);
+  if (count == 0) ++occupied;
+  count += n;
+}
+
+void QuantileSketch::Store::Merge(const Store& other) {
+  if (other.counts.empty()) return;
+  // Widen once to the union of both spans, then add bucket by bucket.
+  const auto size = static_cast<std::int32_t>(other.counts.size());
+  At(other.offset);
+  At(other.offset + size - 1);
+  for (std::int32_t i = 0; i < size; ++i) {
+    if (other.counts[i] != 0) Add(other.offset + i, other.counts[i]);
+  }
+}
+
 void QuantileSketch::Add(double value) {
   if (value > kMinTrackable) {
-    ++positive_[BucketFor(value)];
+    positive_.Add(BucketFor(value), 1);
   } else if (value < -kMinTrackable) {
-    ++negative_[BucketFor(-value)];
+    negative_.Add(BucketFor(-value), 1);
   } else {
     ++zero_count_;
   }
@@ -52,8 +90,8 @@ void QuantileSketch::Add(double value) {
 void QuantileSketch::Merge(const QuantileSketch& other) {
   SPIFFI_CHECK(alpha_ == other.alpha_);
   if (other.count_ == 0) return;
-  for (const auto& [index, n] : other.positive_) positive_[index] += n;
-  for (const auto& [index, n] : other.negative_) negative_[index] += n;
+  positive_.Merge(other.positive_);
+  negative_.Merge(other.negative_);
   zero_count_ += other.zero_count_;
   if (count_ == 0) {
     min_ = other.min_;
@@ -67,8 +105,8 @@ void QuantileSketch::Merge(const QuantileSketch& other) {
 }
 
 void QuantileSketch::Reset() {
-  positive_.clear();
-  negative_.clear();
+  positive_ = Store();
+  negative_ = Store();
   zero_count_ = 0;
   count_ = 0;
   sum_ = 0.0;
@@ -88,17 +126,19 @@ double QuantileSketch::Quantile(double q) const {
   // negative store's highest magnitude bucket), then zero, then the
   // positive store ascending.
   std::uint64_t seen = 0;
-  for (auto it = negative_.rbegin(); it != negative_.rend(); ++it) {
-    seen += it->second;
+  for (std::size_t i = negative_.counts.size(); i-- > 0;) {
+    seen += negative_.counts[i];
     if (seen > rank) {
-      return std::clamp(-BucketValue(it->first), min_, max_);
+      const auto index = negative_.offset + static_cast<std::int32_t>(i);
+      return std::clamp(-BucketValue(index), min_, max_);
     }
   }
   seen += zero_count_;
   if (seen > rank) return std::clamp(0.0, min_, max_);
-  for (const auto& [index, n] : positive_) {
-    seen += n;
+  for (std::size_t i = 0; i < positive_.counts.size(); ++i) {
+    seen += positive_.counts[i];
     if (seen > rank) {
+      const auto index = positive_.offset + static_cast<std::int32_t>(i);
       return std::clamp(BucketValue(index), min_, max_);
     }
   }

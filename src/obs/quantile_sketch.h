@@ -16,10 +16,10 @@
 //    associative, and commutative: a sketch merged from per-terminal (or
 //    per-shard) sketches is bit-identical to one fed every observation
 //    directly, in any merge order;
-//  * deterministic — buckets live in ordered maps and all arithmetic is
-//    a pure function of the inserted values, so equal inputs produce
-//    equal sketches and equal quantile answers on every run and at any
-//    --jobs count.
+//  * deterministic — buckets live in index-ordered arrays and all
+//    arithmetic is a pure function of the inserted values, so equal
+//    inputs produce equal sketches and equal quantile answers on every
+//    run and at any --jobs count.
 //
 // sim::Histogram remains beside this class as the fixed-memory
 // regression reference; tests/obs/quantile_sketch_test.cc locks the
@@ -28,8 +28,9 @@
 #ifndef SPIFFI_OBS_QUANTILE_SKETCH_H_
 #define SPIFFI_OBS_QUANTILE_SKETCH_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <vector>
 
 namespace spiffi::obs {
 
@@ -57,9 +58,9 @@ class QuantileSketch {
     return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
   }
   double relative_accuracy() const { return alpha_; }
-  // Total buckets currently occupied (memory footprint proxy).
+  // Total buckets currently occupied.
   std::size_t num_buckets() const {
-    return positive_.size() + negative_.size() + (zero_count_ > 0 ? 1 : 0);
+    return positive_.occupied + negative_.occupied + (zero_count_ > 0 ? 1 : 0);
   }
 
   // Value at quantile q in [0, 1] (clamped), using the same rank
@@ -78,10 +79,23 @@ class QuantileSketch {
   double gamma_;
   double inv_log_gamma_;
 
-  // Bucket index -> count. Ordered so quantile walks and exports are
-  // deterministic. negative_ is keyed by the magnitude's bucket.
-  std::map<std::int32_t, std::uint64_t> positive_;
-  std::map<std::int32_t, std::uint64_t> negative_;
+  // Counts of the bucket indices [offset, offset + counts.size()),
+  // spanning only the lowest to the highest occupied index.
+  struct Store {
+    std::int32_t offset = 0;
+    std::vector<std::uint64_t> counts;
+    std::size_t occupied = 0;  // buckets with a nonzero count
+
+    // Count of bucket `index`, widening the span to reach it.
+    std::uint64_t& At(std::int32_t index);
+    // Adds `n` (> 0) to bucket `index`.
+    void Add(std::int32_t index, std::uint64_t n);
+    void Merge(const Store& other);
+  };
+
+  // negative_ is indexed by the magnitude's bucket.
+  Store positive_;
+  Store negative_;
   std::uint64_t zero_count_ = 0;
 
   std::uint64_t count_ = 0;

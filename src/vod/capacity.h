@@ -37,7 +37,7 @@ struct CapacitySearchOptions {
   int replications = 1;  // seeds per point
   bool verbose = false;  // print each probe to stderr
   // Worker threads for probes and replications: 1 = serial in the
-  // calling thread, 0 = DefaultJobs() (SPIFFI_JOBS / hardware
+  // calling thread, 0 = sim::DefaultJobs() (SPIFFI_JOBS / hardware
   // concurrency), n > 1 = that many workers with speculative bisection.
   // The result is identical for every value.
   int jobs = 1;

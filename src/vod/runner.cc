@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <utility>
 
 #include "sim/check.h"
+#include "sim/threads.h"
 #include "vod/simulation.h"
 
 namespace spiffi::vod {
@@ -28,17 +28,7 @@ std::vector<ParallelRunner*>& RunnerRegistry() {
 
 }  // namespace
 
-int DefaultJobs() {
-  const char* env = std::getenv("SPIFFI_JOBS");
-  if (env != nullptr) {
-    int parsed = std::atoi(env);
-    if (parsed >= 1) return parsed;
-  }
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw >= 1 ? static_cast<int>(hw) : 1;
-}
-
-int ResolveJobs(int jobs) { return jobs >= 1 ? jobs : DefaultJobs(); }
+int ResolveJobs(int jobs) { return jobs >= 1 ? jobs : sim::DefaultJobs(); }
 
 ParallelRunner::ParallelRunner(int jobs) : jobs_(ResolveJobs(jobs)) {
   {
@@ -211,6 +201,8 @@ ParallelRunner::FleetProgress ParallelRunner::SnapshotAllRunners() {
 }
 
 void ParallelRunner::WorkerLoop() {
+  // The pool already fills the cores: no nested fan-out from here.
+  sim::PoolWorkerScope worker;
   for (;;) {
     RunHandle run;
     {

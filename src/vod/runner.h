@@ -36,13 +36,8 @@
 
 namespace spiffi::vod {
 
-// Worker count used when a caller passes jobs <= 0: the SPIFFI_JOBS
-// environment variable when it is a positive integer, otherwise
-// std::thread::hardware_concurrency() (at least 1).
-int DefaultJobs();
-
 // Resolves a --jobs style request: n >= 1 is taken as-is, anything else
-// maps to DefaultJobs().
+// maps to sim::DefaultJobs() (SPIFFI_JOBS, else the hardware threads).
 int ResolveJobs(int jobs);
 
 class ParallelRunner {
@@ -109,7 +104,9 @@ class ParallelRunner {
     std::uint64_t events_fired = 0;  // completed + running runs
   };
 
-  // jobs >= 1 sets the worker count; jobs <= 0 uses DefaultJobs().
+  // jobs >= 1 sets the worker count; jobs <= 0 uses sim::DefaultJobs().
+  // Workers run inside a sim::PoolWorkerScope, so the video libraries
+  // their simulations build are built serially.
   explicit ParallelRunner(int jobs = 0);
   // Cancels everything still pending or running, then joins the workers.
   ~ParallelRunner();

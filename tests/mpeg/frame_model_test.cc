@@ -1,6 +1,11 @@
 #include "mpeg/frame_model.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "gtest/gtest.h"
+#include "mpeg/video.h"
+#include "sim/random.h"
 
 namespace spiffi::mpeg {
 namespace {
@@ -94,6 +99,48 @@ TEST(FrameModelTest, IFramesLargerOnAverageThanBFrames) {
     }
   }
   EXPECT_NEAR((i_sum / i_n) / (b_sum / b_n), 5.0, 0.8);
+}
+
+// Reference draw straight from the model's definition: the frame's
+// type, then that type's mean. The per-position table must match it.
+std::int64_t PerTypeDraw(const FrameModel& model, std::uint64_t seed,
+                         std::int64_t index) {
+  double mean = model.MeanBytes(model.TypeOf(index));
+  double size =
+      sim::ExponentialAt(seed, static_cast<std::uint64_t>(index), mean);
+  return std::max<std::int64_t>(1, static_cast<std::int64_t>(std::ceil(size)));
+}
+
+TEST(FrameModelTest, TableDrivenDrawMatchesPerTypeDraw) {
+  MpegParams odd_gop;  // 1:2:6, a 9-frame GOP
+  odd_gop.p_per_gop = 2;
+  odd_gop.b_per_gop = 6;
+  for (const MpegParams& params : {MpegParams(), odd_gop}) {
+    FrameModel model{params};
+    const int gop = params.gop_frames();
+    for (int pos = 0; pos < gop; ++pos) {
+      EXPECT_EQ(model.PositionMean(pos), model.MeanBytes(model.TypeOf(pos)))
+          << "position " << pos;
+    }
+    // A one-hour video: 108,000 frames drawn GOP by GOP by its
+    // constructor, and again one by one through FrameBytes.
+    Video video(0, 77, &model, 3600.0);
+    ASSERT_GE(video.frame_count(), 100000);
+    std::int64_t cumulative = 0;
+    for (std::int64_t f = 0; f < video.frame_count(); ++f) {
+      if (f % gop == 0) {
+        ASSERT_EQ(video.CumulativeBytesAtFrame(f), cumulative)
+            << "frame " << f;
+      }
+      const std::int64_t expected = PerTypeDraw(model, 77, f);
+      ASSERT_EQ(model.FrameBytes(77, f), expected) << "frame " << f;
+      ASSERT_EQ(FrameModel::DrawBytes(77, f, model.PositionMean(f % gop)),
+                expected)
+          << "frame " << f;
+      cumulative += expected;
+    }
+    EXPECT_EQ(video.total_bytes(), cumulative);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 #include "mpeg/video.h"
 
 #include <memory>
+#include <thread>
 
 #include "gtest/gtest.h"
+#include "scoped_jobs.h"
+#include "sim/threads.h"
 
 namespace spiffi::mpeg {
 namespace {
@@ -122,6 +125,58 @@ TEST(VideoLibraryTest, SelectionFollowsPopularity) {
   for (int i = 0; i < 20000; ++i) ++counts[lib.Select(&rng)];
   EXPECT_GT(counts[0], counts[8]);
   EXPECT_GT(counts[0], 3 * counts[15]);
+}
+
+// Builds the library on a fresh thread, marked as a pool worker or not.
+std::unique_ptr<VideoLibrary> BuildOnThread(bool pool_worker, int count,
+                                            double duration_seconds) {
+  std::unique_ptr<VideoLibrary> library;
+  std::thread([&] {
+    std::unique_ptr<sim::PoolWorkerScope> mark;
+    if (pool_worker) mark = std::make_unique<sim::PoolWorkerScope>();
+    library = std::make_unique<VideoLibrary>(
+        count, duration_seconds, MpegParams(), ZipfDistribution(count, 1.0),
+        9);
+  }).join();
+  return library;
+}
+
+TEST(VideoLibraryTest, ParallelBuildMatchesSerialBuild) {
+  ScopedJobs jobs(4);
+  auto serial = BuildOnThread(/*pool_worker=*/true, 64, 120.0);
+  auto parallel = BuildOnThread(/*pool_worker=*/false, 64, 120.0);
+  EXPECT_EQ(serial->build_threads(), 1);
+  EXPECT_EQ(parallel->build_threads(), 4);  // min(4 cores, 64 / 8)
+  const int gop = MpegParams().gop_frames();
+  for (int id = 0; id < 64; ++id) {
+    const Video& a = serial->video(id);
+    const Video& b = parallel->video(id);
+    ASSERT_EQ(a.id(), id);
+    ASSERT_EQ(b.id(), id);
+    ASSERT_EQ(a.frame_count(), b.frame_count()) << "video " << id;
+    ASSERT_EQ(a.total_bytes(), b.total_bytes()) << "video " << id;
+    for (std::int64_t f = 0; f <= a.frame_count(); f += gop) {
+      ASSERT_EQ(a.CumulativeBytesAtFrame(f), b.CumulativeBytesAtFrame(f))
+          << "video " << id << " frame " << f;
+    }
+  }
+}
+
+TEST(VideoLibraryTest, BuildThreadsFollowCoresAndVideoCount) {
+  struct Case {
+    int jobs;
+    int count;
+    int threads;
+  };
+  // threads = min(SPIFFI_JOBS, count / 8), at least 1.
+  for (const Case& c : {Case{1, 64, 1}, Case{3, 64, 3}, Case{16, 64, 8},
+                        Case{4, 7, 1}, Case{4, 16, 2}}) {
+    ScopedJobs jobs(c.jobs);
+    auto library = BuildOnThread(/*pool_worker=*/false, c.count, 1.0);
+    EXPECT_EQ(library->build_threads(), c.threads)
+        << "SPIFFI_JOBS=" << c.jobs << ", " << c.count << " videos";
+    EXPECT_EQ(library->count(), c.count);
+  }
 }
 
 }  // namespace

@@ -160,6 +160,26 @@ TEST(QuantileSketchTest, DeterministicAcrossRebuilds) {
   }
 }
 
+// Ascending input grows each bucket span upward only, descending input
+// downward only; both must land on the sketch a shuffled feed builds.
+TEST(QuantileSketchTest, InsertionOrderDoesNotChangeAnswers) {
+  std::vector<double> values = LogUniformSamples(3000, 31);
+  for (std::size_t i = 0; i < values.size(); i += 2) values[i] = -values[i];
+  QuantileSketch shuffled, ascending, descending;
+  for (double v : values) shuffled.Add(v);
+  std::sort(values.begin(), values.end());
+  for (double v : values) ascending.Add(v);
+  for (auto it = values.rbegin(); it != values.rend(); ++it) {
+    descending.Add(*it);
+  }
+  for (const QuantileSketch* sketch : {&ascending, &descending}) {
+    EXPECT_EQ(sketch->num_buckets(), shuffled.num_buckets());
+    for (double q = 0.0; q <= 1.0; q += 0.01) {
+      EXPECT_EQ(sketch->Quantile(q), shuffled.Quantile(q)) << "q=" << q;
+    }
+  }
+}
+
 TEST(QuantileSketchTest, ResetClearsEverything) {
   QuantileSketch sketch;
   sketch.Add(1.0);

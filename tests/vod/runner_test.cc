@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "mpeg/video.h"
+#include "scoped_jobs.h"
 #include "vod/capacity.h"
 #include "vod/simulation.h"
 
@@ -90,6 +92,27 @@ TEST(RunnerTest, ResolveJobsHonoursExplicitCount) {
   EXPECT_EQ(ResolveJobs(5), 5);
   EXPECT_GE(ResolveJobs(0), 1);   // default, whatever the machine has
   EXPECT_GE(ResolveJobs(-3), 1);
+}
+
+// A runner worker builds its simulation's video library serially, even
+// where a build off the pool would fan out over several threads.
+TEST(RunnerTest, WorkerBuildsItsLibrarySerially) {
+  ScopedJobs jobs(4);
+  SimConfig config = TinyConfig();
+  config.videos_per_disk = 16;  // 32 videos: 4 build threads off the pool
+  const mpeg::VideoLibrary off_pool(
+      config.num_videos(), config.video_seconds, mpeg::MpegParams(),
+      mpeg::ZipfDistribution(config.num_videos(), 1.0), 1);
+  EXPECT_EQ(off_pool.build_threads(), 4);
+
+  ParallelRunner runner(1);
+  int worker_threads = 0;
+  auto run = runner.Submit(config, [&](Simulation& sim) {
+    worker_threads = sim.library().build_threads();
+    return std::shared_ptr<void>();
+  });
+  ASSERT_TRUE(runner.Wait(run, nullptr));
+  EXPECT_EQ(worker_threads, 1);
 }
 
 TEST(RunnerTest, SameSeedBitIdenticalAcrossJobCounts) {

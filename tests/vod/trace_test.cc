@@ -36,7 +36,7 @@ TEST(TraceTest, CapturesSteadyStatePlayback) {
   Simulation sim(TraceConfig(10));
   TraceRecorder trace(&sim, 1.0);
   sim.Run();
-  const TraceSample& late = trace.samples().back();
+  const TraceSample late = trace.samples().back();
   EXPECT_EQ(late.terminals_playing, 10);
   EXPECT_EQ(late.terminals_priming, 0);
   EXPECT_EQ(late.glitches_total, 0u);
