@@ -216,9 +216,13 @@ inline void WriteProfileReport() {
                        .count();
   double wall = 0.0;
   std::uint64_t events = 0;
+  std::uint64_t lane_fires = 0;
+  std::uint64_t sift_levels = 0;
   for (const vod::RunProfile& run : collector.runs) {
     wall += run.wall_seconds;
     events += run.kernel.events_fired;
+    lane_fires += run.kernel.lane_fires;
+    sift_levels += run.kernel.sift_levels;
   }
   double speedup = elapsed > 0.0 ? wall / elapsed : 0.0;
   const mpeg::LibraryCacheStats library = mpeg::GetLibraryCacheStats();
@@ -229,6 +233,8 @@ inline void WriteProfileReport() {
       << "  \"elapsed_wall_seconds\": " << elapsed << ",\n"
       << "  \"parallel_speedup\": " << speedup << ",\n"
       << "  \"total_events\": " << events << ",\n"
+      << "  \"total_lane_fires\": " << lane_fires << ",\n"
+      << "  \"total_sift_levels\": " << sift_levels << ",\n"
       << "  \"library_builds\": " << library.builds << ",\n"
       << "  \"library_draws\": " << library.draws << ",\n"
       << "  \"events_per_sec\": " << (wall > 0.0 ? events / wall : 0.0)

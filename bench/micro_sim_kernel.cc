@@ -55,6 +55,71 @@ void BM_CalendarScheduleCancelFire(benchmark::State& state) {
 }
 BENCHMARK(BM_CalendarScheduleCancelFire)->Arg(1024)->Arg(16384);
 
+// Display-tick load: `tickers` periodic tickers re-arm one frame (1/30 s)
+// ahead of their last tick, the way terminals drive their displays, over
+// a background of one random event per four tickers (Exp(50 ms) apart,
+// always through Schedule). With `lane` the ticks go through
+// ScheduleTick; without it, through Schedule — the heap-only "before".
+class TickLoad final : public EventHandler {
+ public:
+  TickLoad(spiffi::sim::Calendar* calendar, int tickers, bool lane)
+      : calendar_(calendar),
+        lane_(lane),
+        tickers_(static_cast<std::size_t>(tickers)),
+        next_(tickers_ + tickers_ / 4),
+        rng_(7) {
+    for (std::size_t i = 0; i < next_.size(); ++i) {
+      next_[i] = i < tickers_ ? static_cast<double>(i) / (30.0 * tickers)
+                              : rng_.Exponential(0.05);
+      Arm(i);
+    }
+  }
+
+  void OnEvent(std::uint64_t token) override {
+    next_[token] += token < tickers_ ? 1.0 / 30.0 : rng_.Exponential(0.05);
+    Arm(token);
+  }
+
+ private:
+  void Arm(std::uint64_t token) {
+    if (lane_ && token < tickers_) {
+      calendar_->ScheduleTick(next_[token], this, token);
+    } else {
+      calendar_->Schedule(next_[token], this, token);
+    }
+  }
+
+  spiffi::sim::Calendar* calendar_;
+  bool lane_;
+  std::size_t tickers_;
+  std::vector<double> next_;
+  spiffi::sim::Rng rng_;
+};
+
+void CalendarTickLoop(benchmark::State& state, bool lane) {
+  const int tickers = static_cast<int>(state.range(0));
+  spiffi::sim::Calendar calendar;
+  calendar.Reserve(static_cast<std::size_t>(2 * tickers));
+  TickLoad load(&calendar, tickers, lane);
+  constexpr int kBatch = 1024;
+  for (auto _ : state) {
+    for (int i = 0; i < kBatch; ++i) {
+      benchmark::DoNotOptimize(calendar.FireNext());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+
+void BM_CalendarTickLane(benchmark::State& state) {
+  CalendarTickLoop(state, /*lane=*/true);
+}
+BENCHMARK(BM_CalendarTickLane)->Arg(64)->Arg(1024);
+
+void BM_CalendarTickHeap(benchmark::State& state) {
+  CalendarTickLoop(state, /*lane=*/false);
+}
+BENCHMARK(BM_CalendarTickHeap)->Arg(64)->Arg(1024);
+
 // Coroutine hold loop: events routed through process resumption.
 Process HoldLoop(Environment* env, int holds) {
   for (int i = 0; i < holds; ++i) co_await env->Hold(0.001);

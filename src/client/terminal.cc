@@ -111,7 +111,7 @@ void Terminal::OnEvent(std::uint64_t token) {
       if (state_ == State::kPaused) {
         state_ = State::kPlaying;
         anchor_ = env_->now() - ConsumedPlaybackTime();
-        env_->Schedule(env_->now(), this, kFrameToken);
+        env_->ScheduleTick(env_->now(), this, kFrameToken);
       }
       break;
     case kSearchFrameToken:
@@ -550,7 +550,7 @@ void Terminal::BeginDisplay() {
   }
   state_ = State::kPlaying;
   anchor_ = env_->now() - ConsumedPlaybackTime();
-  env_->Schedule(env_->now(), this, kFrameToken);
+  env_->ScheduleTick(env_->now(), this, kFrameToken);
 }
 
 void Terminal::DisplayFrame() {
@@ -591,9 +591,9 @@ void Terminal::DisplayFrame() {
     FinishVideo();
     return;
   }
-  env_->Schedule(anchor_ + static_cast<double>(next_frame_) /
-                               FramesPerSecond(),
-                 this, kFrameToken);
+  env_->ScheduleTick(anchor_ + static_cast<double>(next_frame_) /
+                                   FramesPerSecond(),
+                     this, kFrameToken);
 }
 
 void Terminal::HandleGlitch() {
@@ -725,7 +725,8 @@ void Terminal::DisplaySearchFrame() {
   ++stats_.search_frames;
   ++search_cursor_;
   if (search_cursor_ < search_segment_end_) {
-    env_->ScheduleAfter(1.0 / FramesPerSecond(), this, kSearchFrameToken);
+    env_->ScheduleTick(env_->now() + 1.0 / FramesPerSecond(), this,
+                       kSearchFrameToken);
     return;
   }
   // Segment done: hop over the skipped span (or back for rewind).

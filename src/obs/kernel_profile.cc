@@ -10,6 +10,8 @@ KernelProfile CaptureKernelProfile(const sim::Environment& env) {
   profile.calendar_size = env.calendar_size();
   profile.peak_calendar_size = env.peak_calendar_size();
   profile.calendar_grows = env.calendar_storage_grows();
+  profile.lane_fires = env.calendar_lane_fires();
+  profile.sift_levels = env.calendar_sift_levels();
   profile.live_processes = env.live_processes();
   profile.peak_processes = env.peak_processes();
   profile.resume_slots = env.resume_slots();
@@ -34,6 +36,8 @@ void WriteKernelProfileJson(std::ostream& out, const std::string& name,
   out << "  \"peak_calendar_size\": " << profile.peak_calendar_size
       << ",\n";
   out << "  \"calendar_grows\": " << profile.calendar_grows << ",\n";
+  out << "  \"lane_fires\": " << profile.lane_fires << ",\n";
+  out << "  \"sift_levels\": " << profile.sift_levels << ",\n";
   out << "  \"live_processes\": " << profile.live_processes << ",\n";
   out << "  \"peak_processes\": " << profile.peak_processes << ",\n";
   out << "  \"resume_slots\": " << profile.resume_slots << "\n}\n";

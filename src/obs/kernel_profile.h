@@ -1,7 +1,8 @@
 // Simulation-kernel self-profiling (observability layer).
 //
 // Captures the event loop's own health counters — events dispatched,
-// calendar occupancy and storage growth, process population — from an
+// calendar occupancy, storage growth and cost counters, process
+// population — from an
 // Environment, and writes them (plus wall-clock throughput measured by
 // the caller) as a small machine-readable JSON report. Benchmark
 // harnesses use this for their --profile mode, producing the
@@ -24,6 +25,8 @@ struct KernelProfile {
   std::size_t calendar_size = 0;        // pending entries right now
   std::size_t peak_calendar_size = 0;   // high-water mark
   std::uint64_t calendar_grows = 0;     // heap storage reallocations
+  std::uint64_t lane_fires = 0;         // events fired from the tick lane
+  std::uint64_t sift_levels = 0;        // heap levels moved by sifts
   std::size_t live_processes = 0;
   std::size_t peak_processes = 0;
   std::size_t resume_slots = 0;         // pooled coroutine-resume slots

@@ -36,17 +36,21 @@ void Calendar::FreeSlot(std::uint32_t slot) {
 }
 
 void Calendar::SiftUp(std::size_t index, HeapEntry entry) {
+  std::uint64_t levels = 0;
   while (index > 0) {
     std::size_t parent = (index - 1) >> 2;
     if (entry >= heap_[parent]) break;
     heap_[index] = heap_[parent];
     index = parent;
+    ++levels;
   }
   heap_[index] = entry;
+  sift_levels_ += levels;
 }
 
 void Calendar::SiftDown(std::size_t index, HeapEntry entry) {
   const std::size_t size = heap_.size();
+  std::uint64_t levels = 0;
   for (;;) {
     std::size_t child = 4 * index + 1;
     if (child + 3 < size) {
@@ -76,8 +80,10 @@ void Calendar::SiftDown(std::size_t index, HeapEntry entry) {
       heap_[index] = heap_[best];
       index = best;
     }
+    ++levels;
   }
   heap_[index] = entry;
+  sift_levels_ += levels;
 }
 
 void Calendar::PopRoot() {
@@ -86,21 +92,65 @@ void Calendar::PopRoot() {
   if (!heap_.empty()) SiftDown(0, last);
 }
 
-EventId Calendar::Schedule(SimTime time, EventHandler* handler,
-                           std::uint64_t token) {
+void Calendar::HeapPush(HeapEntry entry) {
+  if (heap_.size() == heap_.capacity()) ++storage_grows_;
+  heap_.push_back(HeapEntry{});  // placeholder; SiftUp fills the hole
+  SiftUp(heap_.size() - 1, entry);
+}
+
+void Calendar::LanePush(HeapEntry entry) {
+  if (lane_size_ == lane_.size()) {
+    // Full: double the ring, unwrapping it so the head lands at 0.
+    constexpr std::size_t kMinLaneCapacity = 16;
+    std::vector<HeapEntry> grown(
+        std::max(kMinLaneCapacity, 2 * lane_.size()));
+    for (std::size_t i = 0; i < lane_size_; ++i) {
+      grown[i] = lane_[(lane_head_ + i) & (lane_.size() - 1)];
+    }
+    lane_.swap(grown);
+    lane_head_ = 0;
+    ++lane_grows_;
+  }
+  lane_[(lane_head_ + lane_size_) & (lane_.size() - 1)] = entry;
+  ++lane_size_;
+}
+
+Calendar::HeapEntry Calendar::NewEntry(SimTime time, EventHandler* handler,
+                                       std::uint64_t token) {
   SPIFFI_DCHECK(handler != nullptr);
   SPIFFI_DCHECK(next_seq_ < (1ull << (64 - kSlotBits)));
   std::uint32_t slot = TakeSlot();
   Slot& s = slots_[slot];
   s.handler = handler;
   s.token = token;
-  if (heap_.size() == heap_.capacity()) ++storage_grows_;
-  heap_.push_back(HeapEntry{});  // placeholder; SiftUp fills the hole
-  HeapEntry entry = (static_cast<HeapEntry>(TimeKey(time)) << 64) |
-                    ((next_seq_++ << kSlotBits) | slot);
-  SiftUp(heap_.size() - 1, entry);
-  if (heap_.size() > peak_size_) peak_size_ = heap_.size();
-  return Pack(slot, s.generation);
+  return (static_cast<HeapEntry>(TimeKey(time)) << 64) |
+         ((next_seq_++ << kSlotBits) | slot);
+}
+
+EventId Calendar::Admitted(HeapEntry entry) {
+  if (pending() > peak_size_) peak_size_ = pending();
+  auto slot = static_cast<std::uint32_t>(entry & kSlotMask);
+  return Pack(slot, slots_[slot].generation);
+}
+
+EventId Calendar::Schedule(SimTime time, EventHandler* handler,
+                           std::uint64_t token) {
+  HeapEntry entry = NewEntry(time, handler, token);
+  HeapPush(entry);
+  return Admitted(entry);
+}
+
+EventId Calendar::ScheduleTick(SimTime time, EventHandler* handler,
+                               std::uint64_t token) {
+  HeapEntry entry = NewEntry(time, handler, token);
+  // seq grows with every entry, so the key beats the tail exactly when
+  // the time is no earlier than the tail's: the lane stays sorted.
+  if (lane_size_ == 0 || entry > LaneTail()) {
+    LanePush(entry);
+  } else {
+    HeapPush(entry);
+  }
+  return Admitted(entry);
 }
 
 void Calendar::Cancel(EventId id) {
@@ -116,21 +166,35 @@ void Calendar::Cancel(EventId id) {
 }
 
 void Calendar::DropCancelledHead() {
-  if (cancelled_ == 0) return;  // nothing cancelled anywhere in the heap
-  while (!heap_.empty()) {
-    auto slot = static_cast<std::uint32_t>(heap_.front() & kSlotMask);
+  if (cancelled_ == 0) return;  // nothing cancelled anywhere
+  while (pending() != 0) {
+    const bool lane = LaneFirst();
+    HeapEntry head = lane ? lane_[lane_head_] : heap_.front();
+    auto slot = static_cast<std::uint32_t>(head & kSlotMask);
     if (slots_[slot].state != SlotState::kCancelled) break;
     FreeSlot(slot);
     --cancelled_;
-    PopRoot();
+    if (lane) {
+      LanePop();
+    } else {
+      PopRoot();
+    }
   }
 }
 
 SimTime Calendar::FireNext() {
   DropCancelledHead();
-  if (heap_.empty()) return kSimTimeMax;
-  HeapEntry head = heap_.front();
-  PopRoot();
+  HeapEntry head;
+  if (LaneFirst()) {
+    head = lane_[lane_head_];
+    LanePop();
+    ++lane_fires_;
+  } else if (!heap_.empty()) {
+    head = heap_.front();
+    PopRoot();
+  } else {
+    return kSimTimeMax;
+  }
   auto slot = static_cast<std::uint32_t>(head & kSlotMask);
   Slot& s = slots_[slot];
   EventHandler* handler = s.handler;
@@ -143,13 +207,14 @@ SimTime Calendar::FireNext() {
 
 SimTime Calendar::PeekTime() {
   DropCancelledHead();
-  if (heap_.empty()) return kSimTimeMax;
-  return KeyTime(static_cast<std::uint64_t>(heap_.front() >> 64));
+  if (pending() == 0) return kSimTimeMax;
+  HeapEntry head = LaneFirst() ? lane_[lane_head_] : heap_.front();
+  return KeyTime(static_cast<std::uint64_t>(head >> 64));
 }
 
 bool Calendar::empty() {
   DropCancelledHead();
-  return heap_.empty();
+  return pending() == 0;
 }
 
 void Calendar::Clear() {
@@ -157,6 +222,9 @@ void Calendar::Clear() {
     FreeSlot(static_cast<std::uint32_t>(entry & kSlotMask));
   }
   heap_.clear();
+  for (; lane_size_ != 0; LanePop()) {
+    FreeSlot(static_cast<std::uint32_t>(lane_[lane_head_] & kSlotMask));
+  }
   cancelled_ = 0;
 }
 

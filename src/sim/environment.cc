@@ -59,6 +59,12 @@ EventId Environment::Schedule(SimTime time, EventHandler* handler,
   return calendar_.Schedule(time, handler, token);
 }
 
+EventId Environment::ScheduleTick(SimTime time, EventHandler* handler,
+                                  std::uint64_t token) {
+  SPIFFI_DCHECK(time >= now_);
+  return calendar_.ScheduleTick(time, handler, token);
+}
+
 EventId Environment::ScheduleAfter(SimTime delay, EventHandler* handler,
                                    std::uint64_t token) {
   // Clamp rather than DCHECK: release builds compile the check out, and

@@ -55,6 +55,11 @@ class Environment {
   // Schedules handler->OnEvent(token) at absolute time `time` (>= now).
   EventId Schedule(SimTime time, EventHandler* handler,
                    std::uint64_t token = 0);
+  // Schedule for a periodic tick (e.g. a display frame): cheaper when
+  // ticks arrive in time order, identical in firing order (see
+  // Calendar::ScheduleTick).
+  EventId ScheduleTick(SimTime time, EventHandler* handler,
+                       std::uint64_t token = 0);
   // Convenience: relative delay.
   EventId ScheduleAfter(SimTime delay, EventHandler* handler,
                         std::uint64_t token = 0);
@@ -112,6 +117,12 @@ class Environment {
   std::size_t peak_calendar_size() const { return calendar_.peak_size(); }
   std::uint64_t calendar_storage_grows() const {
     return calendar_.storage_grows();
+  }
+  std::uint64_t calendar_lane_fires() const {
+    return calendar_.lane_fires();
+  }
+  std::uint64_t calendar_sift_levels() const {
+    return calendar_.sift_levels();
   }
   std::size_t peak_processes() const { return peak_processes_; }
   std::size_t resume_slots() const { return all_slots_.size(); }

@@ -1144,6 +1144,12 @@ void Simulation::RegisterMetrics() {
   metrics_.AddProbe("kernel.calendar_grows", [this] {
     return static_cast<double>(env_->calendar_storage_grows());
   });
+  metrics_.AddProbe("kernel.calendar_lane_fires", [this] {
+    return static_cast<double>(env_->calendar_lane_fires());
+  });
+  metrics_.AddProbe("kernel.calendar_sift_levels", [this] {
+    return static_cast<double>(env_->calendar_sift_levels());
+  });
   metrics_.AddProbe("kernel.peak_processes", [this] {
     return static_cast<double>(env_->peak_processes());
   });

@@ -59,8 +59,10 @@ class TraceRecorder {
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  // Snapshots re-shaped into the legacy sample struct (built on demand
-  // from the underlying time series).
+  // Snapshots re-shaped into the legacy sample struct. Each call
+  // rebuilds every sample from the underlying time series — O(rows) —
+  // and returns a fresh copy: bind the result once rather than calling
+  // this repeatedly.
   std::vector<TraceSample> samples() const;
 
   // The backing telemetry channels (JSONL export, extra channels).

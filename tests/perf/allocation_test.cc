@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "server/buffer_pool.h"
@@ -87,6 +88,47 @@ TEST(AllocationTest, CalendarScheduleFireSteadyStateAllocatesNothing) {
   }
   std::uint64_t after = g_allocations;
   EXPECT_EQ(after - before, 0u);
+}
+
+// Periodic tickers rescheduling themselves one display frame ahead, the
+// way terminals drive their frame ticks.
+class Ticker final : public sim::EventHandler {
+ public:
+  Ticker(sim::Calendar* calendar, int count)
+      : calendar_(calendar), next_(static_cast<std::size_t>(count)) {
+    for (std::size_t i = 0; i < next_.size(); ++i) {
+      next_[i] = static_cast<double>(i) / (30.0 * count);
+      calendar_->ScheduleTick(next_[i], this, i);
+    }
+  }
+  void OnEvent(std::uint64_t token) override {
+    next_[token] += 1.0 / 30.0;
+    calendar_->ScheduleTick(next_[token], this, token);
+  }
+
+ private:
+  sim::Calendar* calendar_;
+  std::vector<double> next_;
+};
+
+TEST(AllocationTest, CalendarTickLaneSteadyStateAllocatesNothing) {
+  sim::Calendar calendar;
+  calendar.Reserve(1024);
+  Ticker tickers(&calendar, 700);
+
+  // Warmup: one simulated second grows the lane's ring to its peak.
+  while (calendar.PeekTime() < 1.0) calendar.FireNext();
+
+  std::uint64_t before = g_allocations;
+  std::uint64_t lane_before = calendar.lane_fires();
+  std::uint64_t fired_before = calendar.fired_count();
+  while (calendar.PeekTime() < 5.0) calendar.FireNext();
+  std::uint64_t after = g_allocations;
+  EXPECT_EQ(after - before, 0u);
+  // The ticks really took the lane (not the heap) while being counted.
+  EXPECT_EQ(calendar.lane_fires() - lane_before,
+            calendar.fired_count() - fired_before);
+  EXPECT_GT(calendar.fired_count() - fired_before, 0u);
 }
 
 TEST(AllocationTest, CalendarCancelAllocatesNothing) {

@@ -77,6 +77,21 @@ TEST(SimulationTest, CalendarPreSizedFromConfigNeverReallocates) {
             config.expected_peak_events());
 }
 
+TEST(SimulationTest, DisplayTicksRideTheTickLane) {
+  // Frame ticks are most of a steady run's events, and they go through
+  // the calendar's in-order tick lane rather than its heap. A change
+  // that knocks them out of the lane (a tick scheduled through plain
+  // Schedule, or an out-of-order tick pattern) shows up here as a
+  // collapse of the lane's share instead of a quiet slowdown.
+  Simulation simulation(SmallConfig());
+  simulation.Run();
+  const sim::Environment& env = simulation.env();
+  ASSERT_GT(env.events_fired(), 0u);
+  EXPECT_GE(static_cast<double>(env.calendar_lane_fires()),
+            0.6 * static_cast<double>(env.events_fired()));
+  EXPECT_EQ(env.calendar_storage_grows(), 0u);
+}
+
 TEST(SimulationTest, MeasurementWindowRespected) {
   SimConfig config = SmallConfig();
   SimMetrics m = RunSimulation(config);

@@ -1,6 +1,7 @@
 #include "vod/trace.h"
 
 #include <sstream>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -25,11 +26,11 @@ TEST(TraceTest, SamplesAtRequestedInterval) {
   TraceRecorder trace(&sim, 1.0);
   sim.Run();
   // 45 simulated seconds at 1 s intervals.
-  ASSERT_GE(trace.samples().size(), 44u);
-  ASSERT_LE(trace.samples().size(), 46u);
-  EXPECT_NEAR(trace.samples()[0].time, 1.0, 1e-9);
-  EXPECT_NEAR(trace.samples()[1].time - trace.samples()[0].time, 1.0,
-              1e-9);
+  const std::vector<TraceSample> samples = trace.samples();
+  ASSERT_GE(samples.size(), 44u);
+  ASSERT_LE(samples.size(), 46u);
+  EXPECT_NEAR(samples[0].time, 1.0, 1e-9);
+  EXPECT_NEAR(samples[1].time - samples[0].time, 1.0, 1e-9);
 }
 
 TEST(TraceTest, CapturesSteadyStatePlayback) {
@@ -94,11 +95,12 @@ TEST(TraceTest, GlitchesAppearInOverloadTrace) {
   Simulation sim(TraceConfig(140));
   TraceRecorder trace(&sim, 1.0);
   sim.Run();
-  EXPECT_GT(trace.samples().back().glitches_total, 0u);
+  const std::vector<TraceSample> samples = trace.samples();
+  EXPECT_GT(samples.back().glitches_total, 0u);
   // Glitch totals are cumulative within the measurement phase (they
   // reset once when the warmup window closes at t=15).
   std::uint64_t prev = 0;
-  for (const TraceSample& s : trace.samples()) {
+  for (const TraceSample& s : samples) {
     if (s.time <= 16.0) continue;
     EXPECT_GE(s.glitches_total, prev);
     prev = s.glitches_total;
