@@ -169,7 +169,8 @@ inline constexpr int kMemorySweepPoints = 6;
 // the video libraries the process built (mpeg/library_cache.h): one per
 // replication seed per capacity search, not one per probe.
 // `library_draws` counts the frame sizes those builds drew, an exact
-// host-independent measure of set-up work.
+// host-independent measure of set-up work; `library_fallback_draws`
+// counts those the batch kernel redrew on the exact scalar path.
 
 struct ProfileCollector {
   bool enabled = false;         // --profile: kernel self-profile JSON
@@ -237,6 +238,7 @@ inline void WriteProfileReport() {
       << "  \"total_sift_levels\": " << sift_levels << ",\n"
       << "  \"library_builds\": " << library.builds << ",\n"
       << "  \"library_draws\": " << library.draws << ",\n"
+      << "  \"library_fallback_draws\": " << library.fallback_draws << ",\n"
       << "  \"events_per_sec\": " << (wall > 0.0 ? events / wall : 0.0)
       << ",\n  \"per_run\": [";
   for (std::size_t i = 0; i < collector.runs.size(); ++i) {

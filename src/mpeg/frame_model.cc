@@ -1,9 +1,6 @@
 #include "mpeg/frame_model.h"
 
-#include <cmath>
-
-#include "sim/check.h"
-#include "sim/random.h"
+#include <algorithm>
 
 namespace spiffi::mpeg {
 
@@ -21,9 +18,12 @@ FrameModel::FrameModel(const MpegParams& params)
                      static_cast<double>(params.gop_frames()) /
                      params.frames_per_second;
   unit_bytes_ = gop_bytes / gop_weight;
-  position_mean_.reserve(gop_frames_);
-  for (int pos = 0; pos < gop_frames_; ++pos) {
-    position_mean_.push_back(MeanBytes(TypeOf(pos)));
+  position_mean_.reserve(gop_frames_ + kDrawBlock - 1);
+  for (std::int64_t pos = 0; pos < gop_frames_ + kDrawBlock - 1; ++pos) {
+    const double mean = MeanBytes(TypeOf(pos % gop_frames_));
+    // The kernel rounds its products (< 37 * mean) by adding 2^52.
+    SPIFFI_CHECK(mean >= 0.0 && mean < 0x1p45);
+    position_mean_.push_back(mean);
   }
 }
 
@@ -48,12 +48,27 @@ double FrameModel::MeanBytes(FrameType type) const {
   return 0.0;  // unreachable
 }
 
-std::int64_t FrameModel::DrawBytes(std::uint64_t seed, std::int64_t index,
-                                   double mean) {
-  double size = sim::ExponentialAt(seed, static_cast<std::uint64_t>(index),
-                                   mean);
-  auto bytes = static_cast<std::int64_t>(std::ceil(size));
-  return bytes < 1 ? 1 : bytes;
+std::int64_t FrameModel::DrawRun(std::uint64_t seed, std::int64_t first_index,
+                                 std::int64_t n, std::int64_t* out,
+                                 const DrawKernel& kernel) const {
+  SPIFFI_DCHECK(first_index >= 0 && n >= 0);
+  std::int64_t exact = 0;
+  std::int64_t pos = first_index % gop_frames_;
+  for (std::int64_t done = 0; done < n; done += kDrawBlock) {
+    const double* means = &position_mean_[pos];
+    const std::int64_t index = first_index + done;
+    if (n - done >= kDrawBlock) {
+      exact += DrawBlock(kernel, seed, index, means, out + done);
+    } else {
+      // The kernel always draws a whole block; keep the part asked for.
+      std::int64_t tail[kDrawBlock];
+      const int count = static_cast<int>(n - done);
+      exact += DrawBlock(kernel, seed, index, means, tail, count);
+      std::copy_n(tail, count, out + done);
+    }
+    pos = (pos + kDrawBlock) % gop_frames_;
+  }
+  return exact;
 }
 
 }  // namespace spiffi::mpeg

@@ -13,6 +13,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "mpeg/draw_kernel.h"
+#include "sim/check.h"
+#include "sim/random.h"
+
 namespace spiffi::mpeg {
 
 enum class FrameType { kI, kP, kB };
@@ -68,15 +72,35 @@ class FrameModel {
 
   // The draw behind FrameBytes, for callers that already know the
   // frame's GOP position: DrawBytes(seed, i, PositionMean(i % gop)) ==
-  // FrameBytes(seed, i).
+  // FrameBytes(seed, i). The single exact definition of a frame's size.
   static std::int64_t DrawBytes(std::uint64_t seed, std::int64_t index,
-                                double mean);
+                                double mean) {
+    double size =
+        sim::ExponentialAt(seed, static_cast<std::uint64_t>(index), mean);
+    // std::ceil without the libm call: truncate toward zero, then step
+    // up if that dropped a positive fraction. Exact for |size| < 2^63.
+    SPIFFI_DCHECK(size > -0x1p63 && size < 0x1p63);
+    auto bytes = static_cast<std::int64_t>(size);
+    bytes += static_cast<double>(bytes) < size;
+    return bytes < 1 ? 1 : bytes;
+  }
+
+  // Batch form of FrameBytes through the vectorised kernel
+  // (mpeg/draw_kernel.h): out[j] = FrameBytes(seed, first_index + j) for
+  // 0 <= j < n, bit for bit. Returns how many of those draws the kernel
+  // handed to the exact scalar path.
+  std::int64_t DrawRun(std::uint64_t seed, std::int64_t first_index,
+                       std::int64_t n, std::int64_t* out,
+                       const DrawKernel& kernel = DrawKernels().front()) const;
 
  private:
   MpegParams params_;
   double unit_bytes_;  // bytes represented by one size weight unit
   std::int64_t gop_frames_;
-  std::vector<double> position_mean_;  // one entry per GOP position
+  // The mean of each GOP position, repeated to gop_frames + kDrawBlock - 1
+  // entries so a kernel block starting at any position reads its means
+  // as one contiguous run.
+  std::vector<double> position_mean_;
 };
 
 }  // namespace spiffi::mpeg

@@ -41,6 +41,7 @@ struct Cache {
   std::map<LibraryKey, Entry, KeyLess> entries;
   std::uint64_t builds = 0;
   std::uint64_t draws = 0;
+  std::uint64_t fallback_draws = 0;
   std::uint64_t hits = 0;
 };
 
@@ -85,6 +86,8 @@ std::shared_ptr<const VideoLibrary> SharedLibrary(const LibraryKey& key) {
   it->second.building = false;
   ++cache.builds;
   cache.draws += draws;
+  cache.fallback_draws +=
+      static_cast<std::uint64_t>(library->fallback_draws());
   lock.unlock();
   cache.built.notify_all();
   return library;
@@ -93,7 +96,8 @@ std::shared_ptr<const VideoLibrary> SharedLibrary(const LibraryKey& key) {
 LibraryCacheStats GetLibraryCacheStats() {
   Cache& cache = TheCache();
   std::lock_guard<std::mutex> lock(cache.mutex);
-  return {cache.builds, cache.draws, cache.hits, cache.entries.size()};
+  return {cache.builds, cache.draws, cache.fallback_draws, cache.hits,
+          cache.entries.size()};
 }
 
 }  // namespace spiffi::mpeg

@@ -47,6 +47,7 @@ std::shared_ptr<const VideoLibrary> SharedLibrary(const LibraryKey& key);
 struct LibraryCacheStats {
   std::uint64_t builds = 0;  // VideoLibrary constructions
   std::uint64_t draws = 0;   // frame sizes drawn by those builds
+  std::uint64_t fallback_draws = 0;  // of those, drawn on the exact path
   std::uint64_t hits = 0;    // requests served by an existing build
   std::size_t entries = 0;   // keys currently in the map
 };

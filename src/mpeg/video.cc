@@ -34,15 +34,22 @@ Video::Video(int id, std::uint64_t seed, const FrameModel* model,
 
 void Video::DrawFrames() noexcept {
   const int gop = model_->params().gop_frames();
-  const std::int64_t num_gops = frame_count_ / gop;
+  // Frames per kernel run: 64 GOPs of the default 15-frame GOP.
+  constexpr std::int64_t kRunFrames = 64 * 15;
+  std::int64_t bytes[kRunFrames];
   gop_prefix_.push_back(0);
   std::int64_t cumulative = 0;
-  std::int64_t f = 0;
-  for (std::int64_t g = 0; g < num_gops; ++g) {
-    for (int pos = 0; pos < gop; ++pos, ++f) {
-      cumulative += FrameModel::DrawBytes(seed_, f, model_->PositionMean(pos));
+  int pos = 0;
+  for (std::int64_t f = 0; f < frame_count_; f += kRunFrames) {
+    const std::int64_t n = std::min(kRunFrames, frame_count_ - f);
+    fallback_draws_ += model_->DrawRun(seed_, f, n, bytes);
+    for (std::int64_t j = 0; j < n; ++j) {
+      cumulative += bytes[j];
+      if (++pos == gop) {
+        gop_prefix_.push_back(cumulative);
+        pos = 0;
+      }
     }
-    gop_prefix_.push_back(cumulative);
   }
   total_bytes_ = cumulative;
 }
@@ -114,6 +121,7 @@ VideoLibrary::VideoLibrary(int count, double duration_seconds,
   build_threads_ = static_cast<int>(helpers.size()) + 1;
   draw();
   for (std::thread& helper : helpers) helper.join();
+  for (const auto& video : videos_) fallback_draws_ += video->fallback_draws_;
 }
 
 std::int64_t VideoLibrary::NumBlocks(int id,

@@ -52,6 +52,7 @@ class Video {
   // thread's own malloc arena and raise peak RSS.
   Video(int id, std::uint64_t seed, const FrameModel* model,
         double duration_seconds, Undrawn);
+  // Draws every frame through FrameModel::DrawRun, 960 at a time.
   void DrawFrames() noexcept;
 
   int id_;
@@ -60,6 +61,7 @@ class Video {
   double duration_seconds_;
   std::int64_t frame_count_;
   std::int64_t total_bytes_;
+  std::int64_t fallback_draws_ = 0;  // DrawFrames' exact-path draws
   // Cumulative bytes at each GOP boundary: gop_prefix_[g] = bytes of all
   // frames before GOP g. Size = num_gops + 1. Keeps per-video memory tiny
   // (one entry per half-second) while byte->time queries stay O(log).
@@ -85,6 +87,9 @@ class VideoLibrary {
   int count() const { return static_cast<int>(videos_.size()); }
   // Threads that built the videos, the calling thread included.
   int build_threads() const { return build_threads_; }
+  // Frame draws the batch kernel handed to the exact scalar path while
+  // building the videos (mpeg/draw_kernel.h).
+  std::int64_t fallback_draws() const { return fallback_draws_; }
   const Video& video(int id) const { return *videos_[id]; }
   const FrameModel& frame_model() const { return model_; }
 
@@ -103,6 +108,7 @@ class VideoLibrary {
   std::vector<std::unique_ptr<Video>> videos_;
   ZipfDistribution popularity_;
   int build_threads_ = 1;
+  std::int64_t fallback_draws_ = 0;
 };
 
 }  // namespace spiffi::mpeg

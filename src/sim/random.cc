@@ -6,24 +6,6 @@
 
 namespace spiffi::sim {
 
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-double ToUnitDouble(std::uint64_t bits) {
-  // 53 high bits -> [0, 1) with full double precision.
-  return static_cast<double>(bits >> 11) * 0x1.0p-53;
-}
-
-double ExponentialAt(std::uint64_t seed, std::uint64_t index, double mean) {
-  double u = ToUnitDouble(Hash64(seed, index));
-  // Guard against log(0); 1-u is in (0, 1].
-  return -mean * std::log(1.0 - u);
-}
-
 namespace {
 inline std::uint64_t Rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));

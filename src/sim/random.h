@@ -13,12 +13,21 @@
 #ifndef SPIFFI_SIM_RANDOM_H_
 #define SPIFFI_SIM_RANDOM_H_
 
+#include <cmath>
 #include <cstdint>
 
 namespace spiffi::sim {
 
+// The counter-mode draws below sit on the per-frame paths (the terminal
+// display loop, the video library build), so they are inline.
+
 // SplitMix64 finalizer: a high-quality 64-bit mixing function.
-std::uint64_t Mix64(std::uint64_t x);
+inline std::uint64_t Mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 // Combines two 64-bit values into one well-mixed value.
 inline std::uint64_t Hash64(std::uint64_t a, std::uint64_t b) {
@@ -26,10 +35,18 @@ inline std::uint64_t Hash64(std::uint64_t a, std::uint64_t b) {
 }
 
 // Maps a 64-bit value to a double uniform in [0, 1).
-double ToUnitDouble(std::uint64_t bits);
+inline double ToUnitDouble(std::uint64_t bits) {
+  // 53 high bits -> [0, 1) with full double precision.
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
 
 // Stateless exponential draw with the given mean, addressed by (seed, i).
-double ExponentialAt(std::uint64_t seed, std::uint64_t index, double mean);
+inline double ExponentialAt(std::uint64_t seed, std::uint64_t index,
+                            double mean) {
+  double u = ToUnitDouble(Hash64(seed, index));
+  // Guard against log(0); 1-u is in (0, 1].
+  return -mean * std::log(1.0 - u);
+}
 
 class Rng {
  public:

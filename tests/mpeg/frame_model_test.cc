@@ -1,9 +1,13 @@
 #include "mpeg/frame_model.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "mpeg/draw_kernel.h"
 #include "mpeg/video.h"
 #include "sim/random.h"
 
@@ -140,6 +144,68 @@ TEST(FrameModelTest, TableDrivenDrawMatchesPerTypeDraw) {
       cumulative += expected;
     }
     EXPECT_EQ(video.total_bytes(), cumulative);
+  }
+}
+
+// Every frame of three one-hour videos through each kernel variant the
+// CPU supports, called directly, against FrameBytes one frame at a time.
+// A second, unaligned run starts mid-GOP and ends mid-block.
+TEST(FrameModelTest, BatchDrawMatchesScalarDraw) {
+  FrameModel model{MpegParams()};
+  constexpr std::int64_t kFrames = 108000;  // one hour at 30 frames/s
+  std::vector<std::int64_t> expected(kFrames);
+  std::vector<std::int64_t> got(kFrames);
+  ASSERT_EQ(std::string(DrawKernels().back().isa), "default");
+  for (std::uint64_t seed : {1ULL, 77ULL, 0xdeadbeefcafef00dULL}) {
+    for (std::int64_t f = 0; f < kFrames; ++f) {
+      expected[f] = model.FrameBytes(seed, f);
+    }
+    for (const DrawKernel& kernel : DrawKernels()) {
+      std::fill(got.begin(), got.end(), -1);
+      model.DrawRun(seed, 0, kFrames, got.data(), kernel);
+      for (std::int64_t f = 0; f < kFrames; ++f) {
+        ASSERT_EQ(got[f], expected[f])
+            << kernel.isa << ", seed " << seed << ", frame " << f;
+      }
+      constexpr std::int64_t kFirst = 7;
+      constexpr std::int64_t kCount = 15 * kDrawBlock + 40;
+      std::fill(got.begin(), got.end(), -1);
+      model.DrawRun(seed, kFirst, kCount, got.data(), kernel);
+      for (std::int64_t j = 0; j < kCount; ++j) {
+        ASSERT_EQ(got[j], expected[kFirst + j])
+            << kernel.isa << ", seed " << seed << ", frame " << kFirst + j;
+      }
+      EXPECT_EQ(got[kCount], -1) << kernel.isa;  // nothing past the run
+    }
+  }
+}
+
+// The frames the fast pass must not decide: u == 0, and products within
+// a few ulp of an integer, crafted by choosing each frame's mean. Every
+// variant must hand all of them to the exact path and match it.
+TEST(FrameModelTest, BatchDrawTakesExactPathNearIntegers) {
+  // Hash64(seed, 0) == Mix64(seed + golden) and Mix64(-golden) == 0.
+  const std::uint64_t seed = 0 - 2 * 0x9e3779b97f4a7c15ULL;
+  ASSERT_EQ(sim::ToUnitDouble(sim::Hash64(seed, 0)), 0.0);
+  std::array<double, kDrawBlock> means;
+  means[0] = 10000.0;
+  for (int j = 1; j < kDrawBlock; ++j) {
+    const double log_v =
+        std::log(1.0 - sim::ToUnitDouble(sim::Hash64(seed, j)));
+    means[j] = (1000.0 + 997.0 * j) / -log_v;
+    const double p = -means[j] * log_v;
+    ASSERT_LE(std::fabs(p - std::round(p)), p * 0x1p-50) << "frame " << j;
+  }
+  for (const DrawKernel& kernel : DrawKernels()) {
+    std::array<std::int64_t, kDrawBlock> out;
+    EXPECT_EQ(DrawBlock(kernel, seed, 0, means.data(), out.data()),
+              kDrawBlock)
+        << kernel.isa;
+    EXPECT_EQ(out[0], 1) << kernel.isa;
+    for (int j = 0; j < kDrawBlock; ++j) {
+      EXPECT_EQ(out[j], FrameModel::DrawBytes(seed, j, means[j]))
+          << kernel.isa << ", frame " << j;
+    }
   }
 }
 

@@ -162,6 +162,30 @@ TEST(VideoLibraryTest, ParallelBuildMatchesSerialBuild) {
   }
 }
 
+// A paper-scale library (256 one-hour videos, 27.6 M draws) built
+// through the batch kernel against FrameBytes summed frame by frame.
+// Library seed 6 makes the kernel take the exact path for a few draws.
+TEST(VideoLibraryTest, KernelBuildMatchesScalarBuild) {
+  constexpr int kVideos = 256;
+  VideoLibrary lib(kVideos, 3600.0, MpegParams(),
+                   ZipfDistribution(kVideos, 1.0), 6);
+  EXPECT_GT(lib.fallback_draws(), 0);
+  const int gop = lib.frame_model().params().gop_frames();
+  for (int id = 0; id < kVideos; ++id) {
+    const Video& video = lib.video(id);
+    std::int64_t cumulative = 0;
+    for (std::int64_t f = 0; f < video.frame_count(); ++f) {
+      if (f % gop == 0) {
+        // At a GOP boundary this is the video's GOP prefix entry.
+        ASSERT_EQ(video.CumulativeBytesAtFrame(f), cumulative)
+            << "video " << id << " frame " << f;
+      }
+      cumulative += video.FrameBytes(f);
+    }
+    ASSERT_EQ(video.total_bytes(), cumulative) << "video " << id;
+  }
+}
+
 TEST(VideoLibraryTest, BuildThreadsFollowCoresAndVideoCount) {
   struct Case {
     int jobs;

@@ -65,6 +65,25 @@ TEST(LibraryCacheTest, ConcurrentSameKeyConstructionsShareOneBuild) {
   }
 }
 
+// The exact-path draws of a build are added once, when it is built; a
+// hit adds nothing. Seed 33 takes the exact path in this build.
+TEST(LibraryCacheTest, FallbackDrawsAddOncePerBuild) {
+  LibraryKey key;
+  key.count = 16;
+  key.duration_seconds = 3600.0;
+  key.zipf_z = 1.0;
+  key.seed = 33;
+  const mpeg::LibraryCacheStats before = GetLibraryCacheStats();
+  auto library = SharedLibrary(key);
+  auto again = SharedLibrary(key);
+  const mpeg::LibraryCacheStats after = GetLibraryCacheStats();
+  ASSERT_EQ(again, library);
+  EXPECT_GT(library->fallback_draws(), 0);
+  EXPECT_EQ(after.fallback_draws - before.fallback_draws,
+            static_cast<std::uint64_t>(library->fallback_draws()));
+  EXPECT_EQ(after.draws - before.draws, 16u * 108000u);
+}
+
 TEST(LibraryCacheTest, ConcurrentMixedKeysBuildOncePerKey) {
   constexpr int kThreads = 9;
   constexpr int kKeys = 3;
