@@ -171,6 +171,9 @@ inline constexpr int kMemorySweepPoints = 6;
 // `library_draws` counts the frame sizes those builds drew, an exact
 // host-independent measure of set-up work; `library_fallback_draws`
 // counts those the batch kernel redrew on the exact scalar path.
+// `total_frame_window_refills` counts the terminals' display-loop draws
+// of kDrawBlock frame sizes, and `total_display_scalar_draws` the sizes
+// among them that took the scalar path (mpeg/frame_window.h).
 
 struct ProfileCollector {
   bool enabled = false;         // --profile: kernel self-profile JSON
@@ -219,11 +222,15 @@ inline void WriteProfileReport() {
   std::uint64_t events = 0;
   std::uint64_t lane_fires = 0;
   std::uint64_t sift_levels = 0;
+  std::uint64_t window_refills = 0;
+  std::uint64_t display_scalar_draws = 0;
   for (const vod::RunProfile& run : collector.runs) {
     wall += run.wall_seconds;
     events += run.kernel.events_fired;
     lane_fires += run.kernel.lane_fires;
     sift_levels += run.kernel.sift_levels;
+    window_refills += run.frame_window_refills;
+    display_scalar_draws += run.display_scalar_draws;
   }
   double speedup = elapsed > 0.0 ? wall / elapsed : 0.0;
   const mpeg::LibraryCacheStats library = mpeg::GetLibraryCacheStats();
@@ -236,6 +243,9 @@ inline void WriteProfileReport() {
       << "  \"total_events\": " << events << ",\n"
       << "  \"total_lane_fires\": " << lane_fires << ",\n"
       << "  \"total_sift_levels\": " << sift_levels << ",\n"
+      << "  \"total_frame_window_refills\": " << window_refills << ",\n"
+      << "  \"total_display_scalar_draws\": " << display_scalar_draws
+      << ",\n"
       << "  \"library_builds\": " << library.builds << ",\n"
       << "  \"library_draws\": " << library.draws << ",\n"
       << "  \"library_fallback_draws\": " << library.fallback_draws << ",\n"

@@ -2,11 +2,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "micro_common.h"
 #include "mpeg/draw_kernel.h"
 #include "mpeg/frame_model.h"
+#include "mpeg/frame_window.h"
+#include "mpeg/video.h"
 #include "sim/environment.h"
 #include "sim/process.h"
 #include "sim/random.h"
@@ -204,6 +207,83 @@ void BM_FrameDrawBatch(benchmark::State& state) {
   state.SetLabel(spiffi::mpeg::DrawKernels().front().isa);
 }
 BENCHMARK(BM_FrameDrawBatch);
+
+// A terminal's display loop over a one-hour video: each tick takes the
+// next frame's size, from a FrameWindow (`window`, refilled through the
+// batch kernel every kDrawBlock frames) or one scalar draw per tick
+// (`scalar`, Video::FrameBytes); items/sec is ticks/sec. The window
+// variant's label names the kernel variant the CPU selected.
+void BM_FrameWindowTick(benchmark::State& state, bool use_window) {
+  const spiffi::mpeg::FrameModel model{spiffi::mpeg::MpegParams()};
+  const spiffi::mpeg::Video video(0, 7, &model, 3600.0);
+  spiffi::mpeg::FrameWindow window;
+  std::int64_t frame = 0;
+  std::int64_t consumed = 0;
+  for (auto _ : state) {
+    if (use_window) {
+      consumed += window.Peek(video, frame);
+      window.Advance();
+    } else {
+      consumed += video.FrameBytes(frame);
+    }
+    benchmark::DoNotOptimize(consumed);
+    if (++frame == video.frame_count()) {
+      frame = 0;
+      window.Invalidate();
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (use_window) state.SetLabel(spiffi::mpeg::DrawKernels().front().isa);
+}
+BENCHMARK_CAPTURE(BM_FrameWindowTick, window, true);
+BENCHMARK_CAPTURE(BM_FrameWindowTick, scalar, false);
+
+// Locating the GOP that holds a byte of a one-hour video (7,200 GOPs)
+// for uniformly random bytes: std::upper_bound over the GOP boundaries
+// (`upper_bound`) against Video::GopOfByte's proportional guess, gallop
+// and bisection (`interpolated`); `full` is the whole
+// Video::FrameOfByte, the GOP search plus the scalar walk of the GOP's
+// frames. items/sec is queries/sec.
+enum class GopSearch { kUpperBound, kInterpolated, kFull };
+
+void BM_FrameOfByte(benchmark::State& state, GopSearch search) {
+  const spiffi::mpeg::FrameModel model{spiffi::mpeg::MpegParams()};
+  const spiffi::mpeg::Video video(0, 7, &model, 3600.0);
+  const int gop = model.params().gop_frames();
+  std::vector<std::int64_t> gop_prefix;
+  for (std::int64_t f = 0; f <= video.frame_count(); f += gop) {
+    gop_prefix.push_back(video.CumulativeBytesAtFrame(f));
+  }
+  spiffi::sim::Rng rng(11);
+  std::vector<std::int64_t> bytes(4096);
+  for (std::int64_t& byte : bytes) {
+    byte = static_cast<std::int64_t>(
+        rng.UniformInt(static_cast<std::uint64_t>(video.total_bytes())));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::int64_t byte = bytes[i++ & (bytes.size() - 1)];
+    std::int64_t answer;
+    switch (search) {
+      case GopSearch::kUpperBound:
+        answer = std::upper_bound(gop_prefix.begin(), gop_prefix.end(),
+                                  byte) -
+                 gop_prefix.begin() - 1;
+        break;
+      case GopSearch::kInterpolated:
+        answer = video.GopOfByte(byte);
+        break;
+      case GopSearch::kFull:
+        answer = video.FrameOfByte(byte);
+        break;
+    }
+    benchmark::DoNotOptimize(answer);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_FrameOfByte, upper_bound, GopSearch::kUpperBound);
+BENCHMARK_CAPTURE(BM_FrameOfByte, interpolated, GopSearch::kInterpolated);
+BENCHMARK_CAPTURE(BM_FrameOfByte, full, GopSearch::kFull);
 
 }  // namespace
 

@@ -22,8 +22,9 @@ Terminal::Terminal(sim::Environment* env, int id,
                    server::MessageSink* ingress,
                    vod::AdmissionController* admission)
     : env_(env),
-      id_(id),
+      frames_per_second_(library->frame_model().params().frames_per_second),
       params_(params),
+      id_(id),
       network_(network),
       server_(server),
       library_(library),
@@ -38,12 +39,8 @@ Terminal::Terminal(sim::Environment* env, int id,
   env_->Schedule(start_time, this, kStartToken);
 }
 
-double Terminal::FramesPerSecond() const {
-  return library_->frame_model().params().frames_per_second;
-}
-
 double Terminal::ConsumedPlaybackTime() const {
-  return static_cast<double>(next_frame_) / FramesPerSecond();
+  return static_cast<double>(next_frame_) / frames_per_second_;
 }
 
 std::int64_t Terminal::BlockBytesAt(std::int64_t block) const {
@@ -204,7 +201,7 @@ void Terminal::BeginFollowing(sim::SimTime display_anchor,
 std::int64_t Terminal::FollowFrameNow(int video) const {
   double position = env_->now() - follow_anchor_;
   auto frame = static_cast<std::int64_t>(
-      std::llround(position * FramesPerSecond()));
+      std::llround(position * frames_per_second_));
   return std::clamp<std::int64_t>(
       frame, 0, library_->video(video).frame_count() - 1);
 }
@@ -278,6 +275,7 @@ void Terminal::ResetStreamAt(std::int64_t frame) {
   ++epoch_;  // replies to everything issued so far become stale
   CancelRetryTimers();
   next_frame_ = frame;
+  frame_window_.Invalidate();
   start_byte_ = vid_->CumulativeBytesAtFrame(frame);
   consumed_bytes_ = start_byte_;
   first_block_ = start_byte_ / params_.block_bytes;
@@ -306,7 +304,7 @@ void Terminal::StartVideo(int video, std::int64_t start_frame) {
     // Unicast catch-up stream: fetch and display only the frames the
     // shared stream has already passed, then sync onto it.
     auto frames = static_cast<std::int64_t>(
-        std::ceil(pending_patch_seconds_ * FramesPerSecond() - 1e-9));
+        std::ceil(pending_patch_seconds_ * frames_per_second_ - 1e-9));
     patch_limit_frame_ =
         std::clamp<std::int64_t>(frames, 1, vid_->frame_count());
     std::int64_t last_byte =
@@ -571,7 +569,7 @@ void Terminal::DisplayFrame() {
     return;
   }
 
-  std::int64_t frame_bytes = vid_->FrameBytes(next_frame_);
+  std::int64_t frame_bytes = frame_window_.Peek(*vid_, next_frame_);
   if (consumed_bytes_ + frame_bytes > ContiguousBytes()) {
     HandleGlitch();
     return;
@@ -579,6 +577,7 @@ void Terminal::DisplayFrame() {
 
   consumed_bytes_ += frame_bytes;
   occupied_bytes_ -= frame_bytes;
+  frame_window_.Advance();
   ++next_frame_;
   ++stats_.frames_displayed;
   IssueRequests();  // consumption freed buffer space
@@ -592,7 +591,7 @@ void Terminal::DisplayFrame() {
     return;
   }
   env_->ScheduleTick(anchor_ + static_cast<double>(next_frame_) /
-                                   FramesPerSecond(),
+                                   frames_per_second_,
                      this, kFrameToken);
 }
 
@@ -632,7 +631,7 @@ void Terminal::JumpTo(double playback_seconds) {
                state_ == State::kSearching || state_ == State::kPriming);
   DepartSharedGroup();
   auto frame = static_cast<std::int64_t>(
-      std::llround(playback_seconds * FramesPerSecond()));
+      std::llround(playback_seconds * frames_per_second_));
   frame = std::clamp<std::int64_t>(frame, 0, vid_->frame_count() - 1);
   state_ = State::kPriming;
   ++stats_.primes;
@@ -670,7 +669,7 @@ void Terminal::StartSearchSegment() {
     return;
   }
   auto show_frames = static_cast<std::int64_t>(
-      std::llround(search_show_sec_ * FramesPerSecond()));
+      std::llround(search_show_sec_ * frames_per_second_));
   if (show_frames < 1) show_frames = 1;
   search_segment_end_ = std::min(search_segment_start_ + show_frames,
                                  vid_->frame_count());
@@ -725,13 +724,13 @@ void Terminal::DisplaySearchFrame() {
   ++stats_.search_frames;
   ++search_cursor_;
   if (search_cursor_ < search_segment_end_) {
-    env_->ScheduleTick(env_->now() + 1.0 / FramesPerSecond(), this,
+    env_->ScheduleTick(env_->now() + 1.0 / frames_per_second_, this,
                        kSearchFrameToken);
     return;
   }
   // Segment done: hop over the skipped span (or back for rewind).
   auto hop = static_cast<std::int64_t>(std::llround(
-      (search_show_sec_ + search_skip_sec_) * FramesPerSecond()));
+      (search_show_sec_ + search_skip_sec_) * frames_per_second_));
   search_segment_start_ += search_forward_ ? hop : -hop;
   if (search_forward_ &&
       search_segment_start_ >= vid_->frame_count()) {

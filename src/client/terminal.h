@@ -27,6 +27,7 @@
 #include "client/stream_share.h"
 #include "fault/state.h"
 #include "layout/layout.h"
+#include "mpeg/frame_window.h"
 #include "mpeg/video.h"
 #include "obs/quantile_sketch.h"
 #include "server/message.h"
@@ -188,6 +189,13 @@ class Terminal final : public server::MessageSink,
   // Buffer occupancy in bytes (arrived and unconsumed); for tests.
   std::int64_t occupied_bytes() const { return occupied_bytes_; }
   std::int64_t inflight_bytes() const { return inflight_bytes_; }
+  // Display cursor: the next frame to show and the bytes consumed before
+  // it, which equal the current video's CumulativeBytesAtFrame(next_frame)
+  // while one plays; for tests.
+  std::int64_t next_frame() const { return next_frame_; }
+  std::int64_t consumed_bytes() const { return consumed_bytes_; }
+  // Frame-size draws of the display loop (refills, scalar draws).
+  const mpeg::FrameWindow& frame_window() const { return frame_window_; }
 
   // --- Interactive controls (§8.1) ---
 
@@ -296,13 +304,57 @@ class Terminal final : public server::MessageSink,
   // Bytes [0, boundary) have arrived contiguously.
   std::int64_t ContiguousBytes() const;
   std::int64_t BlockBytesAt(std::int64_t block) const;
-  double FramesPerSecond() const;
   // Playback time of the consumption point (frame-aligned).
   double ConsumedPlaybackTime() const;
 
+  // --- Hot block: what a display tick reads or writes ---
+  // DisplayFrame, the early exits of IssueRequests and the tick's
+  // ScheduleTick touch only these fields, kept together at the front so
+  // a tick touches few cache lines; everything else follows.
   sim::Environment* env_;
-  int id_;
+  State state_ = State::kIdle;
+  const mpeg::Video* vid_ = nullptr;
+  // Display cursor: next frame to show, bytes consumed so far, and the
+  // sim time of playback time 0 while playing.
+  std::int64_t next_frame_ = 0;
+  std::int64_t consumed_bytes_ = 0;
+  sim::SimTime anchor_ = 0.0;
+  // The library's frame rate, read once (the same double every tick
+  // divides by).
+  double frames_per_second_;
+  // Buffer accounting and the request frontier. Blocks before
+  // first_block_ (the block containing the starting position) are never
+  // requested; contiguous_blocks_ counts arrived blocks from first_block_
+  // on.
+  std::int64_t occupied_bytes_ = 0;
+  std::int64_t inflight_bytes_ = 0;
+  std::int64_t first_block_ = 0;
+  std::int64_t contiguous_blocks_ = 0;
+  std::int64_t next_request_block_ = 0;
+  std::int64_t num_blocks_ = 0;
+  std::int64_t video_bytes_ = 0;
+  // A patch limit >= 0 caps a unicast catch-up stream: requests stop at
+  // patch_limit_block_ and the display syncs onto the shared stream at
+  // patch_limit_frame_ (see the stream-sharing fields below).
+  std::int64_t patch_limit_frame_ = -1;
+  std::int64_t patch_limit_block_ = 0;
+  // Pauses: upcoming pause positions (playback seconds), descending.
+  std::vector<double> pause_at_;
+  // Visual search (§8.1): upcoming search positions per video,
+  // descending.
+  std::vector<double> search_at_;
+  // memory_bytes and block_bytes, the only fields a tick reads, lead
+  // the struct.
   TerminalParams params_;
+  // Sizes of the frames from next_frame_ on. Invalidated by
+  // ResetStreamAt, which every video change, jump, search, failover and
+  // patch sync passes through.
+  mpeg::FrameWindow frame_window_;
+  // frames_displayed, which every tick bumps, sits in its first line.
+  Stats stats_;
+
+  // --- Cold: the rest ---
+  int id_;
   hw::Network* network_;
   server::NodeDirectory* server_;
   const mpeg::VideoLibrary* library_;
@@ -314,22 +366,12 @@ class Terminal final : public server::MessageSink,
   vod::AdmissionController* admission_;  // nullptr = admit everyone
   int admission_defer_streak_ = 0;  // consecutive deferrals (backoff)
 
-  State state_ = State::kIdle;
   int video_ = -1;
   int pending_video_ = -1;  // selected, waiting for a delayed start
-  const mpeg::Video* vid_ = nullptr;
-  std::int64_t num_blocks_ = 0;
-  std::int64_t video_bytes_ = 0;
 
   bool first_video_ = true;
 
-  // Request/arrival tracking. Blocks before first_block_ (the block
-  // containing the starting position) are never requested;
-  // contiguous_blocks_ counts arrived blocks from first_block_ on.
-  std::int64_t first_block_ = 0;
   std::int64_t start_byte_ = 0;  // first byte actually consumed
-  std::int64_t next_request_block_ = 0;
-  std::int64_t inflight_bytes_ = 0;
   // In-flight request bookkeeping, keyed by block: when it was issued,
   // the deadline it carried, and the open trace span.
   struct PendingRequest {
@@ -343,18 +385,10 @@ class Terminal final : public server::MessageSink,
     sim::EventId retry_timer = 0;       // armed timeout, 0 = none
   };
   std::unordered_map<std::int64_t, PendingRequest> issue_time_;
-  std::int64_t contiguous_blocks_ = 0;
   std::set<std::int64_t> arrived_out_of_order_;
-  std::int64_t occupied_bytes_ = 0;
 
-  // Display state.
-  std::int64_t consumed_bytes_ = 0;
-  std::int64_t next_frame_ = 0;
-  sim::SimTime anchor_ = 0.0;  // sim time of playback time 0 while playing
   sim::SimTime prime_start_ = 0.0;  // when the current prime began (trace)
 
-  // Pauses: upcoming pause positions (playback seconds), descending.
-  std::vector<double> pause_at_;
   sim::SimTime pause_end_ = 0.0;
   // A session failover interrupted a pause: when the re-prime completes,
   // return to kPaused (the original kPauseEndToken is still scheduled)
@@ -370,27 +404,20 @@ class Terminal final : public server::MessageSink,
   // terminal belongs to (or leads); follow_anchor_ is the sim time of
   // this member's playback position 0 while kFollowing; follow_gen_
   // invalidates scheduled follow-end events after a promotion or
-  // disband pulls the terminal out of kFollowing early. A patch limit
-  // >= 0 caps the unicast catch-up stream: requests stop at
-  // patch_limit_block_ and the display syncs onto the shared stream at
-  // patch_limit_frame_.
+  // disband pulls the terminal out of kFollowing early.
   ShareRole share_role_ = ShareRole::kNone;
   std::uint64_t share_group_ = 0;
   int share_video_ = -1;
   sim::SimTime follow_anchor_ = 0.0;
   std::uint64_t follow_gen_ = 0;
   double pending_patch_seconds_ = 0.0;
-  std::int64_t patch_limit_frame_ = -1;
-  std::int64_t patch_limit_block_ = 0;
   // Blocks this stream will actually request: num_blocks_, or the patch
   // cap while a catch-up stream runs.
   std::int64_t RequestableBlocks() const {
     return patch_limit_frame_ >= 0 ? patch_limit_block_ : num_blocks_;
   }
 
-  // Visual search (§8.1): upcoming search positions per video
-  // (descending), and the state of the search in progress.
-  std::vector<double> search_at_;
+  // The visual search in progress.
   bool search_forward_ = true;
   double search_show_sec_ = 1.0;
   double search_skip_sec_ = 7.0;
@@ -399,8 +426,6 @@ class Terminal final : public server::MessageSink,
   std::int64_t search_segment_end_ = 0;    // one past the last frame
   std::int64_t search_cursor_ = 0;         // display cursor (frame)
   std::set<std::int64_t> search_blocks_pending_;
-
-  Stats stats_;
 };
 
 }  // namespace spiffi::client

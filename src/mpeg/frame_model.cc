@@ -4,27 +4,54 @@
 
 namespace spiffi::mpeg {
 
+namespace {
+
+// In double, so no count or weight from a config can overflow; where
+// the same sum in int would not overflow, it is the same value.
+double GopWeight(const MpegParams& params) {
+  return static_cast<double>(params.i_per_gop) * params.i_size_weight +
+         static_cast<double>(params.p_per_gop) * params.p_size_weight +
+         static_cast<double>(params.b_per_gop) * params.b_size_weight;
+}
+
+}  // namespace
+
 FrameModel::FrameModel(const MpegParams& params)
     : params_(params), gop_frames_(params.gop_frames()) {
-  SPIFFI_CHECK(params.gop_frames() > 0);
-  double gop_weight =
-      static_cast<double>(params.i_per_gop * params.i_size_weight +
-                          params.p_per_gop * params.p_size_weight +
-                          params.b_per_gop * params.b_size_weight);
-  SPIFFI_CHECK(gop_weight > 0);
+  SPIFFI_CHECK(ParamsError(params).empty());
   // One GOP lasts gop_frames / fps seconds and must carry
   // bytes_per_second * that many seconds.
   double gop_bytes = params.bytes_per_second() *
                      static_cast<double>(params.gop_frames()) /
                      params.frames_per_second;
-  unit_bytes_ = gop_bytes / gop_weight;
+  unit_bytes_ = gop_bytes / GopWeight(params);
   position_mean_.reserve(gop_frames_ + kDrawBlock - 1);
   for (std::int64_t pos = 0; pos < gop_frames_ + kDrawBlock - 1; ++pos) {
-    const double mean = MeanBytes(TypeOf(pos % gop_frames_));
-    // The kernel rounds its products (< 37 * mean) by adding 2^52.
-    SPIFFI_CHECK(mean >= 0.0 && mean < 0x1p45);
-    position_mean_.push_back(mean);
+    position_mean_.push_back(MeanBytes(TypeOf(pos % gop_frames_)));
   }
+}
+
+std::string FrameModel::ParamsError(const MpegParams& params) {
+  if (params.gop_frames() <= 0) return "mpeg GOP must hold a frame";
+  if (!(GopWeight(params) > 0.0)) {
+    return "mpeg GOP size weights must sum to a positive value";
+  }
+  if (!(params.frames_per_second > 0.0)) {
+    return "mpeg frames_per_second must be positive";
+  }
+  const double unit = params.bytes_per_second() *
+                      static_cast<double>(params.gop_frames()) /
+                      params.frames_per_second / GopWeight(params);
+  for (int weight : {params.i_size_weight, params.p_size_weight,
+                     params.b_size_weight}) {
+    // The kernel rounds its products (< 37 * mean) by adding 2^52, and
+    // Video::DrawFrameSizes stores each size as an int32.
+    const double mean = unit * weight;
+    if (!(mean >= 0.0 && mean < kMaxMeanFrameBytes)) {
+      return "mpeg mean frame sizes must lie in [0, 58 MB)";
+    }
+  }
+  return "";
 }
 
 FrameType FrameModel::TypeOf(std::int64_t index) const {

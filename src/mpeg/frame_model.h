@@ -11,6 +11,7 @@
 #define SPIFFI_MPEG_FRAME_MODEL_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "mpeg/draw_kernel.h"
@@ -20,6 +21,11 @@
 namespace spiffi::mpeg {
 
 enum class FrameType { kI, kP, kB };
+
+// Largest mean frame size the model accepts. A drawn size is
+// ceil(mean * -ln v) with v >= 2^-53, so at most ceil(mean * 53 ln 2),
+// and below this mean every size fits an int32 (Video::DrawFrameSizes).
+inline constexpr double kMaxMeanFrameBytes = 0x1p31 / 37.0;
 
 struct MpegParams {
   double frames_per_second = 30.0;
@@ -48,7 +54,13 @@ struct MpegParams {
 // repeated" without storing the stream.
 class FrameModel {
  public:
+  // CHECKs that ParamsError(params) is empty.
   explicit FrameModel(const MpegParams& params);
+
+  // Why the model cannot use `params`, or "" when it can: the GOP needs
+  // a frame and a positive size weight, the frame rate must be positive,
+  // and every type mean must lie in [0, kMaxMeanFrameBytes).
+  static std::string ParamsError(const MpegParams& params);
 
   const MpegParams& params() const { return params_; }
 

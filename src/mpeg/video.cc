@@ -52,6 +52,19 @@ void Video::DrawFrames() noexcept {
     }
   }
   total_bytes_ = cumulative;
+  gops_per_byte_ = static_cast<double>(gop_prefix_.size() - 1) /
+                   static_cast<double>(total_bytes_);
+}
+
+int Video::DrawFrameSizes(std::int64_t first, int n,
+                          std::int32_t* out) const {
+  SPIFFI_DCHECK(first >= 0 && n >= 0 && n <= kDrawBlock &&
+                first + n <= frame_count_);
+  std::int64_t bytes[kDrawBlock];
+  const auto exact =
+      static_cast<int>(model_->DrawRun(seed_, first, n, bytes));
+  for (int j = 0; j < n; ++j) out[j] = static_cast<std::int32_t>(bytes[j]);
+  return exact;
 }
 
 std::int64_t Video::CumulativeBytesAtFrame(std::int64_t index) const {
@@ -65,12 +78,51 @@ std::int64_t Video::CumulativeBytesAtFrame(std::int64_t index) const {
   return bytes;
 }
 
+std::int64_t Video::GopOfByte(std::int64_t byte) const {
+  SPIFFI_DCHECK(byte >= 0 && byte < total_bytes_);
+  // gop_prefix_ rises from 0 to total_bytes_ > byte, so the answer is
+  // the last g in [0, num_gops) with gop_prefix_[g] <= byte. GOP sizes
+  // are i.i.d., so the proportional guess is off by a random walk of
+  // them (tens of GOPs in an hour-long video), and galloping from the
+  // guess costs O(log distance) instead of O(log num_gops).
+  const auto num_gops = static_cast<std::int64_t>(gop_prefix_.size()) - 1;
+  const std::int64_t guess = std::min(
+      num_gops - 1,
+      static_cast<std::int64_t>(static_cast<double>(byte) * gops_per_byte_));
+  // Invariant: gop_prefix_[lo] <= byte < gop_prefix_[hi].
+  std::int64_t lo;
+  std::int64_t hi;
+  if (gop_prefix_[guess] <= byte) {
+    lo = guess;
+    hi = guess + 1;
+    for (std::int64_t step = 2; gop_prefix_[hi] <= byte; step *= 2) {
+      lo = hi;
+      hi = std::min(lo + step, num_gops);
+    }
+  } else {
+    hi = guess;
+    lo = guess - 1;
+    for (std::int64_t step = 2; gop_prefix_[lo] > byte; step *= 2) {
+      hi = lo;
+      lo = std::max<std::int64_t>(hi - step, 0);
+    }
+  }
+  while (hi - lo > 1) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    if (gop_prefix_[mid] <= byte) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 std::int64_t Video::FrameOfByte(std::int64_t byte) const {
   if (byte >= total_bytes_) return frame_count_;
   SPIFFI_DCHECK(byte >= 0);
   // Find the GOP containing the byte, then walk its frames.
-  auto it = std::upper_bound(gop_prefix_.begin(), gop_prefix_.end(), byte);
-  std::int64_t g = (it - gop_prefix_.begin()) - 1;
+  const std::int64_t g = GopOfByte(byte);
   int gop = model_->params().gop_frames();
   std::int64_t cumulative = gop_prefix_[g];
   for (std::int64_t f = g * gop, pos = 0;; ++f, ++pos) {

@@ -30,6 +30,12 @@ class Video {
     return model_->FrameBytes(seed_, index);
   }
 
+  // Sizes of frames [first, first + n), 0 <= n <= kDrawBlock, through
+  // the batch kernel: out[j] == FrameBytes(first + j), bit for bit (every
+  // size fits an int32, see kMaxMeanFrameBytes). Returns how many of the
+  // n draws took the exact scalar path.
+  int DrawFrameSizes(std::int64_t first, int n, std::int32_t* out) const;
+
   // Bytes of all frames before `index` (== total_bytes at frame_count).
   std::int64_t CumulativeBytesAtFrame(std::int64_t index) const;
 
@@ -40,6 +46,12 @@ class Video {
 
   // Index of the frame containing `byte` (frame_count for EOF).
   std::int64_t FrameOfByte(std::int64_t byte) const;
+
+  // Index of the GOP containing `byte`, 0 <= byte < total_bytes: the g
+  // with CumulativeBytesAtFrame(g * gop) <= byte < that of GOP g + 1,
+  // which is std::upper_bound over the GOP boundaries minus one. Guesses
+  // g from byte / total_bytes, gallops to a bracket, then bisects it.
+  std::int64_t GopOfByte(std::int64_t byte) const;
 
  private:
   friend class VideoLibrary;
@@ -66,6 +78,8 @@ class Video {
   // frames before GOP g. Size = num_gops + 1. Keeps per-video memory tiny
   // (one entry per half-second) while byte->time queries stay O(log).
   std::vector<std::int64_t> gop_prefix_;
+  // GOPs per byte, num_gops / total_bytes: GopOfByte's first guess.
+  double gops_per_byte_ = 0.0;
 };
 
 // The library of videos offered by the server plus the popularity

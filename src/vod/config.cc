@@ -9,6 +9,10 @@ std::string SimConfig::Validate() const {
   if (disks_per_node <= 0) return "disks_per_node must be positive";
   if (cpu_mips <= 0.0) return "cpu_mips must be positive";
   if (video_seconds <= 0.0) return "video_seconds must be positive";
+  if (std::string error = mpeg::FrameModel::ParamsError(mpeg);
+      !error.empty()) {
+    return error;
+  }
   if (videos_per_disk <= 0) return "videos_per_disk must be positive";
   if (zipf_z < 0.0) return "zipf_z must be non-negative";
   if (stripe_bytes <= 0) return "stripe_bytes must be positive";

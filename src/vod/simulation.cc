@@ -706,6 +706,22 @@ void Simulation::RegisterMetrics() {
   metrics_.AddProbe("terminal.stale_replies", [sum_terminals] {
     return sum_terminals([](const auto& s) { return s.stale_replies; });
   });
+  // Frame-size draws of the display loop since construction (not reset
+  // with the stats): window refills, and the sizes the batch kernel
+  // redrew on the scalar path during them.
+  auto sum_windows = [this](auto field) {
+    std::uint64_t sum = 0;
+    for (const auto& terminal : terminals_) {
+      sum += field(terminal->frame_window());
+    }
+    return static_cast<double>(sum);
+  };
+  metrics_.AddProbe("terminal.frame_window_refills", [sum_windows] {
+    return sum_windows([](const auto& w) { return w.refills(); });
+  });
+  metrics_.AddProbe("terminal.display_scalar_draws", [sum_windows] {
+    return sum_windows([](const auto& w) { return w.scalar_draws(); });
+  });
   metrics_.AddProbe("terminal.response_ms.avg", [this] {
     double sum = 0.0;
     for (const auto& terminal : terminals_) {
@@ -1260,6 +1276,10 @@ bool Simulation::Run(const std::atomic<bool>& cancel, SimMetrics* out,
     profile.config_summary = config_.Describe();
     profile.metrics = *out;
     profile.kernel = obs::CaptureKernelProfile(*env_);
+    profile.frame_window_refills = static_cast<std::uint64_t>(
+        metrics_.Value("terminal.frame_window_refills"));
+    profile.display_scalar_draws = static_cast<std::uint64_t>(
+        metrics_.Value("terminal.display_scalar_draws"));
     observer(profile);
   }
   return true;

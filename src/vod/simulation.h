@@ -51,6 +51,10 @@ struct RunProfile {
   std::string config_summary;       // SimConfig::Describe()
   SimMetrics metrics;               // what Run() returned
   obs::KernelProfile kernel;
+  // Display-loop frame-size draws since construction (the registry's
+  // terminal.frame_window_refills / terminal.display_scalar_draws).
+  std::uint64_t frame_window_refills = 0;
+  std::uint64_t display_scalar_draws = 0;
 };
 using RunObserver = std::function<void(const RunProfile&)>;
 

@@ -2,6 +2,7 @@
 
 #include "client/terminal.h"
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "layout/striping.h"
 #include "mpeg/zipf.h"
 #include "vod/admission.h"
+#include "vod/simulation.h"
 
 namespace spiffi::client {
 namespace {
@@ -340,6 +342,173 @@ TEST_F(TerminalTest, DeferredAdmissionAfterFollowEndReentersTheGate) {
   EXPECT_EQ(follower.stats().requests_sent, 0u);
   EXPECT_EQ(admission.active_sessions(), 0);
   EXPECT_GT(admission.stats().defers, 0);
+}
+
+// --- Frame window (mpeg/frame_window.h) ---
+//
+// The display reads each frame's size from a window drawn ahead, a
+// cursor that only knows how to step to the next frame. Every other
+// move of the display cursor (a video change, jump, search, failover or
+// patch sync) must invalidate it, or the next frame shown takes a stale
+// size. These tests drive a terminal through each such move and check,
+// every 1/60 s of simulated time, that the bytes consumed still equal
+// the video's cumulative bytes at the display cursor.
+
+::testing::AssertionResult CursorMatchesVideo(
+    const Terminal& terminal, const mpeg::VideoLibrary& library) {
+  const int video = terminal.current_video();
+  if (video < 0) return ::testing::AssertionSuccess();  // between videos
+  const std::int64_t expected =
+      library.video(video).CumulativeBytesAtFrame(terminal.next_frame());
+  if (terminal.consumed_bytes() == expected) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "terminal " << terminal.id() << " consumed "
+         << terminal.consumed_bytes() << " bytes by frame "
+         << terminal.next_frame() << " of video " << video << ", expected "
+         << expected;
+}
+
+class TerminalFrameWindowTest : public TerminalTest {
+ protected:
+  // Runs the terminal to `until`, checking the cursor at every step.
+  ::testing::AssertionResult RunChecked(double until) {
+    for (double t = env_.now(); t < until;) {
+      t = std::min(until, t + 1.0 / 60.0);
+      env_.RunUntil(t);
+      ::testing::AssertionResult ok = CursorMatchesVideo(*terminal_, *library_);
+      if (!ok) return ok << " at t=" << t;
+    }
+    return ::testing::AssertionSuccess();
+  }
+};
+
+TEST_F(TerminalFrameWindowTest, JumpsWithinAndAcrossWindows) {
+  Build();
+  ASSERT_TRUE(RunChecked(2.0));
+  // A few frames ahead (inside the drawn window), back, then far ahead.
+  terminal_->JumpTo(terminal_->PositionSeconds() + 0.2);
+  ASSERT_TRUE(RunChecked(3.0));
+  terminal_->JumpTo(terminal_->PositionSeconds() - 0.5);
+  ASSERT_TRUE(RunChecked(4.0));
+  terminal_->JumpTo(20.0);
+  ASSERT_TRUE(RunChecked(6.0));
+  EXPECT_EQ(terminal_->state(), Terminal::State::kPlaying);
+  EXPECT_GT(terminal_->frame_window().refills(), 3u);
+}
+
+TEST_F(TerminalFrameWindowTest, VisualSearchStartAndEnd) {
+  Build(TerminalParams(), /*video_seconds=*/60.0);
+  ASSERT_TRUE(RunChecked(2.0));
+  terminal_->BeginVisualSearch(/*forward=*/true, 1.0, 3.0, 6.0);
+  ASSERT_TRUE(RunChecked(12.0));
+  ASSERT_TRUE(RunChecked(14.0));
+  terminal_->BeginVisualSearch(/*forward=*/false, 0.5, 1.0, 3.0);
+  ASSERT_TRUE(RunChecked(20.0));
+  EXPECT_EQ(terminal_->stats().searches, 2u);
+  EXPECT_EQ(terminal_->state(), Terminal::State::kPlaying);
+}
+
+TEST_F(TerminalFrameWindowTest, PauseAndResume) {
+  TerminalParams params;
+  params.pause_enabled = true;
+  params.pauses_per_video_mean = 10.0;
+  params.pause_duration_mean_sec = 0.5;
+  Build(params, /*video_seconds=*/20.0);
+  ASSERT_TRUE(RunChecked(45.0));
+  EXPECT_GT(terminal_->stats().pauses, 2u);
+  EXPECT_GT(terminal_->stats().videos_completed, 0u);
+}
+
+TEST_F(TerminalFrameWindowTest, GlitchAndReprime) {
+  Build();
+  fake_->held_blocks.insert(6);
+  ASSERT_TRUE(RunChecked(10.0));
+  ASSERT_GE(terminal_->stats().glitches, 1u);
+  fake_->ReleaseHeld();
+  ASSERT_TRUE(RunChecked(14.0));
+  EXPECT_EQ(terminal_->state(), Terminal::State::kPlaying);
+}
+
+TEST_F(TerminalFrameWindowTest, FinalWindowShorterThanABlock) {
+  // 30 s is 900 frames: from frame 0 the last window holds 4 frames, and
+  // a jump to 0.3 s before the end leaves 9.
+  Build(TerminalParams(), /*video_seconds=*/30.0);
+  ASSERT_TRUE(RunChecked(25.0));
+  terminal_->JumpTo(library_->video(terminal_->current_video())
+                        .duration_seconds() -
+                    0.3);
+  ASSERT_TRUE(RunChecked(70.0));
+  EXPECT_GE(terminal_->stats().videos_completed, 2u);
+  EXPECT_EQ(terminal_->stats().glitches, 0u);
+}
+
+// Whole simulations for the moves a lone terminal cannot make: patch
+// syncs onto a shared stream and session failovers off a dead node.
+::testing::AssertionResult RunCheckedSimulation(vod::Simulation* simulation,
+                                                double until) {
+  for (double t = 0.0; t < until;) {
+    t = std::min(until, t + 1.0 / 60.0);
+    simulation->env().RunUntil(t);
+    for (int i = 0; i < simulation->num_terminals(); ++i) {
+      ::testing::AssertionResult ok = CursorMatchesVideo(
+          simulation->terminal(i), simulation->library());
+      if (!ok) return ok << " at t=" << t;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::uint64_t SumOverTerminals(vod::Simulation* simulation,
+                               std::uint64_t Terminal::Stats::*field) {
+  std::uint64_t sum = 0;
+  for (int i = 0; i < simulation->num_terminals(); ++i) {
+    sum += simulation->terminal(i).stats().*field;
+  }
+  return sum;
+}
+
+TEST(TerminalFrameWindowSimTest, PatchSyncs) {
+  vod::SimConfig config;
+  config.num_nodes = 1;
+  config.disks_per_node = 2;
+  config.video_seconds = 30.0;
+  config.videos_per_disk = 4;
+  config.server_memory_bytes = 128LL * 1024 * 1024;
+  config.start_window_sec = 10.0;
+  config.warmup_seconds = 15.0;
+  config.measure_seconds = 40.0;
+  config.terminals = 40;
+  config.piggyback_window_sec = 8.0;
+  config.patch_window_sec = 10.0;
+  vod::Simulation simulation(config);
+  ASSERT_TRUE(RunCheckedSimulation(&simulation, 55.0));
+  EXPECT_GT(SumOverTerminals(&simulation, &Terminal::Stats::patch_syncs), 0u);
+}
+
+TEST(TerminalFrameWindowSimTest, SessionFailovers) {
+  vod::SimConfig config;
+  config.num_nodes = 2;
+  config.disks_per_node = 2;
+  config.video_seconds = 25.0;
+  config.server_memory_bytes = 32LL * 1024 * 1024;
+  config.terminals = 40;
+  config.start_window_sec = 10.0;
+  config.warmup_seconds = 15.0;
+  config.measure_seconds = 30.0;
+  config.placement = vod::VideoPlacement::kReplicatedStriped;
+  config.replica_count = 2;
+  config.request_retry_budget = 2;
+  config.fault_plan.reroute_hop_budget = 0;
+  config.fault_plan.script.push_back(
+      {20.0, fault::FaultKind::kNodeFail, 1});
+  config.fault_plan.script.push_back(
+      {40.0, fault::FaultKind::kNodeRecover, 1});
+  vod::Simulation simulation(config);
+  ASSERT_TRUE(RunCheckedSimulation(&simulation, 45.0));
+  EXPECT_GT(
+      SumOverTerminals(&simulation, &Terminal::Stats::session_failovers), 0u);
 }
 
 }  // namespace

@@ -29,6 +29,27 @@ TEST(FrameModelTest, GopPatternMatchesFrequencyRatio) {
   EXPECT_EQ(b, 10);
 }
 
+TEST(FrameModelTest, ParamsErrorBoundsTheMeans) {
+  EXPECT_EQ(FrameModel::ParamsError(MpegParams()), "");
+  MpegParams no_rate;
+  no_rate.frames_per_second = 0.0;
+  EXPECT_NE(FrameModel::ParamsError(no_rate), "");
+  MpegParams no_weight;
+  no_weight.i_size_weight = no_weight.p_size_weight = 0;
+  no_weight.b_size_weight = 0;
+  EXPECT_NE(FrameModel::ParamsError(no_weight), "");
+  // The default I-frame mean is 52,429 bytes; kMaxMeanFrameBytes is
+  // 58,040,098, so the limit falls between 1,100x and 1,200x the rate.
+  MpegParams fast = MpegParams();
+  fast.bits_per_second *= 1100.0;
+  EXPECT_EQ(FrameModel::ParamsError(fast), "");
+  const FrameModel model{fast};
+  EXPECT_LT(model.MeanBytes(FrameType::kI) * 53.0 * std::log(2.0),
+            2147483647.0);
+  fast.bits_per_second *= 1200.0 / 1100.0;
+  EXPECT_NE(FrameModel::ParamsError(fast), "");
+}
+
 TEST(FrameModelTest, PatternRepeatsEveryGop) {
   FrameModel model{MpegParams()};
   for (std::int64_t f = 0; f < 15; ++f) {

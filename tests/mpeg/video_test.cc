@@ -1,7 +1,9 @@
 #include "mpeg/video.h"
 
+#include <algorithm>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "scoped_jobs.h"
@@ -200,6 +202,112 @@ TEST(VideoLibraryTest, BuildThreadsFollowCoresAndVideoCount) {
     EXPECT_EQ(library->build_threads(), c.threads)
         << "SPIFFI_JOBS=" << c.jobs << ", " << c.count << " videos";
     EXPECT_EQ(library->count(), c.count);
+  }
+}
+
+// --- FrameOfByte / GopOfByte against a std::upper_bound reference ---
+
+// The byte -> frame mapping by its plain definition: GOP boundaries
+// summed from FrameBytes, std::upper_bound over them, then a walk of
+// the GOP's frames.
+class FrameOfByteReference {
+ public:
+  explicit FrameOfByteReference(const Video& video) : video_(video) {
+    const int gop = MpegParams().gop_frames();
+    std::int64_t cumulative = 0;
+    for (std::int64_t f = 0; f < video.frame_count(); ++f) {
+      if (f % gop == 0) gop_prefix_.push_back(cumulative);
+      frame_start_.push_back(cumulative);
+      cumulative += video.FrameBytes(f);
+    }
+    gop_prefix_.push_back(cumulative);
+    frame_start_.push_back(cumulative);
+  }
+
+  std::int64_t Gop(std::int64_t byte) const {
+    return std::upper_bound(gop_prefix_.begin(), gop_prefix_.end(), byte) -
+           gop_prefix_.begin() - 1;
+  }
+  std::int64_t Frame(std::int64_t byte) const {
+    if (byte >= video_.total_bytes()) return video_.frame_count();
+    const int gop = MpegParams().gop_frames();
+    std::int64_t cumulative = gop_prefix_[Gop(byte)];
+    for (std::int64_t f = Gop(byte) * gop;; ++f) {
+      cumulative += video_.FrameBytes(f);
+      if (byte < cumulative) return f;
+    }
+  }
+  // Every byte where an answer changes, one either side, and the ends.
+  std::vector<std::int64_t> Probes() const {
+    std::vector<std::int64_t> bytes = {0, 1, video_.total_bytes() - 1,
+                                       video_.total_bytes(),
+                                       video_.total_bytes() + 1};
+    for (std::int64_t start : frame_start_) {
+      for (std::int64_t byte : {start - 1, start, start + 1}) {
+        if (byte >= 0) bytes.push_back(byte);
+      }
+    }
+    return bytes;
+  }
+
+ private:
+  const Video& video_;
+  std::vector<std::int64_t> gop_prefix_;   // bytes before each GOP
+  std::vector<std::int64_t> frame_start_;  // bytes before each frame
+};
+
+void ExpectMatchesReference(const Video& video) {
+  const FrameOfByteReference reference(video);
+  const double fps = MpegParams().frames_per_second;
+  for (std::int64_t byte : reference.Probes()) {
+    const std::int64_t frame = reference.Frame(byte);
+    ASSERT_EQ(video.FrameOfByte(byte), frame) << "byte " << byte;
+    if (byte < video.total_bytes()) {
+      ASSERT_EQ(video.GopOfByte(byte), reference.Gop(byte)) << "byte " << byte;
+    }
+    const double time = frame >= video.frame_count()
+                            ? video.duration_seconds()
+                            : static_cast<double>(frame) / fps;
+    ASSERT_EQ(video.PlaybackTimeOfByte(byte), time) << "byte " << byte;
+  }
+}
+
+// Ten-minute videos: the proportional guess drifts tens of GOPs from the
+// answer, so the gallop runs both ways and over long distances.
+TEST_F(VideoTest, FrameOfByteMatchesUpperBoundReference) {
+  for (std::uint64_t seed : {1ULL, 7ULL, 42ULL, 0xdeadbeefcafef00dULL}) {
+    Video video(0, seed, &model_, 600.0);
+    ExpectMatchesReference(video);
+  }
+}
+
+TEST_F(VideoTest, FrameOfByteMatchesReferenceOnOneGopVideo) {
+  for (std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
+    Video video(0, seed, &model_, 0.5);
+    ASSERT_EQ(video.frame_count(), model_.params().gop_frames());
+    ExpectMatchesReference(video);
+  }
+}
+
+TEST_F(VideoTest, DrawFrameSizesMatchesFrameBytes) {
+  Video video(0, 9, &model_, 60.0);
+  std::int32_t sizes[kDrawBlock];
+  for (std::int64_t first : {0, 7, 15, 64, 1000}) {
+    for (int n : {0, 1, 17, kDrawBlock - 1, kDrawBlock}) {
+      std::fill(std::begin(sizes), std::end(sizes), -1);
+      video.DrawFrameSizes(first, n, sizes);
+      for (int j = 0; j < n; ++j) {
+        ASSERT_EQ(sizes[j], video.FrameBytes(first + j))
+            << "first " << first << ", frame " << j;
+      }
+      for (int j = n; j < kDrawBlock; ++j) ASSERT_EQ(sizes[j], -1);
+    }
+  }
+  // The last frames of the video, short of a whole block.
+  const std::int64_t first = video.frame_count() - 5;
+  video.DrawFrameSizes(first, 5, sizes);
+  for (int j = 0; j < 5; ++j) {
+    EXPECT_EQ(sizes[j], video.FrameBytes(first + j));
   }
 }
 

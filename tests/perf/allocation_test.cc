@@ -5,15 +5,19 @@
 // that the operations the simulator performs per event — calendar
 // Schedule/Cancel/FireNext, buffer-pool Touch and recycle, wait-list
 // notify, and network message delivery — perform exactly zero heap
-// allocations. Any future change that reintroduces a per-event
-// allocation fails here rather than silently costing throughput.
+// allocations, and neither does a terminal's display tick. Any future
+// change that reintroduces a per-event allocation fails here rather than
+// silently costing throughput.
 
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <vector>
 
+#include "client/terminal.h"
 #include "gtest/gtest.h"
+#include "layout/striping.h"
+#include "mpeg/zipf.h"
 #include "server/buffer_pool.h"
 #include "server/message.h"
 #include "sim/calendar.h"
@@ -250,6 +254,52 @@ TEST(AllocationTest, PooledMessageDeliverySteadyStateAllocatesNothing) {
   std::uint64_t after = g_allocations;
   EXPECT_EQ(after - before, 0u);
   EXPECT_EQ(sink.received, warm + 50 * 32);
+}
+
+// Answers every read request at once (the request itself already
+// crossed the network, so the reply does not re-enter the sender).
+class InstantServer final : public server::NodeDirectory,
+                            public server::MessageSink {
+ public:
+  server::MessageSink* node_sink(int) override { return this; }
+  void OnMessage(const server::Message& request) override {
+    server::Message reply = request;
+    reply.kind = server::Message::Kind::kReadReply;
+    request.reply_to->OnMessage(reply);
+  }
+};
+
+TEST(AllocationTest, TerminalDisplayTickAllocatesNothing) {
+  sim::Environment env;
+  env.ReserveCalendar(64);
+  constexpr std::int64_t kBlock = 512 * 1024;
+  mpeg::VideoLibrary library(1, /*duration_seconds=*/10.0,
+                             mpeg::MpegParams(),
+                             mpeg::ZipfDistribution(1, 0.0), 1);
+  layout::StripedLayout layout(
+      1, 1, kBlock, std::vector<std::int64_t>{library.NumBlocks(0, kBlock)});
+  hw::Network network(&env, hw::NetworkParams{});
+  InstantServer server;
+  client::TerminalParams params;
+  params.memory_bytes = 16 * 1024 * 1024;  // the whole 10 s video
+  params.random_initial_position = false;
+  client::Terminal terminal(&env, 0, params, &network, &server, &library,
+                            &layout, sim::Rng(7), /*start_time=*/0.0);
+
+  // Warmup: the video primes whole, then plays; after this only display
+  // ticks remain (nothing left to request).
+  env.RunUntil(1.0);
+  ASSERT_EQ(terminal.state(), client::Terminal::State::kPlaying);
+  const std::uint64_t frames = terminal.stats().frames_displayed;
+  const std::uint64_t refills = terminal.frame_window().refills();
+
+  std::uint64_t before = g_allocations;
+  env.RunUntil(9.0);
+  std::uint64_t after = g_allocations;
+  EXPECT_EQ(after - before, 0u);
+  // Eight seconds of ticks, window refills included.
+  EXPECT_EQ(terminal.stats().frames_displayed - frames, 240u);
+  EXPECT_GE(terminal.frame_window().refills() - refills, 3u);
 }
 
 }  // namespace

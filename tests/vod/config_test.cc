@@ -53,6 +53,13 @@ TEST(SimConfigTest, RejectsBadValues) {
     c.videos_per_disk = 0;
     EXPECT_FALSE(c.Validate().empty());
   }
+  {
+    // I-frames averaging ~60 MB: sizes no longer fit the frame model.
+    SimConfig c;
+    c.mpeg.bits_per_second *= 1200.0;
+    EXPECT_EQ(c.Validate(), mpeg::FrameModel::ParamsError(c.mpeg));
+    EXPECT_FALSE(c.Validate().empty());
+  }
 }
 
 TEST(SimConfigTest, RejectsNonPositiveCounts) {
