@@ -46,7 +46,6 @@
 
 #include "vod/report.h"
 #include "vod/telemetry.h"
-#include "vod/trace.h"
 
 namespace {
 

@@ -474,11 +474,9 @@ void Terminal::RecordArrival(const Message& message) {
   if (message.hops > 0) ++stats_.blocks_rerouted;
   double response = env_->now() - pending.issue_time;
   stats_.response_time.Add(response);
-  stats_.response_histogram.Add(response);
   stats_.response_sketch.Add(response);
   double slack = pending.deadline - env_->now();
   stats_.deadline_slack.Add(slack);
-  stats_.slack_histogram.Add(slack);
   stats_.slack_sketch.Add(slack);
   if (slack < 0.0) {
     AttributeLateBlock(message, response,

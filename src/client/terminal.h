@@ -33,7 +33,6 @@
 #include "server/message.h"
 #include "server/server.h"
 #include "sim/environment.h"
-#include "sim/histogram.h"
 #include "sim/random.h"
 #include "sim/stats.h"
 
@@ -117,16 +116,13 @@ class Terminal final : public server::MessageSink,
     std::uint64_t search_frames = 0;        // frames shown during search
     std::uint64_t stale_replies = 0;        // replies to abandoned streams
     sim::Tally response_time;  // request -> block arrival (seconds)
-    sim::Histogram response_histogram;  // same data, for percentiles
-    // Same data again in a mergeable <=1% relative-error sketch; the
-    // percentiles SimMetrics reports come from here, the histogram is
-    // kept as the coarse regression reference.
+    // Same data in a mergeable <=1% relative-error sketch; the
+    // percentiles SimMetrics reports come from here.
     obs::QuantileSketch response_sketch;
 
     // Deadline accounting, measured at block arrival. Slack is
     // deadline - arrival time: positive means the block came early.
     sim::Tally deadline_slack;          // seconds
-    sim::Histogram slack_histogram;     // late arrivals land in bucket 0
     obs::QuantileSketch slack_sketch;   // signed: late arrivals negative
     // Late blocks (slack < 0), attributed to the pipeline stage that
     // consumed the largest share of the response time — the terminal's

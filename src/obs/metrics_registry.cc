@@ -1,15 +1,14 @@
 #include "obs/metrics_registry.h"
 
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "sim/check.h"
 
 namespace spiffi::obs {
 
-MetricsRegistry::Entry& MetricsRegistry::Register(const std::string& name,
-                                                  Kind kind) {
+MetricsRegistry::Entry& MetricsRegistry::Register(const std::string& name) {
   SPIFFI_CHECK(!name.empty());
   auto [it, inserted] = entries_.try_emplace(name);
   if (!inserted) {
@@ -17,7 +16,6 @@ MetricsRegistry::Entry& MetricsRegistry::Register(const std::string& name,
                  name.c_str());
   }
   SPIFFI_CHECK(inserted);
-  it->second.kind = kind;
   return it->second;
 }
 
@@ -31,46 +29,15 @@ const MetricsRegistry::Entry& MetricsRegistry::Find(
   return it->second;
 }
 
-MetricsRegistry::Counter* MetricsRegistry::AddCounter(
-    const std::string& name) {
-  Entry& entry = Register(name, Kind::kCounter);
-  entry.counter = std::make_unique<Counter>(0);
-  return entry.counter.get();
-}
-
-MetricsRegistry::Gauge* MetricsRegistry::AddGauge(const std::string& name) {
-  Entry& entry = Register(name, Kind::kGauge);
-  entry.gauge = std::make_unique<Gauge>(0.0);
-  return entry.gauge.get();
-}
-
-sim::Tally* MetricsRegistry::AddTally(const std::string& name) {
-  Entry& entry = Register(name, Kind::kTally);
-  entry.tally = std::make_unique<sim::Tally>();
-  return entry.tally.get();
-}
-
-sim::Histogram* MetricsRegistry::AddHistogram(const std::string& name) {
-  Entry& entry = Register(name, Kind::kHistogram);
-  entry.histogram = std::make_unique<sim::Histogram>();
-  return entry.histogram.get();
-}
-
 void MetricsRegistry::AddProbe(const std::string& name, ProbeFn probe) {
   SPIFFI_CHECK(probe != nullptr);
-  Register(name, Kind::kProbe).probe = std::move(probe);
-}
-
-void MetricsRegistry::AddHistogramProbe(const std::string& name,
-                                        HistogramProbeFn probe) {
-  SPIFFI_CHECK(probe != nullptr);
-  Register(name, Kind::kHistogramProbe).histogram_probe = std::move(probe);
+  Register(name).probe = std::move(probe);
 }
 
 void MetricsRegistry::AddSketchProbe(const std::string& name,
                                      SketchProbeFn probe) {
   SPIFFI_CHECK(probe != nullptr);
-  Register(name, Kind::kSketchProbe).sketch_probe = std::move(probe);
+  Register(name).sketch_probe = std::move(probe);
 }
 
 bool MetricsRegistry::Has(const std::string& name) const {
@@ -79,65 +46,16 @@ bool MetricsRegistry::Has(const std::string& name) const {
 
 double MetricsRegistry::Value(const std::string& name) const {
   const Entry& entry = Find(name);
-  switch (entry.kind) {
-    case Kind::kCounter:
-      return static_cast<double>(*entry.counter);
-    case Kind::kGauge:
-      return *entry.gauge;
-    case Kind::kProbe:
-      return entry.probe();
-    default:
-      break;
-  }
-  SPIFFI_CHECK(false && "Value() requires a counter, gauge, or probe");
-  return 0.0;
-}
-
-const sim::Tally& MetricsRegistry::GetTally(const std::string& name) const {
-  const Entry& entry = Find(name);
-  SPIFFI_CHECK(entry.kind == Kind::kTally);
-  return *entry.tally;
-}
-
-sim::Histogram MetricsRegistry::GetHistogram(
-    const std::string& name) const {
-  const Entry& entry = Find(name);
-  if (entry.kind == Kind::kHistogram) return *entry.histogram;
-  SPIFFI_CHECK(entry.kind == Kind::kHistogramProbe);
-  sim::Histogram merged;
-  entry.histogram_probe(merged);
-  return merged;
+  SPIFFI_CHECK(entry.probe != nullptr && "Value() requires a scalar probe");
+  return entry.probe();
 }
 
 QuantileSketch MetricsRegistry::GetSketch(const std::string& name) const {
   const Entry& entry = Find(name);
-  SPIFFI_CHECK(entry.kind == Kind::kSketchProbe);
+  SPIFFI_CHECK(entry.sketch_probe != nullptr);
   QuantileSketch merged;
   entry.sketch_probe(merged);
   return merged;
-}
-
-void MetricsRegistry::Reset() {
-  for (auto& [name, entry] : entries_) {
-    switch (entry.kind) {
-      case Kind::kCounter:
-        *entry.counter = 0;
-        break;
-      case Kind::kGauge:
-        *entry.gauge = 0.0;
-        break;
-      case Kind::kTally:
-        entry.tally->Reset();
-        break;
-      case Kind::kHistogram:
-        entry.histogram->Reset();
-        break;
-      case Kind::kProbe:
-      case Kind::kHistogramProbe:
-      case Kind::kSketchProbe:
-        break;  // views onto component state; the component resets it
-    }
-  }
 }
 
 namespace {
@@ -150,20 +68,6 @@ void WriteNumber(std::ostream& out, double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", value);
   out << buf;
-}
-
-void WriteTallyJson(std::ostream& out, const sim::Tally& tally) {
-  out << "{\"count\":" << tally.count() << ",\"sum\":";
-  WriteNumber(out, tally.sum());
-  out << ",\"mean\":";
-  WriteNumber(out, tally.mean());
-  out << ",\"min\":";
-  WriteNumber(out, tally.count() == 0 ? 0.0 : tally.min());
-  out << ",\"max\":";
-  WriteNumber(out, tally.count() == 0 ? 0.0 : tally.max());
-  out << ",\"stddev\":";
-  WriteNumber(out, tally.count() < 2 ? 0.0 : tally.stddev());
-  out << '}';
 }
 
 void WriteSketchJson(std::ostream& out, const QuantileSketch& s) {
@@ -182,32 +86,6 @@ void WriteSketchJson(std::ostream& out, const QuantileSketch& s) {
   out << '}';
 }
 
-void WriteHistogramJson(std::ostream& out, const sim::Histogram& h) {
-  out << "{\"count\":" << h.count() << ",\"mean\":";
-  WriteNumber(out, h.mean());
-  out << ",\"min\":";
-  WriteNumber(out, h.min());
-  out << ",\"max\":";
-  WriteNumber(out, h.max());
-  out << ",\"p50\":";
-  WriteNumber(out, h.Percentile(0.5));
-  out << ",\"p90\":";
-  WriteNumber(out, h.Percentile(0.9));
-  out << ",\"p99\":";
-  WriteNumber(out, h.Percentile(0.99));
-  out << ",\"buckets\":[";
-  bool first = true;
-  for (int b = 0; b < sim::Histogram::kBuckets; ++b) {
-    if (h.bucket(b) == 0) continue;
-    if (!first) out << ',';
-    first = false;
-    out << "{\"le\":";
-    WriteNumber(out, sim::Histogram::BucketBound(b));
-    out << ",\"n\":" << h.bucket(b) << '}';
-  }
-  out << "]}";
-}
-
 }  // namespace
 
 void MetricsRegistry::WriteJson(std::ostream& out) const {
@@ -217,34 +95,12 @@ void MetricsRegistry::WriteJson(std::ostream& out) const {
     if (!first) out << ",\n";
     first = false;
     out << "  \"" << name << "\":";
-    switch (entry.kind) {
-      case Kind::kCounter:
-        out << *entry.counter;
-        break;
-      case Kind::kGauge:
-        WriteNumber(out, *entry.gauge);
-        break;
-      case Kind::kProbe:
-        WriteNumber(out, entry.probe());
-        break;
-      case Kind::kTally:
-        WriteTallyJson(out, *entry.tally);
-        break;
-      case Kind::kHistogram:
-        WriteHistogramJson(out, *entry.histogram);
-        break;
-      case Kind::kHistogramProbe: {
-        sim::Histogram merged;
-        entry.histogram_probe(merged);
-        WriteHistogramJson(out, merged);
-        break;
-      }
-      case Kind::kSketchProbe: {
-        QuantileSketch merged;
-        entry.sketch_probe(merged);
-        WriteSketchJson(out, merged);
-        break;
-      }
+    if (entry.probe != nullptr) {
+      WriteNumber(out, entry.probe());
+    } else {
+      QuantileSketch merged;
+      entry.sketch_probe(merged);
+      WriteSketchJson(out, merged);
     }
   }
   out << "\n}\n";
@@ -258,48 +114,16 @@ void MetricsRegistry::WriteCsv(std::ostream& out) const {
     out << '\n';
   };
   for (const auto& [name, entry] : entries_) {
-    switch (entry.kind) {
-      case Kind::kCounter:
-        row(name, static_cast<double>(*entry.counter));
-        break;
-      case Kind::kGauge:
-        row(name, *entry.gauge);
-        break;
-      case Kind::kProbe:
-        row(name, entry.probe());
-        break;
-      case Kind::kTally: {
-        const sim::Tally& tally = *entry.tally;
-        row(name + ".count", static_cast<double>(tally.count()));
-        row(name + ".mean", tally.mean());
-        row(name + ".min", tally.count() == 0 ? 0.0 : tally.min());
-        row(name + ".max", tally.count() == 0 ? 0.0 : tally.max());
-        break;
-      }
-      case Kind::kHistogram:
-      case Kind::kHistogramProbe: {
-        sim::Histogram h;
-        if (entry.kind == Kind::kHistogram) {
-          h = *entry.histogram;
-        } else {
-          entry.histogram_probe(h);
-        }
-        row(name + ".count", static_cast<double>(h.count()));
-        row(name + ".mean", h.mean());
-        row(name + ".p50", h.Percentile(0.5));
-        row(name + ".p99", h.Percentile(0.99));
-        break;
-      }
-      case Kind::kSketchProbe: {
-        QuantileSketch s;
-        entry.sketch_probe(s);
-        row(name + ".count", static_cast<double>(s.count()));
-        row(name + ".mean", s.mean());
-        row(name + ".p50", s.Quantile(0.5));
-        row(name + ".p99", s.Quantile(0.99));
-        break;
-      }
+    if (entry.probe != nullptr) {
+      row(name, entry.probe());
+      continue;
     }
+    QuantileSketch s;
+    entry.sketch_probe(s);
+    row(name + ".count", static_cast<double>(s.count()));
+    row(name + ".mean", s.mean());
+    row(name + ".p50", s.Quantile(0.5));
+    row(name + ".p99", s.Quantile(0.99));
   }
 }
 

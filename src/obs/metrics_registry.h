@@ -1,45 +1,36 @@
 // Central registry of named metrics (observability layer).
 //
-// Components register instruments at construction time under unique
-// dotted names ("pool.hits", "disk.queue_wait_s", ...). Two kinds of
-// entries exist:
+// Components register probes at construction time under unique dotted
+// names ("pool.hits", "disk.queue_wait_ms.avg", ...). A probe is a
+// callback that reads state the component already keeps (its Stats
+// struct, a utilization integrator, ...), polled at read/export time;
+// the registry owns no state, so opening a measurement window is the
+// components' own ResetStats(). Two kinds of probe exist:
 //
-//  * Owned instruments — Counter, Gauge, Tally, Histogram — allocated by
-//    the registry and written by the component through the returned
-//    pointer. Reset() (called when the measurement window opens) zeroes
-//    all of these, mirroring Simulation::ResetAllStats().
-//  * Probes — callbacks that read state the component already keeps
-//    (its legacy Stats struct, a utilization integrator, ...). Probes
-//    are polled at read/export time and are NOT touched by Reset(); the
-//    owning component resets the underlying state itself.
+//  * Scalar probes — one double.
+//  * Sketch probes — merge a component's QuantileSketch into the
+//    accumulator passed in (a distribution, e.g. response times).
 //
 // Duplicate registration of a name is a programming error and CHECKs.
-// Export: WriteJson emits every entry (histograms with their non-empty
-// buckets); WriteCsv emits one name,value row per scalar facet.
+// Export: WriteJson emits every entry (sketches as count/mean/min/max and
+// p50/p90/p99); WriteCsv emits one name,value row per scalar facet.
 
 #ifndef SPIFFI_OBS_METRICS_REGISTRY_H_
 #define SPIFFI_OBS_METRICS_REGISTRY_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <map>
-#include <memory>
 #include <ostream>
 #include <string>
 
 #include "obs/quantile_sketch.h"
-#include "sim/histogram.h"
-#include "sim/stats.h"
 
 namespace spiffi::obs {
 
 class MetricsRegistry {
  public:
-  using Counter = std::uint64_t;
-  using Gauge = double;
   using ProbeFn = std::function<double()>;
-  // Merges the component's histogram into the accumulator passed in.
-  using HistogramProbeFn = std::function<void(sim::Histogram&)>;
   // Merges the component's quantile sketch into the accumulator.
   using SketchProbeFn = std::function<void(QuantileSketch&)>;
 
@@ -49,12 +40,7 @@ class MetricsRegistry {
 
   // --- Registration (CHECKs on duplicate names) ---
 
-  Counter* AddCounter(const std::string& name);
-  Gauge* AddGauge(const std::string& name);
-  sim::Tally* AddTally(const std::string& name);
-  sim::Histogram* AddHistogram(const std::string& name);
   void AddProbe(const std::string& name, ProbeFn probe);
-  void AddHistogramProbe(const std::string& name, HistogramProbeFn probe);
   void AddSketchProbe(const std::string& name, SketchProbeFn probe);
 
   // --- Reads ---
@@ -62,41 +48,25 @@ class MetricsRegistry {
   bool Has(const std::string& name) const;
   std::size_t size() const { return entries_.size(); }
 
-  // Scalar value of a counter, gauge, or probe (CHECKs on other kinds
-  // and on unknown names).
+  // Reading of a scalar probe (CHECKs on sketch probes and on unknown
+  // names).
   double Value(const std::string& name) const;
-  // Tally access (CHECKs unless `name` is a tally).
-  const sim::Tally& GetTally(const std::string& name) const;
-  // Snapshot of a histogram or histogram probe (CHECKs otherwise).
-  sim::Histogram GetHistogram(const std::string& name) const;
   // Snapshot of a sketch probe (CHECKs otherwise).
   QuantileSketch GetSketch(const std::string& name) const;
 
-  // --- Lifecycle & export ---
-
-  // Zeroes all owned instruments; probes are left alone (their backing
-  // state belongs to the component).
-  void Reset();
+  // --- Export ---
 
   void WriteJson(std::ostream& out) const;
   void WriteCsv(std::ostream& out) const;
 
  private:
-  enum class Kind { kCounter, kGauge, kTally, kHistogram, kProbe,
-                    kHistogramProbe, kSketchProbe };
-
+  // Exactly one of the two is set.
   struct Entry {
-    Kind kind;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<sim::Tally> tally;
-    std::unique_ptr<sim::Histogram> histogram;
     ProbeFn probe;
-    HistogramProbeFn histogram_probe;
     SketchProbeFn sketch_probe;
   };
 
-  Entry& Register(const std::string& name, Kind kind);
+  Entry& Register(const std::string& name);
   const Entry& Find(const std::string& name) const;
 
   // Ordered map: exports are deterministic and diff-friendly.

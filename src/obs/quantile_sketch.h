@@ -6,8 +6,7 @@
 // estimate 2 * gamma^i / (gamma + 1) is within alpha of every value in
 // the bucket. Quantile(q) therefore answers rank-based quantile queries
 // with relative error <= alpha for any value whose magnitude exceeds the
-// tracking floor (1 ns) — a much tighter bound than sim::Histogram's
-// ~19% bucket width, at a comparable O(buckets) memory cost.
+// tracking floor (1 ns), at O(buckets) memory.
 //
 // The sketch is:
 //  * signed — negative observations (deadline slack of late blocks) go
@@ -21,9 +20,8 @@
 //    inputs produce equal sketches and equal quantile answers on every
 //    run and at any --jobs count.
 //
-// sim::Histogram remains beside this class as the fixed-memory
-// regression reference; tests/obs/quantile_sketch_test.cc locks the
-// sketch's error bound against exact sorted-sample quantiles.
+// tests/obs/quantile_sketch_test.cc locks the sketch's error bound
+// against exact sorted-sample quantiles.
 
 #ifndef SPIFFI_OBS_QUANTILE_SKETCH_H_
 #define SPIFFI_OBS_QUANTILE_SKETCH_H_
@@ -63,8 +61,8 @@ class QuantileSketch {
     return positive_.occupied + negative_.occupied + (zero_count_ > 0 ? 1 : 0);
   }
 
-  // Value at quantile q in [0, 1] (clamped), using the same rank
-  // convention as sim::Histogram::Percentile: rank = floor(q * (n - 1)).
+  // Value at quantile q in [0, 1] (clamped), with the rank convention
+  // rank = floor(q * (n - 1)).
   // Exact at q = 0 / q = 1; within `relative_accuracy` of the exact
   // sorted-sample quantile everywhere else (for values beyond the floor).
   double Quantile(double q) const;

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <variant>
 
 #include "sim/check.h"
 #include "vod/runner.h"
@@ -236,95 +237,36 @@ CapacityResult FindMaxTerminalsParallel(const SimConfig& base,
 
 }  // namespace
 
-// Every SimMetrics field needs a rule below; update the size when one
-// is added.
-static_assert(sizeof(SimMetrics) == 488,
-              "SimMetrics changed: give the new field an aggregation rule");
-
 SimMetrics AggregateReplications(const std::vector<SimMetrics>& reps) {
   SPIFFI_CHECK(!reps.empty());
   SimMetrics a = reps.front();
-  double n = static_cast<double>(reps.size());
-  for (std::size_t i = 1; i < reps.size(); ++i) {
-    const SimMetrics& m = reps[i];
-    // Counters and durations: sum.
-    a.measured_seconds += m.measured_seconds;
-    a.glitches += m.glitches;
-    a.terminals_with_glitches += m.terminals_with_glitches;
-    a.buffer_references += m.buffer_references;
-    a.buffer_hits += m.buffer_hits;
-    a.buffer_attaches += m.buffer_attaches;
-    a.buffer_misses += m.buffer_misses;
-    a.shared_references += m.shared_references;
-    a.wasted_prefetches += m.wasted_prefetches;
-    a.prefetches_issued += m.prefetches_issued;
-    a.disk_reads += m.disk_reads;
-    a.frames_displayed += m.frames_displayed;
-    a.videos_completed += m.videos_completed;
-    a.events_simulated += m.events_simulated;
-    a.faults_injected += m.faults_injected;
-    a.repairs_completed += m.repairs_completed;
-    a.fault_downtime_sec += m.fault_downtime_sec;
-    a.rerouted_requests += m.rerouted_requests;
-    a.degraded_waits += m.degraded_waits;
-    a.prefetches_skipped_dead += m.prefetches_skipped_dead;
-    a.requests_redirected += m.requests_redirected;
-    a.blocks_rerouted += m.blocks_rerouted;
-    a.share_groups += m.share_groups;
-    a.share_followers += m.share_followers;
-    a.share_patches += m.share_patches;
-    a.share_patch_seconds += m.share_patch_seconds;
-    a.share_handoffs += m.share_handoffs;
-    a.prefix_hits += m.prefix_hits;
-    a.proxy_references += m.proxy_references;
-    a.proxy_hits += m.proxy_hits;
-    a.proxy_attaches += m.proxy_attaches;
-    a.proxy_forwards += m.proxy_forwards;
-    a.proxy_bytes_from_cache += m.proxy_bytes_from_cache;
-    a.admission_admits += m.admission_admits;
-    a.admission_rejects += m.admission_rejects;
-    a.admission_defers += m.admission_defers;
-    a.failover_readmissions += m.failover_readmissions;
-    a.request_retries += m.request_retries;
-    a.retries_exhausted += m.retries_exhausted;
-    a.session_failovers += m.session_failovers;
-    a.duplicate_replies += m.duplicate_replies;
-    a.proxy_forward_retries += m.proxy_forward_retries;
-    a.proxy_stale_replies += m.proxy_stale_replies;
-    a.rebuilds_completed += m.rebuilds_completed;
-    a.rebuild_sec += m.rebuild_sec;
-    a.rebuild_bytes += m.rebuild_bytes;
-    // Averaged rates: accumulate, normalized below.
-    a.avg_disk_utilization += m.avg_disk_utilization;
-    a.avg_cpu_utilization += m.avg_cpu_utilization;
-    a.avg_network_bytes_per_sec += m.avg_network_bytes_per_sec;
-    a.avg_disk_service_ms += m.avg_disk_service_ms;
-    a.avg_seek_cylinders += m.avg_seek_cylinders;
-    a.avg_response_ms += m.avg_response_ms;
-    a.p50_response_ms += m.p50_response_ms;
-    a.p99_response_ms += m.p99_response_ms;
-    a.mttr_sec += m.mttr_sec;
-    a.avg_proxy_forward_ms += m.avg_proxy_forward_ms;
-    // Extremes: min/max over the set.
-    a.min_disk_utilization =
-        std::min(a.min_disk_utilization, m.min_disk_utilization);
-    a.max_disk_utilization =
-        std::max(a.max_disk_utilization, m.max_disk_utilization);
-    a.peak_network_bytes_per_sec =
-        std::max(a.peak_network_bytes_per_sec, m.peak_network_bytes_per_sec);
-    a.prefix_pinned_pages =
-        std::max(a.prefix_pinned_pages, m.prefix_pinned_pages);
+  const double n = static_cast<double>(reps.size());
+  for (const MetricField& field : kMetricFields) {
+    std::visit(
+        [&](auto member) {
+          auto& acc = a.*member;
+          for (std::size_t i = 1; i < reps.size(); ++i) {
+            const auto value = reps[i].*member;
+            switch (field.aggregate) {
+              case Aggregate::kFirst:
+                break;
+              case Aggregate::kSum:
+              case Aggregate::kMean:
+                acc += value;
+                break;
+              case Aggregate::kMin:
+                acc = std::min(acc, value);
+                break;
+              case Aggregate::kMax:
+                acc = std::max(acc, value);
+                break;
+            }
+          }
+          // kMean rows are doubles (checked where the table is defined).
+          if (field.aggregate == Aggregate::kMean) acc /= n;
+        },
+        field.member);
   }
-  a.avg_disk_utilization /= n;
-  a.avg_cpu_utilization /= n;
-  a.avg_network_bytes_per_sec /= n;
-  a.avg_disk_service_ms /= n;
-  a.avg_seek_cylinders /= n;
-  a.avg_response_ms /= n;
-  a.p50_response_ms /= n;
-  a.p99_response_ms /= n;
-  a.mttr_sec /= n;
-  a.avg_proxy_forward_ms /= n;
   return a;
 }
 

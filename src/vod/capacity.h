@@ -55,20 +55,14 @@ struct CapacityResult {
 };
 
 // Aggregate of a replication set, computed in replication order (so it
-// is deterministic and independent of execution interleaving):
-//  - counters and durations are summed — glitches, pool, disk, frame and
-//    event counts, the fault, stream-sharing (share_*, prefix_hits),
-//    proxy and resilience (admission_*, retries, failovers, rebuilds)
-//    counters, and every *_sec / *_seconds total;
-//  - extremes take the min/max over the set: min/max disk utilization,
-//    peak network bandwidth, and prefix_pinned_pages (a level sampled at
-//    collection time, so the largest one is reported);
-//  - averaged rates (avg_*, p50/p99 response, mttr_sec) are the
-//    arithmetic mean over replications (all replications run the same
-//    measurement window);
-//  - terminals is taken from the first replication (all agree).
-// The aggregate of a single replication is that replication, bit for
-// bit.
+// is deterministic and independent of execution interleaving): each
+// field folds by its kMetricFields rule (vod/metrics.h) — counters and
+// durations are summed; averaged rates (avg_*, p50/p99 response,
+// mttr_sec) are the arithmetic mean (all replications run the same
+// measurement window); min/max disk utilization, peak network bandwidth
+// and prefix_pinned_pages (a level sampled at collection time) take the
+// extreme; terminals is the first replication's (all agree). The
+// aggregate of a single replication is that replication, bit for bit.
 SimMetrics AggregateReplications(const std::vector<SimMetrics>& reps);
 
 // Total glitches at `terminals`, summed over `replications` seeds

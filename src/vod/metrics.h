@@ -1,9 +1,15 @@
-// Aggregated results of one simulation run (measurement window only).
+// Aggregated results of one simulation run (measurement window only),
+// and the table that declares each of its fields once.
 
 #ifndef SPIFFI_VOD_METRICS_H_
 #define SPIFFI_VOD_METRICS_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <string_view>
+#include <type_traits>
+#include <variant>
 
 namespace spiffi::vod {
 
@@ -115,6 +121,173 @@ struct SimMetrics {
   }
   bool glitch_free() const { return glitches == 0; }
 };
+
+// How a field combines across the replications of one capacity probe
+// (AggregateReplications), folded in replication order.
+enum class Aggregate {
+  kFirst,  // taken from the first replication (all agree)
+  kSum,    // counters and durations
+  kMean,   // averaged rates: summed, then divided by the count
+  kMin,
+  kMax,    // extremes, and levels sampled at collection time
+};
+
+// One SimMetrics field. kMetricFields is the only place a field is
+// declared beyond the struct: Simulation::Collect() reads each field
+// from its registry probe, AggregateReplications() folds it by its
+// rule, and WriteRunReportJson() writes it under its key. A new field
+// takes one row here plus the probe that computes it.
+struct MetricField {
+  using Member =
+      std::variant<int SimMetrics::*, std::int64_t SimMetrics::*,
+                   std::uint64_t SimMetrics::*, double SimMetrics::*>;
+  Member member;
+  const char* key;    // run-report key: the member's name
+  const char* probe;  // registry name of the probe that computes it
+  Aggregate aggregate;
+};
+
+#define SPIFFI_METRIC(member, probe, rule) \
+  MetricField { &SimMetrics::member, #member, probe, Aggregate::rule }
+inline constexpr MetricField kMetricFields[] = {
+    SPIFFI_METRIC(terminals, "sim.terminals", kFirst),
+    SPIFFI_METRIC(measured_seconds, "sim.measured_seconds", kSum),
+    SPIFFI_METRIC(glitches, "terminal.glitches", kSum),
+    SPIFFI_METRIC(terminals_with_glitches, "terminal.glitched_terminals",
+                  kSum),
+    SPIFFI_METRIC(avg_disk_utilization, "disk.utilization.avg", kMean),
+    SPIFFI_METRIC(min_disk_utilization, "disk.utilization.min", kMin),
+    SPIFFI_METRIC(max_disk_utilization, "disk.utilization.max", kMax),
+    SPIFFI_METRIC(avg_cpu_utilization, "cpu.utilization.avg", kMean),
+    SPIFFI_METRIC(peak_network_bytes_per_sec, "network.peak_bytes_per_sec",
+                  kMax),
+    SPIFFI_METRIC(avg_network_bytes_per_sec, "network.avg_bytes_per_sec",
+                  kMean),
+    SPIFFI_METRIC(buffer_references, "pool.references", kSum),
+    SPIFFI_METRIC(buffer_hits, "pool.hits", kSum),
+    SPIFFI_METRIC(buffer_attaches, "pool.attaches", kSum),
+    SPIFFI_METRIC(buffer_misses, "pool.misses", kSum),
+    SPIFFI_METRIC(shared_references, "pool.shared_refs", kSum),
+    SPIFFI_METRIC(wasted_prefetches, "pool.wasted_prefetches", kSum),
+    SPIFFI_METRIC(prefetches_issued, "prefetch.issued", kSum),
+    SPIFFI_METRIC(disk_reads, "disk.reads", kSum),
+    SPIFFI_METRIC(avg_disk_service_ms, "disk.service_ms.avg", kMean),
+    SPIFFI_METRIC(avg_seek_cylinders, "disk.seek_cylinders.avg", kMean),
+    SPIFFI_METRIC(avg_response_ms, "terminal.response_ms.avg", kMean),
+    SPIFFI_METRIC(p50_response_ms, "terminal.response_ms.p50", kMean),
+    SPIFFI_METRIC(p99_response_ms, "terminal.response_ms.p99", kMean),
+    SPIFFI_METRIC(frames_displayed, "terminal.frames_displayed", kSum),
+    SPIFFI_METRIC(videos_completed, "terminal.videos_completed", kSum),
+    SPIFFI_METRIC(events_simulated, "kernel.events_fired", kSum),
+    SPIFFI_METRIC(share_groups, "share.groups_formed", kSum),
+    SPIFFI_METRIC(share_followers, "share.followers", kSum),
+    SPIFFI_METRIC(share_patches, "share.patches", kSum),
+    SPIFFI_METRIC(share_patch_seconds, "share.patch_seconds", kSum),
+    SPIFFI_METRIC(share_handoffs, "share.handoffs", kSum),
+    SPIFFI_METRIC(prefix_hits, "pool.prefix_hits", kSum),
+    SPIFFI_METRIC(prefix_pinned_pages, "pool.pinned_pages", kMax),
+    SPIFFI_METRIC(proxy_references, "proxy.references", kSum),
+    SPIFFI_METRIC(proxy_hits, "proxy.hits", kSum),
+    SPIFFI_METRIC(proxy_attaches, "proxy.attaches", kSum),
+    SPIFFI_METRIC(proxy_forwards, "proxy.forwards", kSum),
+    SPIFFI_METRIC(proxy_bytes_from_cache, "proxy.bytes_from_cache", kSum),
+    SPIFFI_METRIC(avg_proxy_forward_ms, "proxy.forward_ms.avg", kMean),
+    SPIFFI_METRIC(faults_injected, "fault.faults_injected", kSum),
+    SPIFFI_METRIC(repairs_completed, "fault.repairs_completed", kSum),
+    SPIFFI_METRIC(mttr_sec, "fault.mttr_sec", kMean),
+    SPIFFI_METRIC(fault_downtime_sec, "fault.downtime_sec", kSum),
+    SPIFFI_METRIC(rerouted_requests, "fault.rerouted_requests", kSum),
+    SPIFFI_METRIC(degraded_waits, "fault.degraded_waits", kSum),
+    SPIFFI_METRIC(prefetches_skipped_dead, "fault.prefetches_skipped_dead",
+                  kSum),
+    SPIFFI_METRIC(requests_redirected, "fault.requests_redirected", kSum),
+    SPIFFI_METRIC(blocks_rerouted, "fault.blocks_rerouted", kSum),
+    SPIFFI_METRIC(admission_admits, "admission.admits", kSum),
+    SPIFFI_METRIC(admission_rejects, "admission.rejects", kSum),
+    SPIFFI_METRIC(admission_defers, "admission.defers", kSum),
+    SPIFFI_METRIC(failover_readmissions, "admission.failover_readmissions",
+                  kSum),
+    SPIFFI_METRIC(request_retries, "terminal.request_retries", kSum),
+    SPIFFI_METRIC(retries_exhausted, "terminal.retries_exhausted", kSum),
+    SPIFFI_METRIC(session_failovers, "terminal.session_failovers", kSum),
+    SPIFFI_METRIC(duplicate_replies, "terminal.duplicate_replies", kSum),
+    SPIFFI_METRIC(proxy_forward_retries, "proxy.forward_retries", kSum),
+    SPIFFI_METRIC(proxy_stale_replies, "proxy.stale_replies", kSum),
+    SPIFFI_METRIC(rebuilds_completed, "fault.rebuilds_completed", kSum),
+    SPIFFI_METRIC(rebuild_sec, "fault.rebuild_sec", kSum),
+    SPIFFI_METRIC(rebuild_bytes, "fault.rebuild_bytes", kSum),
+};
+#undef SPIFFI_METRIC
+
+// The field as a double (exact for every count a run can reach).
+inline double FieldValue(const SimMetrics& m, const MetricField& field) {
+  return std::visit(
+      [&m](auto member) { return static_cast<double>(m.*member); },
+      field.member);
+}
+
+// Stores a registry probe's reading into the field, converting to the
+// field's type.
+inline void SetFieldValue(SimMetrics& m, const MetricField& field,
+                          double value) {
+  std::visit(
+      [&m, value](auto member) {
+        using T = std::remove_reference_t<decltype(m.*member)>;
+        m.*member = static_cast<T>(value);
+      },
+      field.member);
+}
+
+namespace metrics_internal {
+
+// Converts to any field type; only ever named in unevaluated contexts.
+struct AnyField {
+  template <typename T>
+  operator T() const;
+};
+
+// Number of members of the aggregate T: the longest brace-initializer
+// list T accepts.
+template <typename T, typename... Fields>
+constexpr std::size_t CountMembers(Fields... fields) {
+  if constexpr (requires { T{fields..., AnyField{}}; }) {
+    return CountMembers<T>(fields..., AnyField{});
+  } else {
+    return sizeof...(Fields);
+  }
+}
+
+// No member, report key or probe name appears in two rows; kMean rows
+// are doubles (a mean of counts would truncate).
+template <std::size_t N>
+constexpr bool RowsAreDistinct(const MetricField (&rows)[N]) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (rows[i].aggregate == Aggregate::kMean &&
+        !std::holds_alternative<double SimMetrics::*>(rows[i].member)) {
+      return false;
+    }
+    for (std::size_t j = i + 1; j < N; ++j) {
+      if (rows[i].member == rows[j].member ||
+          std::string_view(rows[i].key) == rows[j].key ||
+          std::string_view(rows[i].probe) == rows[j].probe) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+}  // namespace metrics_internal
+
+// Every SimMetrics member has exactly one row: as many rows as members,
+// and no member in two rows.
+static_assert(std::size(kMetricFields) ==
+                  metrics_internal::CountMembers<SimMetrics>(),
+              "SimMetrics field count != kMetricFields rows: give each "
+              "field one row");
+static_assert(metrics_internal::RowsAreDistinct(kMetricFields),
+              "kMetricFields has a repeated member, key or probe, or a "
+              "kMean row on an integer field");
 
 }  // namespace spiffi::vod
 

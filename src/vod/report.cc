@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <type_traits>
+#include <variant>
 
 namespace spiffi::vod {
 
@@ -207,48 +209,27 @@ void WriteRunReportJson(std::ostream& out, const RunReport& r) {
   WriteNumber(out, r.wall_seconds);
   out << ",\"events_per_sec\":";
   WriteNumber(out, r.events_per_sec);
+  // Every SimMetrics field under its kMetricFields key — counts as
+  // integers, the rest "%.17g" — then the derived ratios.
   out << ",\"metrics\":{";
-  out << "\"measured_seconds\":";
-  WriteNumber(out, m.measured_seconds);
-  out << ",\"glitches\":" << m.glitches;
-  out << ",\"terminals_with_glitches\":" << m.terminals_with_glitches;
-  out << ",\"avg_response_ms\":";
-  WriteNumber(out, m.avg_response_ms);
-  out << ",\"p50_response_ms\":";
-  WriteNumber(out, m.p50_response_ms);
-  out << ",\"p99_response_ms\":";
-  WriteNumber(out, m.p99_response_ms);
-  out << ",\"avg_disk_utilization\":";
-  WriteNumber(out, m.avg_disk_utilization);
-  out << ",\"max_disk_utilization\":";
-  WriteNumber(out, m.max_disk_utilization);
-  out << ",\"avg_cpu_utilization\":";
-  WriteNumber(out, m.avg_cpu_utilization);
-  out << ",\"buffer_hit_ratio\":";
+  for (const MetricField& field : kMetricFields) {
+    out << '"' << field.key << "\":";
+    std::visit(
+        [&](auto member) {
+          if constexpr (std::is_floating_point_v<
+                            std::remove_reference_t<decltype(m.*member)>>) {
+            WriteNumber(out, m.*member);
+          } else {
+            out << m.*member;
+          }
+        },
+        field.member);
+    out << ',';
+  }
+  out << "\"buffer_hit_ratio\":";
   WriteNumber(out, m.hit_ratio());
-  out << ",\"disk_reads\":" << m.disk_reads;
-  out << ",\"frames_displayed\":" << m.frames_displayed;
-  out << ",\"videos_completed\":" << m.videos_completed;
-  out << ",\"avg_network_bytes_per_sec\":";
-  WriteNumber(out, m.avg_network_bytes_per_sec);
-  out << ",\"peak_network_bytes_per_sec\":";
-  WriteNumber(out, m.peak_network_bytes_per_sec);
-  out << ",\"events_simulated\":" << m.events_simulated;
-  out << ",\"faults_injected\":" << m.faults_injected;
-  out << ",\"proxy_hits\":" << m.proxy_hits;
-  out << ",\"proxy_forwards\":" << m.proxy_forwards;
   out << ",\"proxy_offload_ratio\":";
   WriteNumber(out, m.proxy_offload_ratio());
-  out << ",\"admission_admits\":" << m.admission_admits;
-  out << ",\"admission_rejects\":" << m.admission_rejects;
-  out << ",\"admission_defers\":" << m.admission_defers;
-  out << ",\"failover_readmissions\":" << m.failover_readmissions;
-  out << ",\"request_retries\":" << m.request_retries;
-  out << ",\"session_failovers\":" << m.session_failovers;
-  out << ",\"rebuilds_completed\":" << m.rebuilds_completed;
-  out << ",\"rebuild_sec\":";
-  WriteNumber(out, m.rebuild_sec);
-  out << ",\"rebuild_bytes\":" << m.rebuild_bytes;
   out << "}";
   out << ",\"telemetry_path\":";
   WriteString(out, r.telemetry_path);

@@ -42,6 +42,78 @@ RunObserver CurrentRunObserver() {
   return GlobalRunObserver();
 }
 
+// A Stats counter of one component family, registered as a probe that
+// sums it over the family.
+template <typename Stats>
+struct CounterRow {
+  const char* name;
+  std::uint64_t Stats::*field;
+};
+
+using TerminalStats = client::Terminal::Stats;
+constexpr CounterRow<TerminalStats> kTerminalCounters[] = {
+    {"terminal.glitches", &TerminalStats::glitches},
+    {"terminal.frames_displayed", &TerminalStats::frames_displayed},
+    {"terminal.videos_completed", &TerminalStats::videos_completed},
+    {"terminal.blocks_received", &TerminalStats::blocks_received},
+    {"terminal.requests_sent", &TerminalStats::requests_sent},
+    {"terminal.stale_replies", &TerminalStats::stale_replies},
+    // Deadline misses, each attributed to exactly one pipeline stage.
+    {"terminal.late_blocks", &TerminalStats::late_blocks},
+    {"terminal.late_attrib.network", &TerminalStats::late_attrib_network},
+    {"terminal.late_attrib.server_cpu",
+     &TerminalStats::late_attrib_server_cpu},
+    {"terminal.late_attrib.disk_queue",
+     &TerminalStats::late_attrib_disk_queue},
+    {"terminal.late_attrib.disk_service",
+     &TerminalStats::late_attrib_disk_service},
+    {"terminal.late_attrib.fault", &TerminalStats::late_attrib_fault},
+    {"fault.requests_redirected", &TerminalStats::requests_redirected},
+    {"fault.blocks_rerouted", &TerminalStats::blocks_rerouted},
+    {"terminal.request_retries", &TerminalStats::request_retries},
+    {"terminal.retries_exhausted", &TerminalStats::retries_exhausted},
+    {"terminal.session_failovers", &TerminalStats::session_failovers},
+    {"terminal.duplicate_replies", &TerminalStats::duplicate_replies},
+};
+
+using PoolStats = server::BufferPool::Stats;
+constexpr CounterRow<PoolStats> kPoolCounters[] = {
+    {"pool.references", &PoolStats::references},
+    {"pool.hits", &PoolStats::hits},
+    {"pool.attaches", &PoolStats::attaches},
+    {"pool.misses", &PoolStats::misses},
+    {"pool.shared_refs", &PoolStats::shared_refs},
+    {"pool.evictions", &PoolStats::evictions},
+    {"pool.wasted_prefetches", &PoolStats::wasted_prefetches},
+    {"pool.allocation_stalls", &PoolStats::allocation_stalls},
+    {"pool.prefix_hits", &PoolStats::prefix_hits},
+};
+
+using NodeFaultStats = server::Node::FaultStats;
+constexpr CounterRow<NodeFaultStats> kNodeFaultCounters[] = {
+    {"fault.rerouted_requests", &NodeFaultStats::rerouted_requests},
+    {"fault.degraded_waits", &NodeFaultStats::degraded_waits},
+};
+
+using PrefetchStats = server::Prefetcher::Stats;
+constexpr CounterRow<PrefetchStats> kPrefetchCounters[] = {
+    {"prefetch.issued", &PrefetchStats::issued},
+    {"prefetch.enqueued", &PrefetchStats::enqueued},
+    {"prefetch.duplicates_dropped", &PrefetchStats::duplicates_dropped},
+    {"prefetch.already_cached", &PrefetchStats::already_cached},
+};
+
+using ProxyStats = proxy::ProxyNode::Stats;
+constexpr CounterRow<ProxyStats> kProxyCounters[] = {
+    {"proxy.references", &ProxyStats::references},
+    {"proxy.hits", &ProxyStats::hits},
+    {"proxy.attaches", &ProxyStats::attaches},
+    {"proxy.forwards", &ProxyStats::forwards},
+    {"proxy.bytes_from_cache", &ProxyStats::bytes_from_cache},
+    {"proxy.forward_retries", &ProxyStats::forward_retries},
+    {"proxy.stale_replies", &ProxyStats::stale_replies},
+};
+
 }  // namespace
 
 void SetRunObserver(RunObserver observer) {
@@ -383,7 +455,6 @@ void Simulation::ResetAllStats() {
   for (auto& proxy : proxies_) proxy->ResetStats();
   if (fault_state_ != nullptr) fault_state_->ResetStats(now);
   if (admission_ != nullptr) admission_->ResetStats();
-  metrics_.Reset();  // owned instruments; probes read the state above
   measure_start_ = now;
 }
 
@@ -391,320 +462,133 @@ void Simulation::RunMeasurement() {
   env_->RunUntil(measure_start_ + config_.measure_seconds);
 }
 
-SimMetrics Simulation::CollectDirect() const {
-  SimMetrics m;
-  m.terminals = config_.terminals;
-  sim::SimTime now = env_->now();
-  m.measured_seconds = now - measure_start_;
-
-  obs::QuantileSketch response_sketch;
-  for (const auto& terminal : terminals_) {
-    const auto& stats = terminal->stats();
-    m.glitches += stats.glitches;
-    if (stats.glitches > 0) ++m.terminals_with_glitches;
-    m.frames_displayed += stats.frames_displayed;
-    m.videos_completed += stats.videos_completed;
-    // Sum first; normalized to a mean after the loop.
-    m.avg_response_ms += stats.response_time.sum();
-    response_sketch.Merge(stats.response_sketch);
-  }
-  m.p50_response_ms = response_sketch.Quantile(0.5) * 1e3;
-  m.p99_response_ms = response_sketch.Quantile(0.99) * 1e3;
-  std::uint64_t total_blocks = 0;
-  for (const auto& terminal : terminals_) {
-    total_blocks += terminal->stats().blocks_received;
-  }
-  m.avg_response_ms =
-      total_blocks == 0 ? 0.0 : m.avg_response_ms / total_blocks * 1e3;
-
-  double disk_util_sum = 0.0;
-  double disk_util_min = 1.0;
-  double disk_util_max = 0.0;
-  double service_sum = 0.0;
-  double seek_sum = 0.0;
-  std::uint64_t service_count = 0;
-  double cpu_util_sum = 0.0;
-  int total_disks = 0;
-
-  for (int n = 0; n < server_->num_nodes(); ++n) {
-    const server::Node& node = server_->node(n);
-    cpu_util_sum += node.cpu().AverageUtilization(now);
-    const auto& pool_stats = node.pool().stats();
-    m.buffer_references += pool_stats.references;
-    m.buffer_hits += pool_stats.hits;
-    m.buffer_attaches += pool_stats.attaches;
-    m.buffer_misses += pool_stats.misses;
-    m.shared_references += pool_stats.shared_refs;
-    m.wasted_prefetches += pool_stats.wasted_prefetches;
-    m.prefix_hits += pool_stats.prefix_hits;
-    m.prefix_pinned_pages += node.pool().pinned_pages();
-    for (int d = 0; d < node.num_disks(); ++d) {
-      const hw::Disk& disk = node.disk(d);
-      double util = disk.AverageUtilization(now);
-      disk_util_sum += util;
-      disk_util_min = std::min(disk_util_min, util);
-      disk_util_max = std::max(disk_util_max, util);
-      m.disk_reads += disk.requests_served();
-      service_sum += disk.service_tally().sum();
-      seek_sum += disk.seek_distance_tally().sum();
-      service_count += disk.service_tally().count();
-      ++total_disks;
-    }
-    for (int d = 0; d < node.num_disks(); ++d) {
-      m.prefetches_issued += node.prefetcher(d).stats().issued;
-    }
-  }
-  m.avg_disk_utilization = disk_util_sum / total_disks;
-  m.min_disk_utilization = disk_util_min;
-  m.max_disk_utilization = disk_util_max;
-  m.avg_cpu_utilization = cpu_util_sum / server_->num_nodes();
-  if (service_count > 0) {
-    m.avg_disk_service_ms = service_sum / service_count * 1e3;
-    m.avg_seek_cylinders = seek_sum / static_cast<double>(service_count);
-  }
-
-  m.peak_network_bytes_per_sec =
-      static_cast<double>(network_->peak_bytes_per_bucket()) /
-      config_.network.bandwidth_bucket_sec;
-  m.avg_network_bytes_per_sec = network_->AverageBandwidth(now);
-  m.events_simulated = env_->events_fired();
-
-  // Stream sharing: all zero when no manager was constructed.
-  if (share_ != nullptr) {
-    const auto& share_stats = share_->stats();
-    m.share_groups = share_stats.groups_formed;
-    m.share_followers = share_stats.followers_attached;
-    m.share_patches = share_stats.patchers_attached;
-    m.share_patch_seconds = share_stats.patch_seconds_total;
-    m.share_handoffs = share_stats.leader_handoffs;
-  }
-
-  // Proxy tier: all zero when no proxies are configured.
-  double proxy_forward_sum = 0.0;
-  std::uint64_t proxy_forward_count = 0;
-  for (const auto& proxy : proxies_) {
-    const auto& proxy_stats = proxy->stats();
-    m.proxy_references += proxy_stats.references;
-    m.proxy_hits += proxy_stats.hits;
-    m.proxy_attaches += proxy_stats.attaches;
-    m.proxy_forwards += proxy_stats.forwards;
-    m.proxy_bytes_from_cache += proxy_stats.bytes_from_cache;
-    proxy_forward_sum += proxy_stats.forward_latency.sum();
-    proxy_forward_count += proxy_stats.forward_latency.count();
-  }
-  m.avg_proxy_forward_ms =
-      proxy_forward_count == 0
-          ? 0.0
-          : proxy_forward_sum / proxy_forward_count * 1e3;
-
-  // Availability: all zero on healthy runs (no FaultState).
-  if (fault_state_ != nullptr) {
-    fault::FaultState::Stats fstats = fault_state_->StatsAt(now);
-    m.faults_injected = fstats.faults_injected;
-    m.repairs_completed = fstats.repairs_completed;
-    m.mttr_sec = fault_state_->MttrSec();
-    m.fault_downtime_sec = fstats.downtime_sec;
-    m.rebuilds_completed = fstats.rebuilds_completed;
-    m.rebuild_sec = fstats.rebuild_sec;
-    m.rebuild_bytes = fstats.rebuild_bytes;
-  }
-  for (int n = 0; n < server_->num_nodes(); ++n) {
-    const server::Node& node = server_->node(n);
-    const auto& fstats = node.fault_stats();
-    m.rerouted_requests += fstats.rerouted_requests;
-    m.degraded_waits += fstats.degraded_waits;
-    m.prefetches_skipped_dead += fstats.prefetches_skipped_dead;
-    for (int d = 0; d < node.num_disks(); ++d) {
-      m.prefetches_skipped_dead +=
-          node.prefetcher(d).stats().dropped_disk_down;
-    }
-  }
-  for (const auto& terminal : terminals_) {
-    m.requests_redirected += terminal->stats().requests_redirected;
-    m.blocks_rerouted += terminal->stats().blocks_rerouted;
-  }
-
-  // Resilience layer: all zero when admission control, request retry,
-  // and rebuild are off.
-  if (admission_ != nullptr) {
-    const auto& astats = admission_->stats();
-    m.admission_admits = static_cast<std::uint64_t>(astats.admits);
-    m.admission_rejects = static_cast<std::uint64_t>(astats.rejects);
-    m.admission_defers = static_cast<std::uint64_t>(astats.defers);
-    m.failover_readmissions =
-        static_cast<std::uint64_t>(astats.failover_readmissions);
-  }
-  for (const auto& terminal : terminals_) {
-    const auto& tstats = terminal->stats();
-    m.request_retries += tstats.request_retries;
-    m.retries_exhausted += tstats.retries_exhausted;
-    m.session_failovers += tstats.session_failovers;
-    m.duplicate_replies += tstats.duplicate_replies;
-  }
-  for (const auto& proxy : proxies_) {
-    m.proxy_forward_retries += proxy->stats().forward_retries;
-    m.proxy_stale_replies += proxy->stats().stale_replies;
-  }
-  return m;
-}
-
 SimMetrics Simulation::Collect() const {
   SimMetrics m;
-  m.terminals = config_.terminals;
-  m.measured_seconds = metrics_.Value("sim.measured_seconds");
-
-  m.glitches =
-      static_cast<std::uint64_t>(metrics_.Value("terminal.glitches"));
-  m.terminals_with_glitches =
-      static_cast<int>(metrics_.Value("terminal.glitched_terminals"));
-  m.frames_displayed = static_cast<std::uint64_t>(
-      metrics_.Value("terminal.frames_displayed"));
-  m.videos_completed = static_cast<std::uint64_t>(
-      metrics_.Value("terminal.videos_completed"));
-  m.avg_response_ms = metrics_.Value("terminal.response_ms.avg");
-  obs::QuantileSketch response =
-      metrics_.GetSketch("terminal.response_sec_sketch");
-  m.p50_response_ms = response.Quantile(0.5) * 1e3;
-  m.p99_response_ms = response.Quantile(0.99) * 1e3;
-
-  m.buffer_references =
-      static_cast<std::uint64_t>(metrics_.Value("pool.references"));
-  m.buffer_hits = static_cast<std::uint64_t>(metrics_.Value("pool.hits"));
-  m.buffer_attaches =
-      static_cast<std::uint64_t>(metrics_.Value("pool.attaches"));
-  m.buffer_misses =
-      static_cast<std::uint64_t>(metrics_.Value("pool.misses"));
-  m.shared_references =
-      static_cast<std::uint64_t>(metrics_.Value("pool.shared_refs"));
-  m.wasted_prefetches =
-      static_cast<std::uint64_t>(metrics_.Value("pool.wasted_prefetches"));
-  m.prefetches_issued =
-      static_cast<std::uint64_t>(metrics_.Value("prefetch.issued"));
-
-  m.disk_reads = static_cast<std::uint64_t>(metrics_.Value("disk.reads"));
-  m.avg_disk_utilization = metrics_.Value("disk.utilization.avg");
-  m.min_disk_utilization = metrics_.Value("disk.utilization.min");
-  m.max_disk_utilization = metrics_.Value("disk.utilization.max");
-  m.avg_cpu_utilization = metrics_.Value("cpu.utilization.avg");
-  m.avg_disk_service_ms = metrics_.Value("disk.service_ms.avg");
-  m.avg_seek_cylinders = metrics_.Value("disk.seek_cylinders.avg");
-
-  m.peak_network_bytes_per_sec =
-      metrics_.Value("network.peak_bytes_per_sec");
-  m.avg_network_bytes_per_sec = metrics_.Value("network.avg_bytes_per_sec");
-  m.events_simulated =
-      static_cast<std::uint64_t>(metrics_.Value("kernel.events_fired"));
-
-  m.share_groups =
-      static_cast<std::uint64_t>(metrics_.Value("share.groups_formed"));
-  m.share_followers =
-      static_cast<std::uint64_t>(metrics_.Value("share.followers"));
-  m.share_patches =
-      static_cast<std::uint64_t>(metrics_.Value("share.patches"));
-  m.share_patch_seconds = metrics_.Value("share.patch_seconds");
-  m.share_handoffs =
-      static_cast<std::uint64_t>(metrics_.Value("share.handoffs"));
-  m.prefix_hits =
-      static_cast<std::uint64_t>(metrics_.Value("pool.prefix_hits"));
-  m.prefix_pinned_pages =
-      static_cast<std::int64_t>(metrics_.Value("pool.pinned_pages"));
-
-  m.proxy_references =
-      static_cast<std::uint64_t>(metrics_.Value("proxy.references"));
-  m.proxy_hits = static_cast<std::uint64_t>(metrics_.Value("proxy.hits"));
-  m.proxy_attaches =
-      static_cast<std::uint64_t>(metrics_.Value("proxy.attaches"));
-  m.proxy_forwards =
-      static_cast<std::uint64_t>(metrics_.Value("proxy.forwards"));
-  m.proxy_bytes_from_cache = static_cast<std::uint64_t>(
-      metrics_.Value("proxy.bytes_from_cache"));
-  m.avg_proxy_forward_ms = metrics_.Value("proxy.forward_ms.avg");
-
-  m.faults_injected =
-      static_cast<std::uint64_t>(metrics_.Value("fault.faults_injected"));
-  m.repairs_completed =
-      static_cast<std::uint64_t>(metrics_.Value("fault.repairs_completed"));
-  m.mttr_sec = metrics_.Value("fault.mttr_sec");
-  m.fault_downtime_sec = metrics_.Value("fault.downtime_sec");
-  m.rerouted_requests =
-      static_cast<std::uint64_t>(metrics_.Value("fault.rerouted_requests"));
-  m.degraded_waits =
-      static_cast<std::uint64_t>(metrics_.Value("fault.degraded_waits"));
-  m.prefetches_skipped_dead = static_cast<std::uint64_t>(
-      metrics_.Value("fault.prefetches_skipped_dead"));
-  m.requests_redirected = static_cast<std::uint64_t>(
-      metrics_.Value("fault.requests_redirected"));
-  m.blocks_rerouted =
-      static_cast<std::uint64_t>(metrics_.Value("fault.blocks_rerouted"));
-
-  m.admission_admits =
-      static_cast<std::uint64_t>(metrics_.Value("admission.admits"));
-  m.admission_rejects =
-      static_cast<std::uint64_t>(metrics_.Value("admission.rejects"));
-  m.admission_defers =
-      static_cast<std::uint64_t>(metrics_.Value("admission.defers"));
-  m.failover_readmissions = static_cast<std::uint64_t>(
-      metrics_.Value("admission.failover_readmissions"));
-  m.request_retries = static_cast<std::uint64_t>(
-      metrics_.Value("terminal.request_retries"));
-  m.retries_exhausted = static_cast<std::uint64_t>(
-      metrics_.Value("terminal.retries_exhausted"));
-  m.session_failovers = static_cast<std::uint64_t>(
-      metrics_.Value("terminal.session_failovers"));
-  m.duplicate_replies = static_cast<std::uint64_t>(
-      metrics_.Value("terminal.duplicate_replies"));
-  m.proxy_forward_retries = static_cast<std::uint64_t>(
-      metrics_.Value("proxy.forward_retries"));
-  m.proxy_stale_replies =
-      static_cast<std::uint64_t>(metrics_.Value("proxy.stale_replies"));
-  m.rebuilds_completed = static_cast<std::uint64_t>(
-      metrics_.Value("fault.rebuilds_completed"));
-  m.rebuild_sec = metrics_.Value("fault.rebuild_sec");
-  m.rebuild_bytes =
-      static_cast<std::uint64_t>(metrics_.Value("fault.rebuild_bytes"));
+  for (const MetricField& field : kMetricFields) {
+    SetFieldValue(m, field, metrics_.Value(field.probe));
+  }
   return m;
 }
 
 void Simulation::RegisterMetrics() {
-  // Every probe below replicates the corresponding CollectDirect()
-  // computation exactly — same loops, same accumulation order — so the
-  // registry path is bit-identical to the direct path (enforced by
-  // tests/vod/metrics_regression_test.cc). Change both together.
+  // Every probe is a pure read of component state, so Collect() may run
+  // at any time and in any order. Sums walk components in index order;
+  // tests/vod/metrics_regression_test.cc pins the SimMetrics probes to
+  // exact golden values.
+  metrics_.AddProbe("sim.terminals", [this] {
+    return static_cast<double>(config_.terminals);
+  });
   metrics_.AddProbe("sim.measured_seconds",
                     [this] { return env_->now() - measure_start_; });
 
-  // --- Terminal experience ---
+  // --- Stats counters summed over a component family: one summing
+  // helper per family, one probe per row ---
   auto sum_terminals = [this](auto field) {
     std::uint64_t sum = 0;
-    for (const auto& terminal : terminals_) {
-      sum += field(terminal->stats());
+    for (const auto& terminal : terminals_) sum += terminal->stats().*field;
+    return static_cast<double>(sum);
+  };
+  auto sum_pool = [this](auto field) {
+    std::uint64_t sum = 0;
+    for (int n = 0; n < server_->num_nodes(); ++n) {
+      sum += server_->node(n).pool().stats().*field;
     }
     return static_cast<double>(sum);
   };
-  metrics_.AddProbe("terminal.glitches", [sum_terminals] {
-    return sum_terminals([](const auto& s) { return s.glitches; });
+  auto sum_node_fault = [this](auto field) {
+    std::uint64_t sum = 0;
+    for (int n = 0; n < server_->num_nodes(); ++n) {
+      sum += server_->node(n).fault_stats().*field;
+    }
+    return static_cast<double>(sum);
+  };
+  auto sum_prefetch = [this](auto field) {
+    std::uint64_t sum = 0;
+    for (int n = 0; n < server_->num_nodes(); ++n) {
+      const server::Node& node = server_->node(n);
+      for (int d = 0; d < node.num_disks(); ++d) {
+        sum += node.prefetcher(d).stats().*field;
+      }
+    }
+    return static_cast<double>(sum);
+  };
+  auto sum_proxy = [this](auto field) {
+    std::uint64_t sum = 0;
+    for (const auto& proxy : proxies_) sum += proxy->stats().*field;
+    return static_cast<double>(sum);
+  };
+  auto add_sums = [this](const auto& rows, auto sum) {
+    for (const auto& row : rows) {
+      metrics_.AddProbe(row.name, [sum, field = row.field] {
+        return sum(field);
+      });
+    }
+  };
+  add_sums(kTerminalCounters, sum_terminals);
+  add_sums(kPoolCounters, sum_pool);
+  add_sums(kNodeFaultCounters, sum_node_fault);
+  add_sums(kPrefetchCounters, sum_prefetch);
+  add_sums(kProxyCounters, sum_proxy);
+
+  // --- Components built only when configured: every probe reads zero
+  // while its component is absent, so exports keep one schema ---
+  auto add_share = [this](const char* name, auto field) {
+    metrics_.AddProbe(name, [this, field] {
+      return share_ == nullptr ? 0.0
+                               : static_cast<double>(share_->stats().*field);
+    });
+  };
+  using ShareStats = client::StreamShareManager::Stats;
+  add_share("share.groups_formed", &ShareStats::groups_formed);
+  add_share("share.followers", &ShareStats::followers_attached);
+  add_share("share.patches", &ShareStats::patchers_attached);
+  add_share("share.patch_seconds", &ShareStats::patch_seconds_total);
+  add_share("share.handoffs", &ShareStats::leader_handoffs);
+  auto add_admission = [this](const char* name, auto field) {
+    metrics_.AddProbe(name, [this, field] {
+      return admission_ == nullptr
+                 ? 0.0
+                 : static_cast<double>(admission_->stats().*field);
+    });
+  };
+  using AdmissionStats = AdmissionController::Stats;
+  add_admission("admission.admits", &AdmissionStats::admits);
+  add_admission("admission.rejects", &AdmissionStats::rejects);
+  add_admission("admission.defers", &AdmissionStats::defers);
+  add_admission("admission.failover_readmissions",
+                &AdmissionStats::failover_readmissions);
+  auto add_fault = [this](const char* name, auto field) {
+    metrics_.AddProbe(name, [this, field] {
+      return fault_state_ == nullptr
+                 ? 0.0
+                 : static_cast<double>(
+                       fault_state_->StatsAt(env_->now()).*field);
+    });
+  };
+  using FaultStats = fault::FaultState::Stats;
+  add_fault("fault.faults_injected", &FaultStats::faults_injected);
+  add_fault("fault.repairs_completed", &FaultStats::repairs_completed);
+  add_fault("fault.downtime_sec", &FaultStats::downtime_sec);
+  add_fault("fault.rebuilds_completed", &FaultStats::rebuilds_completed);
+  add_fault("fault.rebuild_sec", &FaultStats::rebuild_sec);
+  add_fault("fault.rebuild_bytes", &FaultStats::rebuild_bytes);
+  metrics_.AddProbe("fault.mttr_sec", [this] {
+    return fault_state_ == nullptr ? 0.0 : fault_state_->MttrSec();
   });
+  // Registry-only: live reservation state at collection time.
+  metrics_.AddProbe("admission.active_sessions", [this] {
+    return admission_ == nullptr
+               ? 0.0
+               : static_cast<double>(admission_->active_sessions());
+  });
+
+  // --- Terminal experience ---
   metrics_.AddProbe("terminal.glitched_terminals", [this] {
     int count = 0;
     for (const auto& terminal : terminals_) {
       if (terminal->stats().glitches > 0) ++count;
     }
     return static_cast<double>(count);
-  });
-  metrics_.AddProbe("terminal.frames_displayed", [sum_terminals] {
-    return sum_terminals([](const auto& s) { return s.frames_displayed; });
-  });
-  metrics_.AddProbe("terminal.videos_completed", [sum_terminals] {
-    return sum_terminals([](const auto& s) { return s.videos_completed; });
-  });
-  metrics_.AddProbe("terminal.blocks_received", [sum_terminals] {
-    return sum_terminals([](const auto& s) { return s.blocks_received; });
-  });
-  metrics_.AddProbe("terminal.requests_sent", [sum_terminals] {
-    return sum_terminals([](const auto& s) { return s.requests_sent; });
-  });
-  metrics_.AddProbe("terminal.stale_replies", [sum_terminals] {
-    return sum_terminals([](const auto& s) { return s.stale_replies; });
   });
   // Frame-size draws of the display loop since construction (not reset
   // with the stats): window refills, and the sizes the batch kernel
@@ -724,32 +608,31 @@ void Simulation::RegisterMetrics() {
   });
   metrics_.AddProbe("terminal.response_ms.avg", [this] {
     double sum = 0.0;
-    for (const auto& terminal : terminals_) {
-      sum += terminal->stats().response_time.sum();
-    }
     std::uint64_t total_blocks = 0;
     for (const auto& terminal : terminals_) {
+      sum += terminal->stats().response_time.sum();
       total_blocks += terminal->stats().blocks_received;
     }
     return total_blocks == 0 ? 0.0 : sum / total_blocks * 1e3;
   });
-  metrics_.AddHistogramProbe(
-      "terminal.response_sec", [this](sim::Histogram& h) {
-        for (const auto& terminal : terminals_) {
-          h.Merge(terminal->stats().response_histogram);
-        }
-      });
-  // The sketch carries the same samples at <=1% relative error; the
-  // SimMetrics percentiles come from here, the coarse histogram above is
-  // the regression reference.
+  // Response-time and deadline-slack distributions, as mergeable <=1%
+  // relative-error sketches; the SimMetrics percentiles come from here.
   metrics_.AddSketchProbe(
       "terminal.response_sec_sketch", [this](obs::QuantileSketch& s) {
         for (const auto& terminal : terminals_) {
           s.Merge(terminal->stats().response_sketch);
         }
       });
-
-  // --- Deadline slack & glitch attribution (derived; registry-only) ---
+  auto response_ms_quantile = [this](double q) {
+    return metrics_.GetSketch("terminal.response_sec_sketch").Quantile(q) *
+           1e3;
+  };
+  metrics_.AddProbe("terminal.response_ms.p50", [response_ms_quantile] {
+    return response_ms_quantile(0.5);
+  });
+  metrics_.AddProbe("terminal.response_ms.p99", [response_ms_quantile] {
+    return response_ms_quantile(0.99);
+  });
   metrics_.AddProbe("terminal.deadline_slack_ms.avg", [this] {
     double sum = 0.0;
     std::uint64_t count = 0;
@@ -759,77 +642,14 @@ void Simulation::RegisterMetrics() {
     }
     return count == 0 ? 0.0 : sum / count * 1e3;
   });
-  metrics_.AddHistogramProbe(
-      "terminal.deadline_slack_sec", [this](sim::Histogram& h) {
-        for (const auto& terminal : terminals_) {
-          h.Merge(terminal->stats().slack_histogram);
-        }
-      });
   metrics_.AddSketchProbe(
       "terminal.deadline_slack_sec_sketch", [this](obs::QuantileSketch& s) {
         for (const auto& terminal : terminals_) {
           s.Merge(terminal->stats().slack_sketch);
         }
       });
-  metrics_.AddProbe("terminal.late_blocks", [sum_terminals] {
-    return sum_terminals([](const auto& s) { return s.late_blocks; });
-  });
-  metrics_.AddProbe("terminal.late_attrib.network", [sum_terminals] {
-    return sum_terminals(
-        [](const auto& s) { return s.late_attrib_network; });
-  });
-  metrics_.AddProbe("terminal.late_attrib.server_cpu", [sum_terminals] {
-    return sum_terminals(
-        [](const auto& s) { return s.late_attrib_server_cpu; });
-  });
-  metrics_.AddProbe("terminal.late_attrib.disk_queue", [sum_terminals] {
-    return sum_terminals(
-        [](const auto& s) { return s.late_attrib_disk_queue; });
-  });
-  metrics_.AddProbe("terminal.late_attrib.disk_service", [sum_terminals] {
-    return sum_terminals(
-        [](const auto& s) { return s.late_attrib_disk_service; });
-  });
-  metrics_.AddProbe("terminal.late_attrib.fault", [sum_terminals] {
-    return sum_terminals([](const auto& s) { return s.late_attrib_fault; });
-  });
 
-  // --- Availability (registered unconditionally; every probe reads zero
-  // on healthy runs so exports have a stable schema) ---
-  metrics_.AddProbe("fault.faults_injected", [this] {
-    return fault_state_ == nullptr
-               ? 0.0
-               : static_cast<double>(
-                     fault_state_->StatsAt(env_->now()).faults_injected);
-  });
-  metrics_.AddProbe("fault.repairs_completed", [this] {
-    return fault_state_ == nullptr
-               ? 0.0
-               : static_cast<double>(
-                     fault_state_->StatsAt(env_->now()).repairs_completed);
-  });
-  metrics_.AddProbe("fault.mttr_sec", [this] {
-    return fault_state_ == nullptr ? 0.0 : fault_state_->MttrSec();
-  });
-  metrics_.AddProbe("fault.downtime_sec", [this] {
-    return fault_state_ == nullptr
-               ? 0.0
-               : fault_state_->StatsAt(env_->now()).downtime_sec;
-  });
-  auto sum_node_fault = [this](auto field) {
-    std::uint64_t sum = 0;
-    for (int n = 0; n < server_->num_nodes(); ++n) {
-      sum += field(server_->node(n).fault_stats());
-    }
-    return static_cast<double>(sum);
-  };
-  metrics_.AddProbe("fault.rerouted_requests", [sum_node_fault] {
-    return sum_node_fault(
-        [](const auto& s) { return s.rerouted_requests; });
-  });
-  metrics_.AddProbe("fault.degraded_waits", [sum_node_fault] {
-    return sum_node_fault([](const auto& s) { return s.degraded_waits; });
-  });
+  // --- Buffer pool, prefetch and proxy levels ---
   metrics_.AddProbe("fault.prefetches_skipped_dead", [this] {
     std::uint64_t sum = 0;
     for (int n = 0; n < server_->num_nodes(); ++n) {
@@ -841,163 +661,12 @@ void Simulation::RegisterMetrics() {
     }
     return static_cast<double>(sum);
   });
-  metrics_.AddProbe("fault.requests_redirected", [sum_terminals] {
-    return sum_terminals(
-        [](const auto& s) { return s.requests_redirected; });
-  });
-  metrics_.AddProbe("fault.blocks_rerouted", [sum_terminals] {
-    return sum_terminals([](const auto& s) { return s.blocks_rerouted; });
-  });
-  metrics_.AddProbe("fault.rebuilds_completed", [this] {
-    return fault_state_ == nullptr
-               ? 0.0
-               : static_cast<double>(
-                     fault_state_->StatsAt(env_->now()).rebuilds_completed);
-  });
-  metrics_.AddProbe("fault.rebuild_sec", [this] {
-    return fault_state_ == nullptr
-               ? 0.0
-               : fault_state_->StatsAt(env_->now()).rebuild_sec;
-  });
-  metrics_.AddProbe("fault.rebuild_bytes", [this] {
-    return fault_state_ == nullptr
-               ? 0.0
-               : static_cast<double>(
-                     fault_state_->StatsAt(env_->now()).rebuild_bytes);
-  });
-
-  // --- Resilience (unconditional; every probe reads zero when admission
-  // control and request retry are off) ---
-  metrics_.AddProbe("admission.admits", [this] {
-    return admission_ == nullptr
-               ? 0.0
-               : static_cast<double>(admission_->stats().admits);
-  });
-  metrics_.AddProbe("admission.rejects", [this] {
-    return admission_ == nullptr
-               ? 0.0
-               : static_cast<double>(admission_->stats().rejects);
-  });
-  metrics_.AddProbe("admission.defers", [this] {
-    return admission_ == nullptr
-               ? 0.0
-               : static_cast<double>(admission_->stats().defers);
-  });
-  metrics_.AddProbe("admission.failover_readmissions", [this] {
-    return admission_ == nullptr
-               ? 0.0
-               : static_cast<double>(
-                     admission_->stats().failover_readmissions);
-  });
-  // Registry-only: live reservation state at collection time.
-  metrics_.AddProbe("admission.active_sessions", [this] {
-    return admission_ == nullptr
-               ? 0.0
-               : static_cast<double>(admission_->active_sessions());
-  });
-  metrics_.AddProbe("terminal.request_retries", [sum_terminals] {
-    return sum_terminals([](const auto& s) { return s.request_retries; });
-  });
-  metrics_.AddProbe("terminal.retries_exhausted", [sum_terminals] {
-    return sum_terminals([](const auto& s) { return s.retries_exhausted; });
-  });
-  metrics_.AddProbe("terminal.session_failovers", [sum_terminals] {
-    return sum_terminals([](const auto& s) { return s.session_failovers; });
-  });
-  metrics_.AddProbe("terminal.duplicate_replies", [sum_terminals] {
-    return sum_terminals([](const auto& s) { return s.duplicate_replies; });
-  });
-
-  // --- Buffer pool & prefetch (summed over nodes) ---
-  auto sum_pool = [this](auto field) {
-    std::uint64_t sum = 0;
-    for (int n = 0; n < server_->num_nodes(); ++n) {
-      sum += field(server_->node(n).pool().stats());
-    }
-    return static_cast<double>(sum);
-  };
-  metrics_.AddProbe("pool.references", [sum_pool] {
-    return sum_pool([](const auto& s) { return s.references; });
-  });
-  metrics_.AddProbe("pool.hits", [sum_pool] {
-    return sum_pool([](const auto& s) { return s.hits; });
-  });
-  metrics_.AddProbe("pool.attaches", [sum_pool] {
-    return sum_pool([](const auto& s) { return s.attaches; });
-  });
-  metrics_.AddProbe("pool.misses", [sum_pool] {
-    return sum_pool([](const auto& s) { return s.misses; });
-  });
-  metrics_.AddProbe("pool.shared_refs", [sum_pool] {
-    return sum_pool([](const auto& s) { return s.shared_refs; });
-  });
-  metrics_.AddProbe("pool.evictions", [sum_pool] {
-    return sum_pool([](const auto& s) { return s.evictions; });
-  });
-  metrics_.AddProbe("pool.wasted_prefetches", [sum_pool] {
-    return sum_pool([](const auto& s) { return s.wasted_prefetches; });
-  });
-  metrics_.AddProbe("pool.allocation_stalls", [sum_pool] {
-    return sum_pool([](const auto& s) { return s.allocation_stalls; });
-  });
-  metrics_.AddProbe("pool.prefix_hits", [sum_pool] {
-    return sum_pool([](const auto& s) { return s.prefix_hits; });
-  });
   metrics_.AddProbe("pool.pinned_pages", [this] {
     std::int64_t sum = 0;
     for (int n = 0; n < server_->num_nodes(); ++n) {
       sum += server_->node(n).pool().pinned_pages();
     }
     return static_cast<double>(sum);
-  });
-
-  // --- Stream sharing (all zero when no manager is constructed) ---
-  metrics_.AddProbe("share.groups_formed", [this] {
-    return share_ == nullptr
-               ? 0.0
-               : static_cast<double>(share_->stats().groups_formed);
-  });
-  metrics_.AddProbe("share.followers", [this] {
-    return share_ == nullptr
-               ? 0.0
-               : static_cast<double>(share_->stats().followers_attached);
-  });
-  metrics_.AddProbe("share.patches", [this] {
-    return share_ == nullptr
-               ? 0.0
-               : static_cast<double>(share_->stats().patchers_attached);
-  });
-  metrics_.AddProbe("share.patch_seconds", [this] {
-    return share_ == nullptr ? 0.0 : share_->stats().patch_seconds_total;
-  });
-  metrics_.AddProbe("share.handoffs", [this] {
-    return share_ == nullptr
-               ? 0.0
-               : static_cast<double>(share_->stats().leader_handoffs);
-  });
-  // --- Proxy tier (registered unconditionally; the loops read zero when
-  // no proxies exist so exports keep a stable schema) ---
-  auto sum_proxy = [this](auto field) {
-    std::uint64_t sum = 0;
-    for (const auto& proxy : proxies_) {
-      sum += field(proxy->stats());
-    }
-    return static_cast<double>(sum);
-  };
-  metrics_.AddProbe("proxy.references", [sum_proxy] {
-    return sum_proxy([](const auto& s) { return s.references; });
-  });
-  metrics_.AddProbe("proxy.hits", [sum_proxy] {
-    return sum_proxy([](const auto& s) { return s.hits; });
-  });
-  metrics_.AddProbe("proxy.attaches", [sum_proxy] {
-    return sum_proxy([](const auto& s) { return s.attaches; });
-  });
-  metrics_.AddProbe("proxy.forwards", [sum_proxy] {
-    return sum_proxy([](const auto& s) { return s.forwards; });
-  });
-  metrics_.AddProbe("proxy.bytes_from_cache", [sum_proxy] {
-    return sum_proxy([](const auto& s) { return s.bytes_from_cache; });
   });
   metrics_.AddProbe("proxy.forward_ms.avg", [this] {
     double sum = 0.0;
@@ -1008,12 +677,6 @@ void Simulation::RegisterMetrics() {
     }
     return count == 0 ? 0.0 : sum / count * 1e3;
   });
-  metrics_.AddProbe("proxy.forward_retries", [sum_proxy] {
-    return sum_proxy([](const auto& s) { return s.forward_retries; });
-  });
-  metrics_.AddProbe("proxy.stale_replies", [sum_proxy] {
-    return sum_proxy([](const auto& s) { return s.stale_replies; });
-  });
   // Registry-only: cache occupancy across the tier at collection time.
   metrics_.AddProbe("proxy.pages_in_use", [this] {
     std::int64_t sum = 0;
@@ -1023,74 +686,42 @@ void Simulation::RegisterMetrics() {
     return static_cast<double>(sum);
   });
 
-  auto sum_prefetch = [this](auto field) {
-    std::uint64_t sum = 0;
-    for (int n = 0; n < server_->num_nodes(); ++n) {
-      const server::Node& node = server_->node(n);
-      for (int d = 0; d < node.num_disks(); ++d) {
-        sum += field(node.prefetcher(d).stats());
-      }
-    }
-    return static_cast<double>(sum);
-  };
-  metrics_.AddProbe("prefetch.issued", [sum_prefetch] {
-    return sum_prefetch([](const auto& s) { return s.issued; });
-  });
-  metrics_.AddProbe("prefetch.enqueued", [sum_prefetch] {
-    return sum_prefetch([](const auto& s) { return s.enqueued; });
-  });
-  metrics_.AddProbe("prefetch.duplicates_dropped", [sum_prefetch] {
-    return sum_prefetch(
-        [](const auto& s) { return s.duplicates_dropped; });
-  });
-  metrics_.AddProbe("prefetch.already_cached", [sum_prefetch] {
-    return sum_prefetch([](const auto& s) { return s.already_cached; });
-  });
-
   // --- Disks & CPU ---
-  metrics_.AddProbe("disk.reads", [this] {
-    std::uint64_t sum = 0;
+  auto for_each_disk = [this](auto visit) {
     for (int n = 0; n < server_->num_nodes(); ++n) {
       const server::Node& node = server_->node(n);
-      for (int d = 0; d < node.num_disks(); ++d) {
-        sum += node.disk(d).requests_served();
-      }
+      for (int d = 0; d < node.num_disks(); ++d) visit(node.disk(d));
     }
+  };
+  metrics_.AddProbe("disk.reads", [for_each_disk] {
+    std::uint64_t sum = 0;
+    for_each_disk([&](const hw::Disk& disk) { sum += disk.requests_served(); });
     return static_cast<double>(sum);
   });
-  metrics_.AddProbe("disk.utilization.avg", [this] {
+  metrics_.AddProbe("disk.utilization.avg", [this, for_each_disk] {
     double sum = 0.0;
     int total_disks = 0;
     sim::SimTime now = env_->now();
-    for (int n = 0; n < server_->num_nodes(); ++n) {
-      const server::Node& node = server_->node(n);
-      for (int d = 0; d < node.num_disks(); ++d) {
-        sum += node.disk(d).AverageUtilization(now);
-        ++total_disks;
-      }
-    }
+    for_each_disk([&](const hw::Disk& disk) {
+      sum += disk.AverageUtilization(now);
+      ++total_disks;
+    });
     return sum / total_disks;
   });
-  metrics_.AddProbe("disk.utilization.min", [this] {
+  metrics_.AddProbe("disk.utilization.min", [this, for_each_disk] {
     double min = 1.0;
     sim::SimTime now = env_->now();
-    for (int n = 0; n < server_->num_nodes(); ++n) {
-      const server::Node& node = server_->node(n);
-      for (int d = 0; d < node.num_disks(); ++d) {
-        min = std::min(min, node.disk(d).AverageUtilization(now));
-      }
-    }
+    for_each_disk([&](const hw::Disk& disk) {
+      min = std::min(min, disk.AverageUtilization(now));
+    });
     return min;
   });
-  metrics_.AddProbe("disk.utilization.max", [this] {
+  metrics_.AddProbe("disk.utilization.max", [this, for_each_disk] {
     double max = 0.0;
     sim::SimTime now = env_->now();
-    for (int n = 0; n < server_->num_nodes(); ++n) {
-      const server::Node& node = server_->node(n);
-      for (int d = 0; d < node.num_disks(); ++d) {
-        max = std::max(max, node.disk(d).AverageUtilization(now));
-      }
-    }
+    for_each_disk([&](const hw::Disk& disk) {
+      max = std::max(max, disk.AverageUtilization(now));
+    });
     return max;
   });
   metrics_.AddProbe("cpu.utilization.avg", [this] {
@@ -1101,44 +732,36 @@ void Simulation::RegisterMetrics() {
     }
     return sum / server_->num_nodes();
   });
-  metrics_.AddProbe("disk.service_ms.avg", [this] {
-    double sum = 0.0;
-    std::uint64_t count = 0;
-    for (int n = 0; n < server_->num_nodes(); ++n) {
-      const server::Node& node = server_->node(n);
-      for (int d = 0; d < node.num_disks(); ++d) {
-        sum += node.disk(d).service_tally().sum();
-        count += node.disk(d).service_tally().count();
-      }
-    }
-    return count == 0 ? 0.0 : sum / count * 1e3;
-  });
-  metrics_.AddProbe("disk.seek_cylinders.avg", [this] {
-    double sum = 0.0;
-    std::uint64_t count = 0;
-    for (int n = 0; n < server_->num_nodes(); ++n) {
-      const server::Node& node = server_->node(n);
-      for (int d = 0; d < node.num_disks(); ++d) {
-        sum += node.disk(d).seek_distance_tally().sum();
-        count += node.disk(d).service_tally().count();
-      }
-    }
-    return count == 0 ? 0.0 : sum / static_cast<double>(count);
-  });
-  // Queue-wait vs service breakdown: service_ms.avg above is the
-  // mechanical half; this is the time requests spent waiting for the
+  // Queue-wait vs service breakdown: service_ms.avg is the mechanical
+  // half; queue_wait_ms.avg is the time requests spent waiting for the
   // head before being picked by the scheduler.
-  metrics_.AddProbe("disk.queue_wait_ms.avg", [this] {
+  auto disk_tally_ms = [for_each_disk](auto tally_of) {
     double sum = 0.0;
     std::uint64_t count = 0;
-    for (int n = 0; n < server_->num_nodes(); ++n) {
-      const server::Node& node = server_->node(n);
-      for (int d = 0; d < node.num_disks(); ++d) {
-        sum += node.disk(d).queue_wait_tally().sum();
-        count += node.disk(d).queue_wait_tally().count();
-      }
-    }
+    for_each_disk([&](const hw::Disk& disk) {
+      sum += tally_of(disk).sum();
+      count += tally_of(disk).count();
+    });
     return count == 0 ? 0.0 : sum / count * 1e3;
+  };
+  metrics_.AddProbe("disk.service_ms.avg", [disk_tally_ms] {
+    return disk_tally_ms([](const hw::Disk& disk) -> const auto& {
+      return disk.service_tally();
+    });
+  });
+  metrics_.AddProbe("disk.queue_wait_ms.avg", [disk_tally_ms] {
+    return disk_tally_ms([](const hw::Disk& disk) -> const auto& {
+      return disk.queue_wait_tally();
+    });
+  });
+  metrics_.AddProbe("disk.seek_cylinders.avg", [for_each_disk] {
+    double sum = 0.0;
+    std::uint64_t count = 0;
+    for_each_disk([&](const hw::Disk& disk) {
+      sum += disk.seek_distance_tally().sum();
+      count += disk.service_tally().count();
+    });
+    return count == 0 ? 0.0 : sum / static_cast<double>(count);
   });
 
   // --- Network ---

@@ -149,12 +149,9 @@ class Simulation {
   void RunWarmup();
   void ResetAllStats();
   void RunMeasurement();
-  // Builds SimMetrics by reading the metrics registry.
+  // Builds SimMetrics by reading each kMetricFields row's registry
+  // probe.
   SimMetrics Collect() const;
-  // Builds SimMetrics straight from component stats, bypassing the
-  // registry — the pre-registry collection path, kept as the regression
-  // reference: Collect() must reproduce it bit-for-bit.
-  SimMetrics CollectDirect() const;
 
   // The registry holding every metric this simulation exposes —
   // per-component probes plus derived metrics (queue-wait vs service

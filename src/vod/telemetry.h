@@ -18,8 +18,7 @@
 // byte-identical at any --jobs count (locked by
 // tests/vod/telemetry_test.cc).
 //
-// Construct after the Simulation, before running it. TraceRecorder
-// (vod/trace.h) is the legacy 9-column-CSV view built on top of this.
+// Construct after the Simulation, before running it.
 
 #ifndef SPIFFI_VOD_TELEMETRY_H_
 #define SPIFFI_VOD_TELEMETRY_H_

@@ -9,6 +9,7 @@
 #include "gtest/gtest.h"
 #include "sim/process.h"
 #include "vod/capacity.h"
+#include "vod/metrics_testing.h"
 #include "vod/runner.h"
 #include "vod/simulation.h"
 
@@ -228,26 +229,6 @@ vod::SimConfig SharedTinyConfig() {
   return config;
 }
 
-void ExpectShareBitIdentical(const vod::SimMetrics& a,
-                             const vod::SimMetrics& b) {
-  EXPECT_EQ(a.glitches, b.glitches);
-  EXPECT_EQ(a.frames_displayed, b.frames_displayed);
-  EXPECT_EQ(a.videos_completed, b.videos_completed);
-  EXPECT_EQ(a.events_simulated, b.events_simulated);
-  EXPECT_EQ(a.buffer_references, b.buffer_references);
-  EXPECT_EQ(a.buffer_hits, b.buffer_hits);
-  EXPECT_EQ(a.disk_reads, b.disk_reads);
-  EXPECT_EQ(a.avg_response_ms, b.avg_response_ms);
-  EXPECT_EQ(a.avg_disk_utilization, b.avg_disk_utilization);
-  EXPECT_EQ(a.share_groups, b.share_groups);
-  EXPECT_EQ(a.share_followers, b.share_followers);
-  EXPECT_EQ(a.share_patches, b.share_patches);
-  EXPECT_EQ(a.share_patch_seconds, b.share_patch_seconds);
-  EXPECT_EQ(a.share_handoffs, b.share_handoffs);
-  EXPECT_EQ(a.prefix_hits, b.prefix_hits);
-  EXPECT_EQ(a.prefix_pinned_pages, b.prefix_pinned_pages);
-}
-
 TEST(StreamShareTest, SharedRunsBitIdenticalAcrossJobCounts) {
   std::vector<vod::SimConfig> batch;
   for (int i = 0; i < 4; ++i) {
@@ -264,7 +245,7 @@ TEST(StreamShareTest, SharedRunsBitIdenticalAcrossJobCounts) {
   ASSERT_EQ(at_four.size(), batch.size());
   bool saw_sharing = false;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    ExpectShareBitIdentical(at_one[i], at_four[i]);
+    vod::ExpectBitIdentical(at_one[i], at_four[i]);
     saw_sharing = saw_sharing || at_one[i].share_groups > 0;
   }
   // The comparison only means something if sharing actually engaged.

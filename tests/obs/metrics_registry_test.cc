@@ -1,7 +1,6 @@
 // MetricsRegistry unit tests: registration, duplicate-name rejection,
-// reset-on-measurement-window semantics, and export shape. The last
-// test drives a real Simulation to check that the registry mirrors
-// ResetAllStats().
+// kind checks on reads, and export shape. The last test drives a real
+// Simulation to check that the probes follow ResetAllStats().
 
 #include "obs/metrics_registry.h"
 
@@ -9,131 +8,86 @@
 #include <string>
 
 #include "gtest/gtest.h"
-#include "sim/histogram.h"
 #include "vod/simulation.h"
 
 namespace spiffi::obs {
 namespace {
-
-TEST(MetricsRegistryTest, OwnedInstrumentsRoundTrip) {
-  MetricsRegistry registry;
-  auto* counter = registry.AddCounter("pool.hits");
-  auto* gauge = registry.AddGauge("sim.measured_seconds");
-  sim::Tally* tally = registry.AddTally("disk.service_ms");
-  sim::Histogram* histogram = registry.AddHistogram("terminal.response_sec");
-
-  *counter += 3;
-  *gauge = 30.0;
-  tally->Add(8.5);
-  tally->Add(11.5);
-  histogram->Add(0.25);
-
-  EXPECT_EQ(registry.size(), 4u);
-  EXPECT_TRUE(registry.Has("pool.hits"));
-  EXPECT_FALSE(registry.Has("pool.misses"));
-  EXPECT_DOUBLE_EQ(registry.Value("pool.hits"), 3.0);
-  EXPECT_DOUBLE_EQ(registry.Value("sim.measured_seconds"), 30.0);
-  EXPECT_DOUBLE_EQ(registry.GetTally("disk.service_ms").mean(), 10.0);
-  EXPECT_EQ(registry.GetHistogram("terminal.response_sec").count(), 1u);
-}
 
 TEST(MetricsRegistryTest, ProbesReadLiveState) {
   MetricsRegistry registry;
   std::uint64_t backing = 0;
   registry.AddProbe("disk.reads",
                     [&backing] { return static_cast<double>(backing); });
+  EXPECT_EQ(registry.size(), 1u);
+  EXPECT_TRUE(registry.Has("disk.reads"));
+  EXPECT_FALSE(registry.Has("pool.misses"));
   EXPECT_DOUBLE_EQ(registry.Value("disk.reads"), 0.0);
   backing = 42;  // probes poll at read time, no re-registration needed
   EXPECT_DOUBLE_EQ(registry.Value("disk.reads"), 42.0);
 
-  sim::Histogram component;
+  QuantileSketch component;
   component.Add(1.0);
-  registry.AddHistogramProbe("terminal.slack_sec",
-                             [&component](sim::Histogram& accumulator) {
-                               accumulator.Merge(component);
-                             });
-  EXPECT_EQ(registry.GetHistogram("terminal.slack_sec").count(), 1u);
+  registry.AddSketchProbe("terminal.slack_sec_sketch",
+                          [&component](QuantileSketch& accumulator) {
+                            accumulator.Merge(component);
+                          });
+  EXPECT_EQ(registry.GetSketch("terminal.slack_sec_sketch").count(), 1u);
   component.Add(2.0);
-  EXPECT_EQ(registry.GetHistogram("terminal.slack_sec").count(), 2u);
+  EXPECT_EQ(registry.GetSketch("terminal.slack_sec_sketch").count(), 2u);
 }
 
 TEST(MetricsRegistryDeathTest, DuplicateNameChecks) {
   MetricsRegistry registry;
-  registry.AddCounter("pool.hits");
-  EXPECT_DEATH(registry.AddCounter("pool.hits"), "CHECK failed");
-  // The clash is on the name, not the kind.
-  EXPECT_DEATH(registry.AddGauge("pool.hits"), "CHECK failed");
-  EXPECT_DEATH(registry.AddProbe("pool.hits", [] { return 0.0; }),
+  registry.AddProbe("pool.hits", [] { return 0.0; });
+  EXPECT_DEATH(registry.AddProbe("pool.hits", [] { return 1.0; }),
                "CHECK failed");
+  // The clash is on the name, not the kind.
+  EXPECT_DEATH(
+      registry.AddSketchProbe("pool.hits", [](QuantileSketch&) {}),
+      "CHECK failed");
 }
 
 TEST(MetricsRegistryDeathTest, ReadsCheckKindAndExistence) {
   MetricsRegistry registry;
-  registry.AddTally("disk.service_ms");
+  registry.AddProbe("disk.reads", [] { return 0.0; });
+  registry.AddSketchProbe("disk.service_sec_sketch",
+                          [](QuantileSketch&) {});
   EXPECT_DEATH(registry.Value("no.such.metric"), "CHECK failed");
-  EXPECT_DEATH(registry.Value("disk.service_ms"), "CHECK failed");
-  EXPECT_DEATH(registry.GetTally("no.such.metric"), "CHECK failed");
-}
-
-// Reset() zeroes owned instruments (the measurement window opens) but
-// leaves probe-backed state to the owning component, mirroring how
-// Simulation::ResetAllStats() resets the components themselves.
-TEST(MetricsRegistryTest, ResetZeroesOwnedInstrumentsOnly) {
-  MetricsRegistry registry;
-  auto* counter = registry.AddCounter("pool.hits");
-  auto* gauge = registry.AddGauge("sim.measured_seconds");
-  sim::Tally* tally = registry.AddTally("disk.service_ms");
-  sim::Histogram* histogram = registry.AddHistogram("terminal.response_sec");
-  double probe_backing = 7.0;
-  registry.AddProbe("disk.reads", [&probe_backing] { return probe_backing; });
-
-  *counter = 5;
-  *gauge = 30.0;
-  tally->Add(1.0);
-  histogram->Add(0.5);
-
-  registry.Reset();
-
-  EXPECT_DOUBLE_EQ(registry.Value("pool.hits"), 0.0);
-  EXPECT_DOUBLE_EQ(registry.Value("sim.measured_seconds"), 0.0);
-  EXPECT_EQ(registry.GetTally("disk.service_ms").count(), 0u);
-  EXPECT_EQ(registry.GetHistogram("terminal.response_sec").count(), 0u);
-  // Probe untouched: its backing state belongs to the component.
-  EXPECT_DOUBLE_EQ(registry.Value("disk.reads"), 7.0);
-  // The returned pointers stay valid across Reset().
-  *counter += 2;
-  EXPECT_DOUBLE_EQ(registry.Value("pool.hits"), 2.0);
+  EXPECT_DEATH(registry.Value("disk.service_sec_sketch"), "CHECK failed");
+  EXPECT_DEATH(registry.GetSketch("no.such.metric"), "CHECK failed");
+  EXPECT_DEATH(registry.GetSketch("disk.reads"), "CHECK failed");
 }
 
 TEST(MetricsRegistryTest, ExportsJsonAndCsv) {
   MetricsRegistry registry;
-  *registry.AddCounter("pool.hits") = 12;
-  *registry.AddGauge("sim.measured_seconds") = 30.0;
-  sim::Tally* tally = registry.AddTally("disk.service_ms");
-  tally->Add(4.0);
-  tally->Add(6.0);
+  registry.AddProbe("pool.hits", [] { return 12.0; });
   registry.AddProbe("disk.reads", [] { return 99.0; });
+  registry.AddSketchProbe("disk.service_sec_sketch", [](QuantileSketch& s) {
+    s.Add(4.0);
+    s.Add(6.0);
+  });
 
   std::ostringstream json;
   registry.WriteJson(json);
   const std::string j = json.str();
-  EXPECT_NE(j.find("\"pool.hits\""), std::string::npos);
-  EXPECT_NE(j.find("\"sim.measured_seconds\""), std::string::npos);
-  EXPECT_NE(j.find("\"disk.service_ms\""), std::string::npos);
-  EXPECT_NE(j.find("\"disk.reads\""), std::string::npos);
+  EXPECT_NE(j.find("\"pool.hits\":12"), std::string::npos);
+  EXPECT_NE(j.find("\"disk.reads\":99"), std::string::npos);
+  EXPECT_NE(j.find("\"disk.service_sec_sketch\":{\"count\":2"),
+            std::string::npos);
 
   std::ostringstream csv;
   registry.WriteCsv(csv);
   const std::string c = csv.str();
   EXPECT_NE(c.find("pool.hits,12"), std::string::npos);
   EXPECT_NE(c.find("disk.reads,99"), std::string::npos);
-  // Tallies export per-facet scalar rows.
-  EXPECT_NE(c.find("disk.service_ms"), std::string::npos);
+  // Sketches export per-facet scalar rows.
+  EXPECT_NE(c.find("disk.service_sec_sketch.count,2"), std::string::npos);
+  EXPECT_NE(c.find("disk.service_sec_sketch.p99,"), std::string::npos);
 }
 
-// End to end: the simulation's registry matches the ResetAllStats()
-// window. After warmup the probes show activity; opening the
-// measurement window zeroes what they read.
+// End to end: the probes follow the ResetAllStats() window. After
+// warmup they show activity; opening the measurement window zeroes what
+// they read.
 TEST(MetricsRegistryTest, SimulationResetOpensMeasurementWindow) {
   vod::SimConfig config;
   config.num_nodes = 2;
@@ -151,13 +105,13 @@ TEST(MetricsRegistryTest, SimulationResetOpensMeasurementWindow) {
   simulation.RunWarmup();
   EXPECT_GT(metrics.Value("terminal.blocks_received"), 0.0);
   EXPECT_GT(metrics.Value("disk.reads"), 0.0);
-  EXPECT_GT(metrics.GetHistogram("terminal.response_sec").count(), 0u);
+  EXPECT_GT(metrics.GetSketch("terminal.response_sec_sketch").count(), 0u);
 
   simulation.ResetAllStats();
   EXPECT_DOUBLE_EQ(metrics.Value("terminal.blocks_received"), 0.0);
   EXPECT_DOUBLE_EQ(metrics.Value("disk.reads"), 0.0);
   EXPECT_DOUBLE_EQ(metrics.Value("pool.references"), 0.0);
-  EXPECT_EQ(metrics.GetHistogram("terminal.response_sec").count(), 0u);
+  EXPECT_EQ(metrics.GetSketch("terminal.response_sec_sketch").count(), 0u);
 
   simulation.RunMeasurement();
   EXPECT_GT(metrics.Value("terminal.blocks_received"), 0.0);

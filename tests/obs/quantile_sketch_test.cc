@@ -10,8 +10,8 @@
 namespace spiffi::obs {
 namespace {
 
-// Exact sorted-sample quantile with the sketch's (and sim::Histogram's)
-// rank convention: rank = floor(q * (n - 1)).
+// Exact sorted-sample quantile with the sketch's rank convention:
+// rank = floor(q * (n - 1)).
 double ExactQuantile(const std::vector<double>& sorted, double q) {
   auto rank = static_cast<std::size_t>(
       q * static_cast<double>(sorted.size() - 1));

@@ -1,16 +1,17 @@
-// Regression lock between the two SimMetrics collection paths.
+// Regression lock on SimMetrics collection.
 //
-// Collect() reads the metrics registry; CollectDirect() is the
-// pre-registry path reading component stats straight. The registry
-// probes replicate the direct computations loop-for-loop, so the two
-// must agree bit-for-bit — any drift means a probe and its direct
-// counterpart were edited apart. All comparisons below are exact
-// (EXPECT_EQ on doubles), not EXPECT_NEAR.
+// The goldens below are the outputs of the direct collection path —
+// loops reading component stats without the metrics registry — for every
+// config this file runs, frozen as exact values (doubles in hexfloat)
+// when that path was retired in favour of Collect(). Collect() must
+// reproduce them bit for bit; never regenerate them from Collect().
+// Fields left out of a golden are zero.
 
 #include <sstream>
 #include <string>
 
 #include "gtest/gtest.h"
+#include "vod/metrics_testing.h"
 #include "vod/simulation.h"
 
 namespace spiffi::vod {
@@ -29,74 +30,170 @@ SimConfig SmallConfig() {
   return config;
 }
 
-void ExpectBitIdentical(const SimMetrics& a, const SimMetrics& b) {
-  EXPECT_EQ(a.terminals, b.terminals);
-  EXPECT_EQ(a.measured_seconds, b.measured_seconds);
-  EXPECT_EQ(a.glitches, b.glitches);
-  EXPECT_EQ(a.terminals_with_glitches, b.terminals_with_glitches);
-  EXPECT_EQ(a.avg_disk_utilization, b.avg_disk_utilization);
-  EXPECT_EQ(a.min_disk_utilization, b.min_disk_utilization);
-  EXPECT_EQ(a.max_disk_utilization, b.max_disk_utilization);
-  EXPECT_EQ(a.avg_cpu_utilization, b.avg_cpu_utilization);
-  EXPECT_EQ(a.peak_network_bytes_per_sec, b.peak_network_bytes_per_sec);
-  EXPECT_EQ(a.avg_network_bytes_per_sec, b.avg_network_bytes_per_sec);
-  EXPECT_EQ(a.buffer_references, b.buffer_references);
-  EXPECT_EQ(a.buffer_hits, b.buffer_hits);
-  EXPECT_EQ(a.buffer_attaches, b.buffer_attaches);
-  EXPECT_EQ(a.buffer_misses, b.buffer_misses);
-  EXPECT_EQ(a.shared_references, b.shared_references);
-  EXPECT_EQ(a.wasted_prefetches, b.wasted_prefetches);
-  EXPECT_EQ(a.prefetches_issued, b.prefetches_issued);
-  EXPECT_EQ(a.disk_reads, b.disk_reads);
-  EXPECT_EQ(a.avg_disk_service_ms, b.avg_disk_service_ms);
-  EXPECT_EQ(a.avg_seek_cylinders, b.avg_seek_cylinders);
-  EXPECT_EQ(a.avg_response_ms, b.avg_response_ms);
-  EXPECT_EQ(a.p50_response_ms, b.p50_response_ms);
-  EXPECT_EQ(a.p99_response_ms, b.p99_response_ms);
-  EXPECT_EQ(a.frames_displayed, b.frames_displayed);
-  EXPECT_EQ(a.videos_completed, b.videos_completed);
-  EXPECT_EQ(a.events_simulated, b.events_simulated);
-  EXPECT_EQ(a.share_groups, b.share_groups);
-  EXPECT_EQ(a.share_followers, b.share_followers);
-  EXPECT_EQ(a.share_patches, b.share_patches);
-  EXPECT_EQ(a.share_patch_seconds, b.share_patch_seconds);
-  EXPECT_EQ(a.share_handoffs, b.share_handoffs);
-  EXPECT_EQ(a.prefix_hits, b.prefix_hits);
-  EXPECT_EQ(a.prefix_pinned_pages, b.prefix_pinned_pages);
-  EXPECT_EQ(a.proxy_references, b.proxy_references);
-  EXPECT_EQ(a.proxy_hits, b.proxy_hits);
-  EXPECT_EQ(a.proxy_attaches, b.proxy_attaches);
-  EXPECT_EQ(a.proxy_forwards, b.proxy_forwards);
-  EXPECT_EQ(a.proxy_bytes_from_cache, b.proxy_bytes_from_cache);
-  EXPECT_EQ(a.avg_proxy_forward_ms, b.avg_proxy_forward_ms);
-  EXPECT_EQ(a.faults_injected, b.faults_injected);
-  EXPECT_EQ(a.repairs_completed, b.repairs_completed);
-  EXPECT_EQ(a.mttr_sec, b.mttr_sec);
-  EXPECT_EQ(a.fault_downtime_sec, b.fault_downtime_sec);
-  EXPECT_EQ(a.rerouted_requests, b.rerouted_requests);
-  EXPECT_EQ(a.degraded_waits, b.degraded_waits);
-  EXPECT_EQ(a.prefetches_skipped_dead, b.prefetches_skipped_dead);
-  EXPECT_EQ(a.requests_redirected, b.requests_redirected);
-  EXPECT_EQ(a.blocks_rerouted, b.blocks_rerouted);
-  EXPECT_EQ(a.admission_admits, b.admission_admits);
-  EXPECT_EQ(a.admission_rejects, b.admission_rejects);
-  EXPECT_EQ(a.admission_defers, b.admission_defers);
-  EXPECT_EQ(a.failover_readmissions, b.failover_readmissions);
-  EXPECT_EQ(a.request_retries, b.request_retries);
-  EXPECT_EQ(a.retries_exhausted, b.retries_exhausted);
-  EXPECT_EQ(a.session_failovers, b.session_failovers);
-  EXPECT_EQ(a.duplicate_replies, b.duplicate_replies);
-  EXPECT_EQ(a.proxy_forward_retries, b.proxy_forward_retries);
-  EXPECT_EQ(a.proxy_stale_replies, b.proxy_stale_replies);
-  EXPECT_EQ(a.rebuilds_completed, b.rebuilds_completed);
-  EXPECT_EQ(a.rebuild_sec, b.rebuild_sec);
-  EXPECT_EQ(a.rebuild_bytes, b.rebuild_bytes);
+const SimMetrics kLightLoad = {
+    .terminals = 20,
+    .measured_seconds = 0x1.ep+4,
+    .avg_disk_utilization = 0x1.5a1f294d3763cp-3,
+    .min_disk_utilization = 0x1.52e4a18aa2bc9p-3,
+    .max_disk_utilization = 0x1.6509a5dffb9c4p-3,
+    .avg_cpu_utilization = 0x1.2ad6b4f4b179ap-8,
+    .peak_network_bytes_per_sec = 0x1.800b8p+23,
+    .avg_network_bytes_per_sec = 0x1.3c09358888889p+23,
+    .buffer_references = 593u,
+    .buffer_hits = 443u,
+    .buffer_misses = 150u,
+    .shared_references = 297u,
+    .prefetches_issued = 130u,
+    .disk_reads = 281u,
+    .avg_disk_service_ms = 0x1.216888937d713p+6,
+    .avg_seek_cylinders = 0x1.154453d0a0577p+5,
+    .avg_response_ms = 0x1.51ed11c06a5ddp+5,
+    .p50_response_ms = 0x1.546a41d0ebe0dp+4,
+    .p99_response_ms = 0x1.54a0fbfcd236ap+7,
+    .frames_displayed = 17987u,
+    .videos_completed = 5u,
+    .events_simulated = 30302u,
+};
+
+const SimMetrics kOverload = {
+    .terminals = 120,
+    .measured_seconds = 0x1.ep+4,
+    .glitches = 115u,
+    .terminals_with_glitches = 51,
+    .avg_disk_utilization = 0x1p+0,
+    .min_disk_utilization = 0x1p+0,
+    .max_disk_utilization = 0x1p+0,
+    .avg_cpu_utilization = 0x1.b2170931033a2p-6,
+    .peak_network_bytes_per_sec = 0x1.1bbb038p+26,
+    .avg_network_bytes_per_sec = 0x1.d14f188888889p+25,
+    .buffer_references = 3467u,
+    .buffer_hits = 1362u,
+    .buffer_attaches = 583u,
+    .buffer_misses = 1522u,
+    .shared_references = 1352u,
+    .prefetches_issued = 86u,
+    .disk_reads = 1641u,
+    .avg_disk_service_ms = 0x1.247458d47d221p+6,
+    .avg_seek_cylinders = 0x1.c095c328b7758p+2,
+    .avg_response_ms = 0x1.9ca25c4f4dbf3p+9,
+    .p50_response_ms = 0x1.eb9ba48452d7ep+8,
+    .p99_response_ms = 0x1.aba65c1ef2821p+11,
+    .frames_displayed = 104941u,
+    .videos_completed = 29u,
+    .events_simulated = 169072u,
+};
+
+const SimMetrics kUnderFaults = {
+    .terminals = 20,
+    .measured_seconds = 0x1.ep+4,
+    .avg_disk_utilization = 0x1.bfa5ee846de3dp-3,
+    .min_disk_utilization = 0x1.8f56d80013911p-4,
+    .max_disk_utilization = 0x1.8f6b02786aaadp-2,
+    .avg_cpu_utilization = 0x1.5687847c8b933p-8,
+    .peak_network_bytes_per_sec = 0x1.800cp+23,
+    .avg_network_bytes_per_sec = 0x1.3c09358888889p+23,
+    .buffer_references = 593u,
+    .buffer_hits = 395u,
+    .buffer_misses = 198u,
+    .shared_references = 231u,
+    .prefetches_issued = 162u,
+    .disk_reads = 361u,
+    .avg_disk_service_ms = 0x1.2330393deb95fp+6,
+    .avg_seek_cylinders = 0x1.686bca1af286cp+5,
+    .avg_response_ms = 0x1.d0c71ef5b3cc3p+5,
+    .p50_response_ms = 0x1.546a41d0ebe0dp+4,
+    .p99_response_ms = 0x1.502ffdd13eabep+8,
+    .frames_displayed = 17979u,
+    .videos_completed = 5u,
+    .events_simulated = 30542u,
+    .faults_injected = 1u,
+    .repairs_completed = 1u,
+    .mttr_sec = 0x1.ep+3,
+    .fault_downtime_sec = 0x1.ep+3,
+    .requests_redirected = 73u,
+};
+
+const SimMetrics kWithProxyTier = {
+    .terminals = 20,
+    .measured_seconds = 0x1.ep+4,
+    .avg_disk_utilization = 0x1.5ae42726fac6ep-3,
+    .min_disk_utilization = 0x1.53259837b3784p-3,
+    .max_disk_utilization = 0x1.67dd246f1a2a9p-3,
+    .avg_cpu_utilization = 0x1.22ac8b9d10d33p-8,
+    .peak_network_bytes_per_sec = 0x1.7f34acp+24,
+    .avg_network_bytes_per_sec = 0x1.338068bbbbbbcp+24,
+    .buffer_references = 562u,
+    .buffer_hits = 412u,
+    .buffer_misses = 150u,
+    .shared_references = 267u,
+    .prefetches_issued = 129u,
+    .disk_reads = 281u,
+    .avg_disk_service_ms = 0x1.21c1836d9e27cp+6,
+    .avg_seek_cylinders = 0x1.147841982470fp+5,
+    .avg_response_ms = 0x1.f17f1a2850907p+5,
+    .p50_response_ms = 0x1.4ff9fa5237f1cp+5,
+    .p99_response_ms = 0x1.97cf28b0cb19fp+7,
+    .frames_displayed = 17987u,
+    .videos_completed = 5u,
+    .events_simulated = 31813u,
+    .proxy_references = 592u,
+    .proxy_hits = 30u,
+    .proxy_forwards = 562u,
+    .proxy_bytes_from_cache = 15728640u,
+    .avg_proxy_forward_ms = 0x1.5bebb652ca878p+5,
+};
+
+const SimMetrics kWithResilience = {
+    .terminals = 20,
+    .measured_seconds = 0x1.ep+4,
+    .avg_disk_utilization = 0x1.1bd38d5054095p-2,
+    .min_disk_utilization = 0x1.4597401d5f84dp-3,
+    .max_disk_utilization = 0x1.1a5609b9e2e8ep-1,
+    .avg_cpu_utilization = 0x1.bab0b22baac66p-8,
+    .peak_network_bytes_per_sec = 0x1.10088p+24,
+    .avg_network_bytes_per_sec = 0x1.a1e085eeeeeefp+23,
+    .buffer_references = 785u,
+    .buffer_hits = 529u,
+    .buffer_attaches = 9u,
+    .buffer_misses = 247u,
+    .shared_references = 324u,
+    .wasted_prefetches = 7u,
+    .prefetches_issued = 210u,
+    .disk_reads = 458u,
+    .avg_disk_service_ms = 0x1.22ed98dc9895ap+6,
+    .avg_seek_cylinders = 0x1.aec6fca57324ep+5,
+    .avg_response_ms = 0x1.acc2dea132cbep+5,
+    .p50_response_ms = 0x1.546a41d0ebe0dp+4,
+    .p99_response_ms = 0x1.033733b36d36bp+8,
+    .frames_displayed = 17980u,
+    .videos_completed = 5u,
+    .events_simulated = 32058u,
+    .faults_injected = 1u,
+    .repairs_completed = 1u,
+    .mttr_sec = 0x1.4p+2,
+    .fault_downtime_sec = 0x1.4p+2,
+    .requests_redirected = 24u,
+    .admission_admits = 5u,
+    .rebuild_sec = 0x1.4p+4,
+};
+
+// Collect() matches the golden bit for bit, and every kMetricFields
+// row's probe reads exactly the value Collect() stored for it.
+void ExpectMatchesGolden(const Simulation& simulation,
+                         const SimMetrics& golden) {
+  const SimMetrics collected = simulation.Collect();
+  ExpectBitIdentical(collected, golden);
+  for (const MetricField& field : kMetricFields) {
+    EXPECT_EQ(simulation.metrics().Value(field.probe),
+              FieldValue(collected, field))
+        << field.probe;
+  }
 }
 
 TEST(MetricsRegressionTest, RegistryCollectMatchesDirectLightLoad) {
   Simulation simulation(SmallConfig());
   simulation.Run();
-  ExpectBitIdentical(simulation.Collect(), simulation.CollectDirect());
+  ExpectMatchesGolden(simulation, kLightLoad);
 }
 
 TEST(MetricsRegressionTest, RegistryCollectMatchesDirectOverload) {
@@ -105,11 +202,10 @@ TEST(MetricsRegressionTest, RegistryCollectMatchesDirectOverload) {
   Simulation simulation(config);
   SimMetrics metrics = simulation.Run();
   EXPECT_GT(metrics.glitches, 0u);
-  ExpectBitIdentical(simulation.Collect(), simulation.CollectDirect());
+  ExpectMatchesGolden(simulation, kOverload);
 }
 
-// The availability probes must track their direct computations too, on
-// a run where they are actually non-zero.
+// The availability probes, on a run where they are actually non-zero.
 TEST(MetricsRegressionTest, RegistryCollectMatchesDirectUnderFaults) {
   SimConfig config = SmallConfig();
   config.placement = VideoPlacement::kReplicatedStriped;
@@ -121,11 +217,11 @@ TEST(MetricsRegressionTest, RegistryCollectMatchesDirectUnderFaults) {
   Simulation simulation(config);
   SimMetrics metrics = simulation.Run();
   EXPECT_EQ(metrics.faults_injected, 1u);
-  ExpectBitIdentical(simulation.Collect(), simulation.CollectDirect());
+  ExpectMatchesGolden(simulation, kUnderFaults);
 }
 
-// The proxy probes must track their direct computations on a run where
-// the proxy tier is live and actually hitting.
+// The proxy probes, on a run where the proxy tier is live and actually
+// hitting.
 TEST(MetricsRegressionTest, RegistryCollectMatchesDirectWithProxyTier) {
   SimConfig config = SmallConfig();
   config.proxy_nodes = 2;
@@ -133,7 +229,7 @@ TEST(MetricsRegressionTest, RegistryCollectMatchesDirectWithProxyTier) {
   Simulation simulation(config);
   SimMetrics metrics = simulation.Run();
   EXPECT_GT(metrics.proxy_references, 0u);
-  ExpectBitIdentical(simulation.Collect(), simulation.CollectDirect());
+  ExpectMatchesGolden(simulation, kWithProxyTier);
 }
 
 // Feature-off regression: a proxy_nodes == 0 run must be bit-identical
@@ -193,8 +289,8 @@ TEST(MetricsRegressionTest, ResilienceOffRunIsBitIdenticalAndAllZero) {
   EXPECT_EQ(a.metrics().Value("fault.rebuilds_completed"), 0.0);
 }
 
-// The resilience probes must track their direct computations on a run
-// where admission, retry, and rebuild are all live and counting.
+// The resilience probes, on a run where admission, retry, and rebuild
+// are all live and counting.
 TEST(MetricsRegressionTest, RegistryCollectMatchesDirectWithResilience) {
   SimConfig config = SmallConfig();
   config.placement = VideoPlacement::kReplicatedStriped;
@@ -209,7 +305,7 @@ TEST(MetricsRegressionTest, RegistryCollectMatchesDirectWithResilience) {
   Simulation simulation(config);
   SimMetrics metrics = simulation.Run();
   EXPECT_GT(metrics.admission_admits, 0u);
-  ExpectBitIdentical(simulation.Collect(), simulation.CollectDirect());
+  ExpectMatchesGolden(simulation, kWithResilience);
 }
 
 // Collect() may be called repeatedly (harnesses sample mid-run); the
@@ -234,8 +330,8 @@ TEST(MetricsRegressionTest, OverloadExportsSlackAndAttribution) {
 
   const obs::MetricsRegistry& registry = simulation.metrics();
   EXPECT_GT(registry.Value("terminal.late_blocks"), 0.0);
-  EXPECT_GT(registry.GetHistogram("terminal.deadline_slack_sec").count(),
-            0u);
+  EXPECT_GT(
+      registry.GetSketch("terminal.deadline_slack_sec_sketch").count(), 0u);
   // Every late block is attributed to exactly one stage.
   double attributed =
       registry.Value("terminal.late_attrib.network") +
@@ -257,7 +353,8 @@ TEST(MetricsRegressionTest, OverloadExportsSlackAndAttribution) {
   registry.WriteJson(out);
   const std::string json = out.str();
   for (const char* key :
-       {"terminal.deadline_slack_sec", "terminal.deadline_slack_ms.avg",
+       {"terminal.deadline_slack_sec_sketch",
+        "terminal.deadline_slack_ms.avg",
         "terminal.late_blocks", "terminal.late_attrib.network",
         "terminal.late_attrib.server_cpu",
         "terminal.late_attrib.disk_queue",

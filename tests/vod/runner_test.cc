@@ -12,6 +12,7 @@
 #include "mpeg/video.h"
 #include "scoped_jobs.h"
 #include "vod/capacity.h"
+#include "vod/metrics_testing.h"
 #include "vod/simulation.h"
 
 namespace spiffi::vod {
@@ -31,47 +32,6 @@ SimConfig TinyConfig() {
   config.measure_seconds = 20.0;
   config.terminals = 30;
   return config;
-}
-
-// Bit-identical: every field compared with exact equality, doubles
-// included — the whole point is that thread count must not perturb a
-// single bit of any metric.
-void ExpectBitIdentical(const SimMetrics& a, const SimMetrics& b) {
-  EXPECT_EQ(a.terminals, b.terminals);
-  EXPECT_EQ(a.measured_seconds, b.measured_seconds);
-  EXPECT_EQ(a.glitches, b.glitches);
-  EXPECT_EQ(a.terminals_with_glitches, b.terminals_with_glitches);
-  EXPECT_EQ(a.avg_disk_utilization, b.avg_disk_utilization);
-  EXPECT_EQ(a.min_disk_utilization, b.min_disk_utilization);
-  EXPECT_EQ(a.max_disk_utilization, b.max_disk_utilization);
-  EXPECT_EQ(a.avg_cpu_utilization, b.avg_cpu_utilization);
-  EXPECT_EQ(a.peak_network_bytes_per_sec, b.peak_network_bytes_per_sec);
-  EXPECT_EQ(a.avg_network_bytes_per_sec, b.avg_network_bytes_per_sec);
-  EXPECT_EQ(a.buffer_references, b.buffer_references);
-  EXPECT_EQ(a.buffer_hits, b.buffer_hits);
-  EXPECT_EQ(a.buffer_attaches, b.buffer_attaches);
-  EXPECT_EQ(a.buffer_misses, b.buffer_misses);
-  EXPECT_EQ(a.shared_references, b.shared_references);
-  EXPECT_EQ(a.wasted_prefetches, b.wasted_prefetches);
-  EXPECT_EQ(a.prefetches_issued, b.prefetches_issued);
-  EXPECT_EQ(a.disk_reads, b.disk_reads);
-  EXPECT_EQ(a.avg_disk_service_ms, b.avg_disk_service_ms);
-  EXPECT_EQ(a.avg_seek_cylinders, b.avg_seek_cylinders);
-  EXPECT_EQ(a.avg_response_ms, b.avg_response_ms);
-  EXPECT_EQ(a.p50_response_ms, b.p50_response_ms);
-  EXPECT_EQ(a.p99_response_ms, b.p99_response_ms);
-  EXPECT_EQ(a.frames_displayed, b.frames_displayed);
-  EXPECT_EQ(a.videos_completed, b.videos_completed);
-  EXPECT_EQ(a.events_simulated, b.events_simulated);
-  EXPECT_EQ(a.faults_injected, b.faults_injected);
-  EXPECT_EQ(a.repairs_completed, b.repairs_completed);
-  EXPECT_EQ(a.mttr_sec, b.mttr_sec);
-  EXPECT_EQ(a.fault_downtime_sec, b.fault_downtime_sec);
-  EXPECT_EQ(a.rerouted_requests, b.rerouted_requests);
-  EXPECT_EQ(a.degraded_waits, b.degraded_waits);
-  EXPECT_EQ(a.prefetches_skipped_dead, b.prefetches_skipped_dead);
-  EXPECT_EQ(a.requests_redirected, b.requests_redirected);
-  EXPECT_EQ(a.blocks_rerouted, b.blocks_rerouted);
 }
 
 // A tiny replicated configuration with live stochastic faults: disks

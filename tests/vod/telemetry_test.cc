@@ -47,6 +47,17 @@ AttachTelemetry(ParallelRunner& runner, const SimConfig& config) {
   return {std::move(handle), std::move(attachment)};
 }
 
+// Column `name` of every retained snapshot.
+std::vector<double> Column(const obs::TimeSeries& series,
+                           const std::string& name) {
+  const std::size_t column = series.ColumnIndex(name);
+  std::vector<double> values;
+  for (std::size_t row = 0; row < series.size(); ++row) {
+    values.push_back(series.value(row, column));
+  }
+  return values;
+}
+
 TEST(TelemetryTest, RegistersExpectedChannels) {
   Simulation sim(SmallConfig());
   TelemetryOptions options;
@@ -214,6 +225,117 @@ TEST(TelemetryTest, CancelledRunLeavesTargetConsistent) {
   EXPECT_DOUBLE_EQ(fleet.target_sim_seconds,
                    config.warmup_seconds + config.measure_seconds);
   EXPECT_DOUBLE_EQ(fleet.done_sim_seconds, fleet.target_sim_seconds);
+}
+
+// The TraceTest cases read the telemetry series as a sampled trace of a
+// run: one row per sample, gauges plus *_total/*_delta counter columns.
+struct TraceRun {
+  TraceRun(int terminals, double interval_sec)
+      : sim(SmallConfig(terminals)),
+        telemetry(&sim, Options(interval_sec)) {
+    sim.Run();
+  }
+  static TelemetryOptions Options(double interval_sec) {
+    TelemetryOptions options;
+    options.interval_sec = interval_sec;
+    return options;
+  }
+  const obs::TimeSeries& series() const { return telemetry.series(); }
+
+  Simulation sim;
+  TelemetryRecorder telemetry;
+};
+
+TEST(TraceTest, SamplesAtRequestedInterval) {
+  TraceRun run(10, 1.0);
+  const obs::TimeSeries& series = run.series();
+  // 45 simulated seconds at 1 s intervals.
+  ASSERT_GE(series.size(), 44u);
+  ASSERT_LE(series.size(), 46u);
+  EXPECT_NEAR(series.time(0), 1.0, 1e-9);
+  EXPECT_NEAR(series.time(1) - series.time(0), 1.0, 1e-9);
+}
+
+TEST(TraceTest, CapturesSteadyStatePlayback) {
+  TraceRun run(10, 1.0);
+  const obs::TimeSeries& series = run.series();
+  ASSERT_GT(series.size(), 0u);
+  // Every terminal playing glitch-free at the end, on all four disks.
+  EXPECT_EQ(Column(series, "terminals.playing").back(), 10.0);
+  EXPECT_EQ(Column(series, "terminals.priming").back(), 0.0);
+  EXPECT_EQ(Column(series, "terminals.glitches_total").back(), 0.0);
+  EXPECT_EQ(Column(series, "disks.total").back(), 4.0);
+  EXPECT_GT(Column(series, "pool.pages_in_use").back(), 0.0);
+}
+
+TEST(TraceTest, NetworkBytesDeltaIsPerInterval) {
+  TraceRun run(10, 1.0);
+  const obs::TimeSeries& series = run.series();
+  // Steady state: ~10 terminals x 0.5 MB/s per one-second bucket.
+  const std::vector<double> bytes = Column(series, "network.bytes_delta");
+  ASSERT_GT(bytes.size(), 20u);
+  double sum = 0.0;
+  for (std::size_t i = 20; i < bytes.size(); ++i) sum += bytes[i];
+  EXPECT_NEAR(sum / static_cast<double>(bytes.size() - 20),
+              10 * 512.0 * 1024.0, 10 * 512.0 * 1024.0 * 0.3);
+}
+
+TEST(TraceTest, TotalAndDeltaColumnsAreConsistent) {
+  TraceRun run(140, 1.0);
+  const obs::TimeSeries& series = run.series();
+  ASSERT_GT(series.size(), 0u);
+  // *_total is non-decreasing within a stats window and *_delta is the
+  // difference between consecutive totals, for both counters. Around
+  // the reset at the end of warmup (t=15) a total may drop below the
+  // previous one; the delta re-bases to the new total, never wraps.
+  for (const char* counter : {"terminals.glitches", "network.bytes"}) {
+    const std::vector<double> total =
+        Column(series, std::string(counter) + "_total");
+    const std::vector<double> delta =
+        Column(series, std::string(counter) + "_delta");
+    double prev = 0.0;
+    for (std::size_t row = 0; row < series.size(); ++row) {
+      if (series.time(row) > 16.0) {
+        EXPECT_GE(total[row], prev) << counter;
+        EXPECT_EQ(delta[row], total[row] - prev) << counter;
+      } else {
+        EXPECT_LE(delta[row], total[row]) << counter;
+      }
+      prev = total[row];
+    }
+  }
+}
+
+TEST(TraceTest, GlitchesAppearInOverloadTrace) {
+  TraceRun run(140, 1.0);
+  const obs::TimeSeries& series = run.series();
+  const std::vector<double> glitches =
+      Column(series, "terminals.glitches_total");
+  ASSERT_FALSE(glitches.empty());
+  EXPECT_GT(glitches.back(), 0.0);
+  // Glitch totals are cumulative within the measurement phase (they
+  // reset once when the warmup window closes at t=15).
+  double prev = 0.0;
+  for (std::size_t row = 0; row < series.size(); ++row) {
+    if (series.time(row) <= 16.0) continue;
+    EXPECT_GE(glitches[row], prev);
+    prev = glitches[row];
+  }
+}
+
+TEST(TraceTest, CsvHasHeaderAndRows) {
+  TraceRun run(5, 5.0);
+  const obs::TimeSeries& series = run.series();
+  std::ostringstream out;
+  series.WriteCsv(out);
+  const std::string csv = out.str();
+  EXPECT_EQ(csv.rfind("time,disks.busy,", 0), 0u);
+  // header + one line per sample
+  std::size_t lines = 0;
+  for (char c : csv) {
+    if (c == '\n') ++lines;
+  }
+  EXPECT_EQ(lines, series.size() + 1);
 }
 
 }  // namespace
