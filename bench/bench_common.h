@@ -294,6 +294,7 @@ inline void WriteRunReports() {
     report.label = collector.harness + "/run" + std::to_string(i);
     report.config_summary = run.config_summary;
     report.config_digest = run.config_digest;
+    report.config_knobs = run.config_knobs;
     report.seed = run.seed;
     report.terminals = run.terminals;
     report.sim_seconds = run.sim_seconds;
@@ -400,32 +401,7 @@ inline void EnableProgress(double interval_sec) {
   std::atexit(StopProgress);
 }
 
-// Call first thing in main: consumes a --profile[=PATH] argument (also
-// honours SPIFFI_BENCH_PROFILE=1) and turns on run profiling. The
-// harness name is taken from the binary name.
-inline void MaybeEnableProfile(int argc, char** argv) {
-  std::string harness = "bench";
-  if (argc > 0 && argv[0] != nullptr) {
-    harness = argv[0];
-    std::size_t slash = harness.find_last_of('/');
-    if (slash != std::string::npos) harness = harness.substr(slash + 1);
-  }
-  std::string path;
-  bool enabled = false;
-  const char* env = std::getenv("SPIFFI_BENCH_PROFILE");
-  if (env != nullptr && env[0] == '1') enabled = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--profile") == 0) {
-      enabled = true;
-    } else if (std::strncmp(argv[i], "--profile=", 10) == 0) {
-      enabled = true;
-      path = argv[i] + 10;
-    }
-  }
-  if (enabled) EnableProfile(harness, path);
-}
-
-// Shared with MaybeEnableProfile: the harness label from argv[0].
+// The harness label: the binary's file name.
 inline std::string HarnessName(int argc, char** argv) {
   std::string harness = "bench";
   if (argc > 0 && argv[0] != nullptr) {
@@ -436,51 +412,48 @@ inline std::string HarnessName(int argc, char** argv) {
   return harness;
 }
 
-// Consumes --report[=PATH] (also SPIFFI_BENCH_REPORT=1): every run the
-// harness executes leaves a machine-readable report line in the JSONL
-// file, rendered by tools/run_report.py.
-inline void MaybeEnableReport(int argc, char** argv) {
-  std::string path;
-  bool enabled = false;
-  const char* env = std::getenv("SPIFFI_BENCH_REPORT");
-  if (env != nullptr && env[0] == '1') enabled = true;
+// True when `flag` or `flag=VALUE` is among the arguments, or the
+// environment variable `env` starts with '1'. *value receives the last
+// VALUE given ("" for none).
+inline bool FlagOrEnv(int argc, char** argv, const char* flag,
+                      const char* env, std::string* value) {
+  value->clear();
+  const char* setting = std::getenv(env);
+  bool enabled = setting != nullptr && setting[0] == '1';
+  const std::size_t len = std::strlen(flag);
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--report") == 0) {
+    if (std::strncmp(argv[i], flag, len) != 0) continue;
+    if (argv[i][len] == '\0') {
       enabled = true;
-    } else if (std::strncmp(argv[i], "--report=", 9) == 0) {
+    } else if (argv[i][len] == '=') {
       enabled = true;
-      path = argv[i] + 9;
+      *value = argv[i] + len + 1;
     }
   }
-  if (enabled) EnableReport(HarnessName(argc, argv), path);
+  return enabled;
 }
 
-// Consumes --progress[=SEC] (also SPIFFI_BENCH_PROGRESS=1): starts the
-// fleet status printer with the given interval (default 2s).
-inline void MaybeEnableProgress(int argc, char** argv) {
-  double interval = 0.0;
-  bool enabled = false;
-  const char* env = std::getenv("SPIFFI_BENCH_PROGRESS");
-  if (env != nullptr && env[0] == '1') enabled = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--progress") == 0) {
-      enabled = true;
-    } else if (std::strncmp(argv[i], "--progress=", 11) == 0) {
-      enabled = true;
-      interval = std::atof(argv[i] + 11);
-    }
-  }
-  if (enabled) EnableProgress(interval);
-}
-
-// Call first thing in main: parses --smoke/--full, --jobs, --profile,
-// --report and --progress.
+// Call first thing in main: parses --smoke/--full, --jobs, and
+//   --profile[=PATH]  (or SPIFFI_BENCH_PROFILE=1): kernel self-profile
+//                     JSON of every run;
+//   --report[=PATH]   (or SPIFFI_BENCH_REPORT=1): one machine-readable
+//                     report line per run, rendered by
+//                     tools/run_report.py;
+//   --progress[=SEC]  (or SPIFFI_BENCH_PROGRESS=1): fleet status on
+//                     stderr every SEC seconds (default 2).
 inline void InitHarness(int argc, char** argv) {
   ParsePreset(argc, argv);
   ParseJobs(argc, argv);
-  MaybeEnableProfile(argc, argv);
-  MaybeEnableReport(argc, argv);
-  MaybeEnableProgress(argc, argv);
+  std::string value;
+  if (FlagOrEnv(argc, argv, "--profile", "SPIFFI_BENCH_PROFILE", &value)) {
+    EnableProfile(HarnessName(argc, argv), value);
+  }
+  if (FlagOrEnv(argc, argv, "--report", "SPIFFI_BENCH_REPORT", &value)) {
+    EnableReport(HarnessName(argc, argv), value);
+  }
+  if (FlagOrEnv(argc, argv, "--progress", "SPIFFI_BENCH_PROGRESS", &value)) {
+    EnableProgress(std::atof(value.c_str()));
+  }
 }
 
 }  // namespace spiffi::bench

@@ -17,13 +17,22 @@
 //                       config digest, wall/sim time, headline metrics),
 //                       rendered by tools/run_report.py
 //
-//   ./trace_run [--terminals=N] [--trace-out=FILE.json]
+//   ./trace_run [--<knob>=VALUE ...] [--trace-out=FILE.json]
 //               [--metrics-out=FILE.json] [--jsonl-out=FILE.jsonl]
 //               [--report-out=FILE.jsonl] [--interval=SEC]
 //               [--retention=N] [--trace-capacity=N] [--no-csv]
 //               > trace.csv
 //
-//   --terminals=N        terminals to simulate (default 250)
+//   --<knob>=VALUE       sets any SimConfig knob by its vod/config_knobs.h
+//                        key, e.g. --terminals=400, --disk_sched=real-time,
+//                        --fault_plan.disk_mtbf_sec=600,
+//                        --measure_seconds=30 (defaults: the paper base
+//                        configuration with 250 terminals, 512 MB server
+//                        memory and love-prefetch replacement). Enums and
+//                        bools take names (false/true); the fault script
+//                        is comma-separated time:kind:target:factor
+//                        actions. A run report's `config_knobs` field,
+//                        each token prefixed with --, replays its run.
 //   --interval=SEC       sampling interval (default 1.0; 0 disables
 //                        telemetry sampling entirely — used by the CI
 //                        overhead check)
@@ -43,7 +52,9 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 
+#include "vod/config_knobs.h"
 #include "vod/report.h"
 #include "vod/telemetry.h"
 
@@ -75,9 +86,8 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     std::string value;
-    if (ParseFlag(argv[i], "--terminals", &value)) {
-      config.terminals = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--trace-out", &value)) {
+    std::string error;
+    if (ParseFlag(argv[i], "--trace-out", &value)) {
       trace_out = value;
     } else if (ParseFlag(argv[i], "--metrics-out", &value)) {
       metrics_out = value;
@@ -95,10 +105,17 @@ int main(int argc, char** argv) {
           std::strtoull(value.c_str(), nullptr, 10));
     } else if (std::strcmp(argv[i], "--no-csv") == 0) {
       write_csv = false;
-    } else if (argv[i][0] != '-') {
-      config.terminals = std::atoi(argv[i]);  // legacy positional form
+    } else if (argv[i][0] != '-') {  // legacy positional terminal count
+      error = spiffi::vod::SetConfigKnob(&config, "terminals", argv[i]);
+    } else if (const char* eq = std::strchr(argv[i], '=');
+               std::strncmp(argv[i], "--", 2) == 0 && eq != nullptr) {
+      error = spiffi::vod::SetConfigKnob(
+          &config, std::string_view(argv[i] + 2, eq - argv[i] - 2), eq + 1);
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      error = "unknown argument";
+    }
+    if (!error.empty()) {
+      std::fprintf(stderr, "%s: %s\n", argv[i], error.c_str());
       return 1;
     }
   }
@@ -183,6 +200,7 @@ int main(int argc, char** argv) {
     report.label = "trace_run";
     report.config_summary = config.Describe();
     report.config_digest = spiffi::vod::ConfigDigest(config);
+    report.config_knobs = spiffi::vod::FormatConfig(config);
     report.seed = config.seed;
     report.terminals = config.terminals;
     report.sim_seconds = config.warmup_seconds + config.measure_seconds;

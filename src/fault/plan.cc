@@ -1,19 +1,13 @@
 #include "fault/plan.h"
 
+#include <iterator>
 #include <sstream>
 
 namespace spiffi::fault {
 
 const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kDiskFail: return "disk_fail";
-    case FaultKind::kDiskRecover: return "disk_recover";
-    case FaultKind::kNodeFail: return "node_fail";
-    case FaultKind::kNodeRecover: return "node_recover";
-    case FaultKind::kDiskLimpBegin: return "disk_limp_begin";
-    case FaultKind::kDiskLimpEnd: return "disk_limp_end";
-  }
-  return "unknown";
+  const auto i = static_cast<std::size_t>(kind);
+  return i < std::size(kFaultKindNames) ? kFaultKindNames[i] : "unknown";
 }
 
 namespace {

@@ -26,6 +26,10 @@ enum class FaultKind {
   kDiskLimpBegin,  // target = global disk id; factor = service-time scale
   kDiskLimpEnd,    // target = global disk id
 };
+// Names in enumerator order.
+inline constexpr const char* kFaultKindNames[] = {
+    "disk_fail", "disk_recover",    "node_fail",
+    "node_recover", "disk_limp_begin", "disk_limp_end"};
 
 const char* FaultKindName(FaultKind kind);
 

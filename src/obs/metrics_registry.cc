@@ -45,9 +45,14 @@ bool MetricsRegistry::Has(const std::string& name) const {
 }
 
 double MetricsRegistry::Value(const std::string& name) const {
+  return Probe(name)();
+}
+
+const MetricsRegistry::ProbeFn& MetricsRegistry::Probe(
+    const std::string& name) const {
   const Entry& entry = Find(name);
-  SPIFFI_CHECK(entry.probe != nullptr && "Value() requires a scalar probe");
-  return entry.probe();
+  SPIFFI_CHECK(entry.probe != nullptr && "requires a scalar probe");
+  return entry.probe;
 }
 
 QuantileSketch MetricsRegistry::GetSketch(const std::string& name) const {

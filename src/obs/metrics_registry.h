@@ -51,6 +51,9 @@ class MetricsRegistry {
   // Reading of a scalar probe (CHECKs on sketch probes and on unknown
   // names).
   double Value(const std::string& name) const;
+  // The scalar probe itself, for callers that read it repeatedly without
+  // a lookup by name (same CHECKs as Value()).
+  const ProbeFn& Probe(const std::string& name) const;
   // Snapshot of a sketch probe (CHECKs otherwise).
   QuantileSketch GetSketch(const std::string& name) const;
 

@@ -1,6 +1,7 @@
 #include "proxy/proxy_cache.h"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 
 #include "sim/check.h"
@@ -8,12 +9,8 @@
 namespace spiffi::proxy {
 
 const char* ProxyPolicyName(ProxyPolicy policy) {
-  switch (policy) {
-    case ProxyPolicy::kLru: return "lru";
-    case ProxyPolicy::kRankZipf: return "rank-zipf";
-    case ProxyPolicy::kAdaptivePrefix: return "adaptive-prefix";
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(policy);
+  return i < std::size(kProxyPolicyNames) ? kProxyPolicyNames[i] : "?";
 }
 
 ProxyCache::ProxyCache(std::int64_t num_pages, ProxyPolicy policy,

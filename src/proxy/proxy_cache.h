@@ -47,6 +47,9 @@
 namespace spiffi::proxy {
 
 enum class ProxyPolicy { kLru, kRankZipf, kAdaptivePrefix };
+// Names in enumerator order.
+inline constexpr const char* kProxyPolicyNames[] = {"lru", "rank-zipf",
+                                                    "adaptive-prefix"};
 
 const char* ProxyPolicyName(ProxyPolicy policy);
 

@@ -1,20 +1,16 @@
 #include "server/disk_sched.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "sim/check.h"
 
 namespace spiffi::server {
 
 const char* DiskSchedPolicyName(DiskSchedPolicy policy) {
-  switch (policy) {
-    case DiskSchedPolicy::kFcfs: return "fcfs";
-    case DiskSchedPolicy::kElevator: return "elevator";
-    case DiskSchedPolicy::kRoundRobin: return "round-robin";
-    case DiskSchedPolicy::kGss: return "gss";
-    case DiskSchedPolicy::kRealTime: return "real-time";
-  }
-  return "unknown";
+  const auto i = static_cast<std::size_t>(policy);
+  return i < std::size(kDiskSchedPolicyNames) ? kDiskSchedPolicyNames[i]
+                                              : "unknown";
 }
 
 std::unique_ptr<hw::DiskScheduler> MakeDiskScheduler(

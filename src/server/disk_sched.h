@@ -39,6 +39,9 @@ enum class DiskSchedPolicy {
   kGss,
   kRealTime,
 };
+// Names in enumerator order.
+inline constexpr const char* kDiskSchedPolicyNames[] = {
+    "fcfs", "elevator", "round-robin", "gss", "real-time"};
 
 const char* DiskSchedPolicyName(DiskSchedPolicy policy);
 

@@ -1,6 +1,7 @@
 #include "server/prefetch.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "obs/trace.h"
 #include "sim/check.h"
@@ -8,13 +9,9 @@
 namespace spiffi::server {
 
 const char* PrefetchPolicyName(PrefetchPolicy policy) {
-  switch (policy) {
-    case PrefetchPolicy::kNone: return "none";
-    case PrefetchPolicy::kFifo: return "fifo";
-    case PrefetchPolicy::kRealTime: return "real-time";
-    case PrefetchPolicy::kDelayed: return "delayed";
-  }
-  return "unknown";
+  const auto i = static_cast<std::size_t>(policy);
+  return i < std::size(kPrefetchPolicyNames) ? kPrefetchPolicyNames[i]
+                                             : "unknown";
 }
 
 Prefetcher::Prefetcher(sim::Environment* env, PrefetchPolicy policy,

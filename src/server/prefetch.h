@@ -37,6 +37,9 @@
 namespace spiffi::server {
 
 enum class PrefetchPolicy { kNone, kFifo, kRealTime, kDelayed };
+// Names in enumerator order.
+inline constexpr const char* kPrefetchPolicyNames[] = {"none", "fifo",
+                                                       "real-time", "delayed"};
 
 // How aggressively prefetches are generated (§5.2.3: "the prefetching
 // mechanism was configured to maximize the performance of the disk

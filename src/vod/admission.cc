@@ -1,16 +1,14 @@
 #include "vod/admission.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace spiffi::vod {
 
 const char* AdmissionPolicyName(AdmissionPolicy policy) {
-  switch (policy) {
-    case AdmissionPolicy::kOff: return "off";
-    case AdmissionPolicy::kStaticReservation: return "static-reservation";
-    case AdmissionPolicy::kMeasuredHeadroom: return "measured-headroom";
-  }
-  return "unknown";
+  const auto i = static_cast<std::size_t>(policy);
+  return i < std::size(kAdmissionPolicyNames) ? kAdmissionPolicyNames[i]
+                                              : "unknown";
 }
 
 AdmissionController::AdmissionController(const AdmissionParams& params)

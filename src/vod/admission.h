@@ -41,6 +41,9 @@
 namespace spiffi::vod {
 
 enum class AdmissionPolicy { kOff, kStaticReservation, kMeasuredHeadroom };
+// Names in enumerator order.
+inline constexpr const char* kAdmissionPolicyNames[] = {
+    "off", "static-reservation", "measured-headroom"};
 
 const char* AdmissionPolicyName(AdmissionPolicy policy);
 

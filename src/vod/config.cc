@@ -2,31 +2,24 @@
 
 #include <sstream>
 
+#include "vod/config_knobs.h"
+
 namespace spiffi::vod {
 
 std::string SimConfig::Validate() const {
-  if (num_nodes <= 0) return "num_nodes must be positive";
-  if (disks_per_node <= 0) return "disks_per_node must be positive";
-  if (cpu_mips <= 0.0) return "cpu_mips must be positive";
-  if (video_seconds <= 0.0) return "video_seconds must be positive";
+  // Single-knob bounds first: the rules below divide by some of them.
+  if (std::string error = KnobBoundError(*this); !error.empty()) {
+    return error;
+  }
   if (std::string error = mpeg::FrameModel::ParamsError(mpeg);
       !error.empty()) {
     return error;
   }
-  if (videos_per_disk <= 0) return "videos_per_disk must be positive";
-  if (zipf_z < 0.0) return "zipf_z must be non-negative";
-  if (stripe_bytes <= 0) return "stripe_bytes must be positive";
-  if (terminals <= 0) return "terminals must be positive";
   if (terminal_memory_bytes < stripe_bytes) {
     return "terminal memory must hold at least one stripe block";
   }
   if (pool_pages_per_node() < 2) {
     return "server memory must hold at least two pages per node";
-  }
-  if (gss_groups <= 0) return "gss_groups must be positive";
-  if (realtime_classes <= 0) return "realtime_classes must be positive";
-  if (realtime_spacing_sec <= 0.0) {
-    return "realtime_spacing_sec must be positive";
   }
   if (prefetch == server::PrefetchPolicy::kDelayed &&
       max_advance_prefetch_sec <= 0.0) {
@@ -46,24 +39,13 @@ std::string SimConfig::Validate() const {
              "must land on distinct nodes)";
     }
   }
-  if (piggyback_window_sec < 0.0) {
-    return "piggyback_window_sec must be non-negative";
-  }
-  if (patch_window_sec < 0.0) {
-    return "patch_window_sec must be non-negative";
-  }
   if (patch_window_sec >= video_seconds) {
     return "patch_window_sec must be shorter than the video";
-  }
-  if (prefix_cache_fraction < 0.0 || prefix_cache_fraction > 0.5) {
-    return "prefix_cache_fraction must be in [0, 0.5] (pinned pages must "
-           "leave the pool eviction headroom)";
   }
   if (prefix_cache_fraction > 0.0 && prefix_recompute_sec <= 0.0) {
     return "prefix_recompute_sec must be positive when the prefix cache "
            "is enabled";
   }
-  if (proxy_nodes < 0) return "proxy_nodes must be non-negative";
   if (proxy_nodes > 0) {
     if (proxy_cache_pages <= 0) {
       return "proxy_cache_pages must be positive when the proxy tier is "
@@ -87,9 +69,6 @@ std::string SimConfig::Validate() const {
       return "admission_max_defers must be non-negative";
     }
   }
-  if (request_retry_budget < 0) {
-    return "request_retry_budget must be non-negative";
-  }
   if (request_retry_budget > 0) {
     if (retry_min_timeout_sec <= 0.0) {
       return "retry_min_timeout_sec must be positive when retries are "
@@ -100,15 +79,10 @@ std::string SimConfig::Validate() const {
              "enabled";
     }
   }
-  if (rebuild_mbps < 0.0) return "rebuild_mbps must be non-negative";
   if (warmup_seconds < start_window_sec) {
     return "warmup must cover the terminal start window";
   }
-  if (measure_seconds <= 0.0) return "measure_seconds must be positive";
-  std::string fault_error =
-      fault_plan.Validate(num_nodes, total_disks());
-  if (!fault_error.empty()) return fault_error;
-  return "";
+  return fault_plan.Validate(num_nodes, total_disks());
 }
 
 std::string SimConfig::Describe() const {

@@ -159,16 +159,16 @@ struct SimConfig {
   // pre-size the kernel's event heap (Environment::ReserveCalendar) so a
   // steady-state run never reallocates it. Each terminal keeps a handful
   // of events in flight (frame timer, outstanding request, wait-list
-  // timer + its pending notification); disks, prefetch workers, and the
-  // per-node machinery add a few each. Generously rounded up — entries
-  // are ~40 bytes, so over-reserving is cheap and under-reserving costs
-  // mid-run reallocation.
+  // timer + its pending notification); disks, prefetch workers (each
+  // disk has its own prefetcher's workers), and the per-node machinery
+  // add a few each. Generously rounded up — entries are ~40 bytes, so
+  // over-reserving is cheap and under-reserving costs mid-run
+  // reallocation.
   std::size_t expected_peak_events() const {
     return static_cast<std::size_t>(terminals) * 8 +
-           static_cast<std::size_t>(total_disks()) * 16 +
-           static_cast<std::size_t>(num_nodes) *
-               (static_cast<std::size_t>(effective_prefetch_workers()) + 8) +
-           1024;
+           static_cast<std::size_t>(total_disks()) *
+               (16 + static_cast<std::size_t>(effective_prefetch_workers())) +
+           static_cast<std::size_t>(num_nodes) * 8 + 1024;
   }
   std::int64_t pool_pages_per_node() const {
     return server_memory_bytes / num_nodes / stripe_bytes;

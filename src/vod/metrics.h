@@ -11,6 +11,8 @@
 #include <type_traits>
 #include <variant>
 
+#include "vod/member_count.h"
+
 namespace spiffi::vod {
 
 struct SimMetrics {
@@ -240,23 +242,6 @@ inline void SetFieldValue(SimMetrics& m, const MetricField& field,
 
 namespace metrics_internal {
 
-// Converts to any field type; only ever named in unevaluated contexts.
-struct AnyField {
-  template <typename T>
-  operator T() const;
-};
-
-// Number of members of the aggregate T: the longest brace-initializer
-// list T accepts.
-template <typename T, typename... Fields>
-constexpr std::size_t CountMembers(Fields... fields) {
-  if constexpr (requires { T{fields..., AnyField{}}; }) {
-    return CountMembers<T>(fields..., AnyField{});
-  } else {
-    return sizeof...(Fields);
-  }
-}
-
 // No member, report key or probe name appears in two rows; kMean rows
 // are doubles (a mean of counts would truncate).
 template <std::size_t N>
@@ -281,8 +266,7 @@ constexpr bool RowsAreDistinct(const MetricField (&rows)[N]) {
 
 // Every SimMetrics member has exactly one row: as many rows as members,
 // and no member in two rows.
-static_assert(std::size(kMetricFields) ==
-                  metrics_internal::CountMembers<SimMetrics>(),
+static_assert(std::size(kMetricFields) == CountMembers<SimMetrics>(),
               "SimMetrics field count != kMetricFields rows: give each "
               "field one row");
 static_assert(metrics_internal::RowsAreDistinct(kMetricFields),

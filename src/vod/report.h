@@ -1,7 +1,8 @@
 // Machine-readable run reports (observability layer).
 //
 // A RunReport is the final self-description a run leaves behind: which
-// configuration ran (as a stable digest plus the human Describe() line),
+// configuration ran (as a stable digest, the human Describe() line, and
+// every knob as `key=value` tokens that replay it through trace_run),
 // how long it took in simulated and wall time, the collected SimMetrics,
 // and where the streamed telemetry (if any) went. Harnesses append one
 // JSON object per run to a JSONL file; tools/run_report.py renders them.
@@ -13,22 +14,16 @@
 #include <ostream>
 #include <string>
 
-#include "vod/config.h"
+#include "vod/config_knobs.h"
 #include "vod/metrics.h"
 
 namespace spiffi::vod {
-
-// FNV-1a digest over a canonical serialization of every SimConfig field
-// that affects simulation behaviour (seed included). Equal digests =>
-// bit-identical runs; any parameter change perturbs the digest. The
-// canonical form is platform-independent ("%.17g" for doubles), so
-// digests are comparable across machines.
-std::uint64_t ConfigDigest(const SimConfig& config);
 
 struct RunReport {
   std::string label;              // harness-assigned ("fig09/t=200", ...)
   std::string config_summary;     // SimConfig::Describe() one-liner
   std::uint64_t config_digest = 0;
+  std::string config_knobs;       // FormatConfig() `key=value` tokens
   std::uint64_t seed = 0;
   int terminals = 0;
   double sim_seconds = 0.0;       // warmup + measurement simulated

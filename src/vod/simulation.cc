@@ -11,6 +11,7 @@
 #include "layout/striping.h"
 #include "mpeg/library_cache.h"
 #include "sim/check.h"
+#include "vod/config_knobs.h"
 #include "vod/report.h"
 
 namespace spiffi::vod {
@@ -897,6 +898,7 @@ bool Simulation::Run(const std::atomic<bool>& cancel, SimMetrics* out,
     profile.seed = config_.seed;
     profile.config_digest = ConfigDigest(config_);
     profile.config_summary = config_.Describe();
+    profile.config_knobs = FormatConfig(config_);
     profile.metrics = *out;
     profile.kernel = obs::CaptureKernelProfile(*env_);
     profile.frame_window_refills = static_cast<std::uint64_t>(

@@ -49,6 +49,7 @@ struct RunProfile {
   std::uint64_t seed = 0;
   std::uint64_t config_digest = 0;  // ConfigDigest(config), see report.h
   std::string config_summary;       // SimConfig::Describe()
+  std::string config_knobs;         // FormatConfig(config), replayable
   SimMetrics metrics;               // what Run() returned
   obs::KernelProfile kernel;
   // Display-loop frame-size draws since construction (the registry's

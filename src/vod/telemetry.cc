@@ -1,8 +1,23 @@
 #include "vod/telemetry.h"
 
+#include <initializer_list>
+
 #include "sim/check.h"
 
 namespace spiffi::vod {
+
+namespace {
+
+// A channel that streams one of the Simulation's registry probes.
+struct ProbeChannel {
+  const char* channel;
+  const char* probe;
+  bool counter;  // else a gauge
+};
+constexpr bool kCounter = true;
+constexpr bool kGauge = false;
+
+}  // namespace
 
 TelemetryRecorder::TelemetryRecorder(Simulation* simulation,
                                      const TelemetryOptions& options)
@@ -17,6 +32,17 @@ TelemetryRecorder::TelemetryRecorder(Simulation* simulation,
 
 void TelemetryRecorder::RegisterChannels() {
   Simulation* sim = simulation_;
+  // Each probe is resolved once, here: a sample calls it directly.
+  auto mirror = [this, sim](std::initializer_list<ProbeChannel> rows) {
+    for (const ProbeChannel& row : rows) {
+      const auto& probe = sim->metrics().Probe(row.probe);
+      if (row.counter) {
+        series_.AddCounter(row.channel, probe);
+      } else {
+        series_.AddGauge(row.channel, probe);
+      }
+    }
+  };
 
   // --- Disks ---
   series_.AddGauge("disks.busy", [sim] {
@@ -51,17 +77,7 @@ void TelemetryRecorder::RegisterChannels() {
     }
     return total > 0 ? queue_sum / total : 0.0;
   });
-  series_.AddCounter("disks.reads", [sim] {
-    std::uint64_t reads = 0;
-    server::VideoServer& server = sim->server();
-    for (int n = 0; n < server.num_nodes(); ++n) {
-      server::Node& node = server.node(n);
-      for (int d = 0; d < node.num_disks(); ++d) {
-        reads += node.disk(d).requests_served();
-      }
-    }
-    return static_cast<double>(reads);
-  });
+  mirror({{"disks.reads", "disk.reads", kCounter}});
 
   // --- Node CPUs & buffer pools ---
   series_.AddGauge("cpus.busy", [sim] {
@@ -80,22 +96,8 @@ void TelemetryRecorder::RegisterChannels() {
     }
     return static_cast<double>(pages);
   });
-  series_.AddCounter("pool.references", [sim] {
-    std::uint64_t references = 0;
-    server::VideoServer& server = sim->server();
-    for (int n = 0; n < server.num_nodes(); ++n) {
-      references += server.node(n).pool().stats().references;
-    }
-    return static_cast<double>(references);
-  });
-  series_.AddCounter("pool.hits", [sim] {
-    std::uint64_t hits = 0;
-    server::VideoServer& server = sim->server();
-    for (int n = 0; n < server.num_nodes(); ++n) {
-      hits += server.node(n).pool().stats().hits;
-    }
-    return static_cast<double>(hits);
-  });
+  mirror({{"pool.references", "pool.references", kCounter},
+          {"pool.hits", "pool.hits", kCounter}});
 
   // --- Network ---
   series_.AddCounter("network.bytes", [sim] {
@@ -103,20 +105,8 @@ void TelemetryRecorder::RegisterChannels() {
   });
 
   // --- Terminals ---
-  series_.AddCounter("terminals.glitches", [sim] {
-    std::uint64_t glitches = 0;
-    for (int t = 0; t < sim->num_terminals(); ++t) {
-      glitches += sim->terminal(t).stats().glitches;
-    }
-    return static_cast<double>(glitches);
-  });
-  series_.AddCounter("terminals.frames", [sim] {
-    std::uint64_t frames = 0;
-    for (int t = 0; t < sim->num_terminals(); ++t) {
-      frames += sim->terminal(t).stats().frames_displayed;
-    }
-    return static_cast<double>(frames);
-  });
+  mirror({{"terminals.glitches", "terminal.glitches", kCounter},
+          {"terminals.frames", "terminal.frames_displayed", kCounter}});
   series_.AddGauge("terminals.priming", [sim] {
     int priming = 0;
     for (int t = 0; t < sim->num_terminals(); ++t) {
@@ -142,64 +132,20 @@ void TelemetryRecorder::RegisterChannels() {
     series_.AddGauge("share.open_groups", [sim] {
       return static_cast<double>(sim->stream_share()->open_group_count());
     });
-    series_.AddCounter("share.followers", [sim] {
-      return static_cast<double>(
-          sim->stream_share()->stats().followers_attached);
-    });
-    series_.AddCounter("share.patches", [sim] {
-      return static_cast<double>(
-          sim->stream_share()->stats().patchers_attached);
-    });
+    mirror({{"share.followers", "share.followers", kCounter},
+            {"share.patches", "share.patches", kCounter}});
   }
   if (sim->config().prefix_cache_fraction > 0.0) {
-    series_.AddGauge("pool.pinned_pages", [sim] {
-      std::int64_t pages = 0;
-      server::VideoServer& server = sim->server();
-      for (int n = 0; n < server.num_nodes(); ++n) {
-        pages += server.node(n).pool().pinned_pages();
-      }
-      return static_cast<double>(pages);
-    });
-    series_.AddCounter("pool.prefix_hits", [sim] {
-      std::uint64_t hits = 0;
-      server::VideoServer& server = sim->server();
-      for (int n = 0; n < server.num_nodes(); ++n) {
-        hits += server.node(n).pool().stats().prefix_hits;
-      }
-      return static_cast<double>(hits);
-    });
+    mirror({{"pool.pinned_pages", "pool.pinned_pages", kGauge},
+            {"pool.prefix_hits", "pool.prefix_hits", kCounter}});
   }
 
   // --- Proxy tier (only when proxies are configured) ---
   if (sim->num_proxies() > 0) {
-    series_.AddCounter("proxy.references", [sim] {
-      std::uint64_t sum = 0;
-      for (int p = 0; p < sim->num_proxies(); ++p) {
-        sum += sim->proxy_node(p).stats().references;
-      }
-      return static_cast<double>(sum);
-    });
-    series_.AddCounter("proxy.hits", [sim] {
-      std::uint64_t sum = 0;
-      for (int p = 0; p < sim->num_proxies(); ++p) {
-        sum += sim->proxy_node(p).stats().hits;
-      }
-      return static_cast<double>(sum);
-    });
-    series_.AddCounter("proxy.forwards", [sim] {
-      std::uint64_t sum = 0;
-      for (int p = 0; p < sim->num_proxies(); ++p) {
-        sum += sim->proxy_node(p).stats().forwards;
-      }
-      return static_cast<double>(sum);
-    });
-    series_.AddGauge("proxy.pages_in_use", [sim] {
-      std::int64_t sum = 0;
-      for (int p = 0; p < sim->num_proxies(); ++p) {
-        sum += sim->proxy_node(p).cache().pages_in_use();
-      }
-      return static_cast<double>(sum);
-    });
+    mirror({{"proxy.references", "proxy.references", kCounter},
+            {"proxy.hits", "proxy.hits", kCounter},
+            {"proxy.forwards", "proxy.forwards", kCounter},
+            {"proxy.pages_in_use", "proxy.pages_in_use", kGauge}});
   }
 
   // --- Fault injector (only on runs with an active FaultPlan, so
@@ -221,53 +167,32 @@ void TelemetryRecorder::RegisterChannels() {
       }
       return static_cast<double>(down);
     });
-    series_.AddCounter("fault.faults_injected", [sim] {
-      return static_cast<double>(
-          sim->fault_state()->StatsAt(sim->env().now()).faults_injected);
-    });
+    mirror({{"fault.faults_injected", "fault.faults_injected", kCounter}});
     if (sim->config().rebuild_mbps > 0.0) {
       series_.AddGauge("fault.disks_rebuilding", [sim] {
         return static_cast<double>(sim->fault_state()->disks_rebuilding());
       });
-      series_.AddCounter("fault.rebuild_bytes", [sim] {
-        return static_cast<double>(
-            sim->fault_state()->StatsAt(sim->env().now()).rebuild_bytes);
-      });
+      mirror({{"fault.rebuild_bytes", "fault.rebuild_bytes", kCounter}});
     }
   }
 
   // --- Admission control (only when a policy is active) ---
   if (sim->admission() != nullptr) {
-    series_.AddGauge("admission.active_sessions", [sim] {
-      return static_cast<double>(sim->admission()->active_sessions());
-    });
+    mirror({{"admission.active_sessions", "admission.active_sessions",
+             kGauge}});
     series_.AddGauge("admission.reserved_bytes_per_sec", [sim] {
       return sim->admission()->reserved_bytes_per_sec();
     });
-    series_.AddCounter("admission.defers", [sim] {
-      return static_cast<double>(sim->admission()->stats().defers);
-    });
-    series_.AddCounter("admission.rejects", [sim] {
-      return static_cast<double>(sim->admission()->stats().rejects);
-    });
+    mirror({{"admission.defers", "admission.defers", kCounter},
+            {"admission.rejects", "admission.rejects", kCounter}});
   }
 
   // --- Request retry (only when a retry budget is configured) ---
   if (sim->config().request_retry_budget > 0) {
-    series_.AddCounter("terminals.request_retries", [sim] {
-      std::uint64_t sum = 0;
-      for (int t = 0; t < sim->num_terminals(); ++t) {
-        sum += sim->terminal(t).stats().request_retries;
-      }
-      return static_cast<double>(sum);
-    });
-    series_.AddCounter("terminals.session_failovers", [sim] {
-      std::uint64_t sum = 0;
-      for (int t = 0; t < sim->num_terminals(); ++t) {
-        sum += sim->terminal(t).stats().session_failovers;
-      }
-      return static_cast<double>(sum);
-    });
+    mirror({{"terminals.request_retries", "terminal.request_retries",
+             kCounter},
+            {"terminals.session_failovers", "terminal.session_failovers",
+             kCounter}});
   }
 }
 

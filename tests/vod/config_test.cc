@@ -148,6 +148,19 @@ TEST(SimConfigTest, PrefetchWorkerDefaultsPerScheduler) {
   EXPECT_EQ(config.effective_prefetch_workers(), 2);
 }
 
+TEST(SimConfigTest, CalendarReserveCountsPrefetchWorkersOfEveryDisk) {
+  // server::Node builds one Prefetcher per disk, each with
+  // effective_prefetch_workers() workers, so a real-time config keeps up
+  // to 64 prefetch events pending per disk, however few terminals run.
+  SimConfig config;
+  config.disks_per_node = 16;
+  config.terminals = 10;
+  config.disk_sched = server::DiskSchedPolicy::kRealTime;
+  ASSERT_EQ(config.effective_prefetch_workers(), 64);
+  EXPECT_GE(config.expected_peak_events(),
+            static_cast<std::size_t>(config.total_disks()) * 64);
+}
+
 TEST(SimConfigTest, PrefetchTriggerDefaultsPerScheduler) {
   SimConfig config;
   config.disk_sched = server::DiskSchedPolicy::kElevator;

@@ -24,9 +24,9 @@ struct ThreeMembers {
 };
 
 TEST(MetricFieldsTest, GuardCountsMembersAndRejectsRepeatedRows) {
-  EXPECT_EQ(metrics_internal::CountMembers<ThreeMembers>(), 3u);
+  EXPECT_EQ(CountMembers<ThreeMembers>(), 3u);
   EXPECT_EQ(std::size(kMetricFields),
-            metrics_internal::CountMembers<SimMetrics>());
+            CountMembers<SimMetrics>());
   EXPECT_TRUE(metrics_internal::RowsAreDistinct(kMetricFields));
 
   constexpr MetricField kSameMember[] = {

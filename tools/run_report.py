@@ -14,11 +14,15 @@ Usage:
 
 Validation checks each line parses as JSON, carries every required
 field, and that the numeric fields are finite and sane (wall time and
-event counts non-negative, config digest 16 hex chars).
+event counts non-negative, config digest 16 hex chars). The optional
+`config_knobs` field, when present, must be space-separated `key=value`
+tokens (vod::FormatConfig): prefix each with `--` and pass them to
+`trace_run` to replay the run.
 """
 
 import json
 import math
+import re
 import sys
 
 REQUIRED_TOP = {
@@ -55,6 +59,11 @@ REQUIRED_METRICS = {
 }
 
 
+# One FormatConfig token: a dotted knob key, '=', a value without spaces
+# (the empty fault script writes an empty value).
+KNOB_TOKEN = re.compile(r"[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)?=\S*")
+
+
 def check(report, where):
     """Returns a list of problems with one parsed report object."""
     problems = []
@@ -65,6 +74,16 @@ def check(report, where):
             problems.append(
                 f"{where}: field '{field}' has type "
                 f"{type(report[field]).__name__}")
+    knobs = report.get("config_knobs")
+    if knobs is not None:
+        if not isinstance(knobs, str):
+            problems.append(f"{where}: field 'config_knobs' has type "
+                            f"{type(knobs).__name__}")
+        else:
+            for token in knobs.split():
+                if not KNOB_TOKEN.fullmatch(token):
+                    problems.append(f"{where}: config_knobs token "
+                                    f"'{token}' is not key=value")
     metrics = report.get("metrics")
     if isinstance(metrics, dict):
         for field, kind in REQUIRED_METRICS.items():
@@ -148,6 +167,8 @@ def render(reports):
         r = reports[0]
         print(f"\nconfig digest {r['config_digest']}  seed {r['seed']}")
         print(f"config: {r['config']}")
+        if r.get("config_knobs"):
+            print(f"knobs: {r['config_knobs']}")
         if r["telemetry_path"]:
             print(f"telemetry: {r['telemetry_path']}")
 
