@@ -9,50 +9,38 @@
 //    grows; this sweep isolates the terminal-memory axis at 16 disks.
 
 #include <cstdio>
-#include <string>
-#include <vector>
 
-#include "bench_common.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
-  spiffi::bench::InitHarness(argc, argv);
   using namespace spiffi;
-  bench::Preset preset = bench::ActivePreset();
-  bench::PrintHeader("disk read-ahead cache and terminal memory",
-                     "ablation", preset);
-
+  bench::InitHarness(argc, argv);
+  bench::Sweep cache;
+  cache.title = "disk read-ahead cache and terminal memory";
+  cache.paper_ref = "ablation";
+  cache.corner = {"cache context"};
+  cache.base = {"replacement=love-prefetch",
+                bench::Token("server_memory_bytes", 512 * hw::kMiB)};
+  cache.rows = bench::SizeAxis("disk.cache_context_bytes", {0, 64, 128, 256},
+                               hw::kKiB, "KB");
+  cache.cols = {{"max terminals", {}}};
+  const bench::Grid cache_grid = bench::RunSweep(cache);
   std::printf("-- read-ahead cache context size --\n");
-  vod::TextTable cache_table({"cache context", "max terminals"});
-  for (std::int64_t kb : {0LL, 64LL, 128LL, 256LL}) {
-    vod::SimConfig config = bench::BaseConfig(preset);
-    config.replacement = server::ReplacementPolicy::kLovePrefetch;
-    config.server_memory_bytes = 512 * hw::kMiB;
-    config.disk.cache_context_bytes = kb * hw::kKiB;
-    vod::CapacityResult result = vod::FindMaxTerminals(
-        config, bench::SearchOptions(preset, 200));
-    cache_table.AddRow({std::to_string(kb) + " KB",
-                        std::to_string(result.max_terminals)});
-    std::fprintf(stderr, "  cache %lld KB -> %d\n",
-                 static_cast<long long>(kb), result.max_terminals);
-  }
-  cache_table.Print();
+  bench::PrintSweep(cache, cache_grid);
 
-  std::printf("\n-- terminal memory (elevator, 512 KB stripe) --\n");
-  vod::TextTable term_table({"terminal memory", "max terminals"});
+  bench::Sweep terminal = cache;
+  terminal.title = nullptr;
+  terminal.corner = {"terminal memory"};
+  terminal.rows.clear();
   for (double mb : {1.5, 2.0, 2.5, 3.0, 4.0}) {
-    vod::SimConfig config = bench::BaseConfig(preset);
-    config.replacement = server::ReplacementPolicy::kLovePrefetch;
-    config.server_memory_bytes = 512 * hw::kMiB;
-    config.terminal_memory_bytes =
-        static_cast<std::int64_t>(mb * static_cast<double>(hw::kMiB));
-    vod::CapacityResult result = vod::FindMaxTerminals(
-        config, bench::SearchOptions(preset, 200));
-    term_table.AddRow({vod::FmtDouble(mb, 1) + " MB",
-                       std::to_string(result.max_terminals)});
-    std::fprintf(stderr, "  terminal %.1f MB -> %d\n", mb,
-                 result.max_terminals);
+    terminal.rows.push_back(
+        {vod::FmtDouble(mb, 1) + " MB",
+         {bench::Token("terminal_memory_bytes",
+                       static_cast<std::int64_t>(
+                           mb * static_cast<double>(hw::kMiB)))}});
   }
-  term_table.Print();
+  std::printf("\n-- terminal memory (elevator, 512 KB stripe) --\n");
+  bench::PrintSweep(terminal, bench::RunSweep(terminal));
   std::printf("\nMore terminal buffering tolerates longer worst-case "
               "service times and lifts the\nglitch-free capacity — the "
               "effect behind the elevator's poor scaleup in Table 2.\n");

@@ -5,64 +5,34 @@
 // while real-time scheduling benefits from it.
 
 #include <cstdio>
-#include <string>
-#include <vector>
 
-#include "bench_common.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
-  spiffi::bench::InitHarness(argc, argv);
   using namespace spiffi;
-  bench::Preset preset = bench::ActivePreset();
-  bench::PrintHeader("prefetch aggressiveness (workers per disk)",
-                     "ablation (§5.2.3 claim)", preset);
-
-  const std::vector<int> workers = {1, 4, 16, 64};
-  std::vector<std::string> headers = {"scheduler"};
-  headers.push_back("no prefetch");
-  for (int w : workers) headers.push_back(std::to_string(w));
-  vod::TextTable table(headers);
-
-  for (auto [name, policy, prefetch_trigger] :
-       {std::tuple{"elevator (on-reference trigger)",
-                   server::DiskSchedPolicy::kElevator,
-                   vod::SimConfig::TriggerMode::kOnReference},
-        std::tuple{"real-time (on-reference trigger)",
-                   server::DiskSchedPolicy::kRealTime,
-                   vod::SimConfig::TriggerMode::kOnReference}}) {
-    std::vector<std::string> row = {name};
-    // Baseline without prefetching.
-    {
-      vod::SimConfig config = bench::BaseConfig(preset);
-      config.disk_sched = policy;
-      config.server_memory_bytes = 512 * hw::kMiB;
-      config.replacement = server::ReplacementPolicy::kLovePrefetch;
-      config.prefetch = server::PrefetchPolicy::kNone;
-      vod::CapacityResult result = vod::FindMaxTerminals(
-          config, bench::SearchOptions(preset, 200));
-      row.push_back(std::to_string(result.max_terminals));
-      std::fprintf(stderr, "  %s, none -> %d\n", name,
-                   result.max_terminals);
-    }
-    for (int w : workers) {
-      vod::SimConfig config = bench::BaseConfig(preset);
-      config.disk_sched = policy;
-      config.server_memory_bytes = 512 * hw::kMiB;
-      config.replacement = server::ReplacementPolicy::kLovePrefetch;
-      config.prefetch = policy == server::DiskSchedPolicy::kRealTime
-                            ? server::PrefetchPolicy::kRealTime
-                            : server::PrefetchPolicy::kFifo;
-      config.prefetch_workers = w;
-      config.prefetch_trigger = prefetch_trigger;
-      vod::CapacityResult result = vod::FindMaxTerminals(
-          config, bench::SearchOptions(preset, 200));
-      row.push_back(std::to_string(result.max_terminals));
-      std::fprintf(stderr, "  %s, %d workers -> %d\n", name, w,
-                   result.max_terminals);
-    }
-    table.AddRow(row);
+  bench::InitHarness(argc, argv);
+  bench::Sweep spec;
+  spec.title = "prefetch aggressiveness (workers per disk)";
+  spec.paper_ref = "ablation (§5.2.3 claim)";
+  spec.corner = {"scheduler"};
+  spec.base = {bench::Token("server_memory_bytes", 512 * hw::kMiB),
+               "replacement=love-prefetch"};
+  spec.rows = {
+      {"elevator (on-reference trigger)",
+       {"disk_sched=elevator", "prefetch=fifo",
+        "prefetch_trigger=on-reference"}},
+      {"real-time (on-reference trigger)",
+       {"disk_sched=real-time", "prefetch=real-time",
+        "prefetch_trigger=on-reference"}},
+  };
+  // The baseline without prefetching keeps the default trigger.
+  spec.cols = {{"no prefetch", {"prefetch=none", "prefetch_trigger=auto"}}};
+  for (const bench::SweepPoint& workers : bench::Axis<int>(
+           "prefetch_workers", {1, 4, 16, 64},
+           [](int w) { return std::to_string(w); })) {
+    spec.cols.push_back(workers);
   }
-  table.Print();
+  bench::PrintSweep(spec, bench::RunSweep(spec));
   std::printf("\nElevator cannot distinguish a prefetch from an urgent "
               "demand read, so aggressive\nprefetching clogs its queue; "
               "the real-time scheduler parks prefetches in the\nlowest "

@@ -4,44 +4,24 @@
 // was little variation in the performance of the system."
 
 #include <cstdio>
-#include <string>
-#include <vector>
 
-#include "bench_common.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
-  spiffi::bench::InitHarness(argc, argv);
   using namespace spiffi;
-  bench::Preset preset = bench::ActivePreset();
-  bench::PrintHeader("real-time priority classes x spacing",
-                     "ablation (§7.2 claim)", preset);
-
-  const std::vector<int> classes = {1, 2, 3, 5};
-  const std::vector<double> spacings = {1.0, 2.0, 4.0, 8.0};
-
-  std::vector<std::string> headers = {"classes \\ spacing"};
-  for (double s : spacings) {
-    headers.push_back(vod::FmtDouble(s, 0) + " s");
-  }
-  vod::TextTable table(headers);
-
-  for (int c : classes) {
-    std::vector<std::string> row = {std::to_string(c)};
-    for (double s : spacings) {
-      vod::SimConfig config = bench::BaseConfig(preset);
-      config.disk_sched = server::DiskSchedPolicy::kRealTime;
-      config.realtime_classes = c;
-      config.realtime_spacing_sec = s;
-      config.prefetch = server::PrefetchPolicy::kRealTime;
-      vod::CapacityResult result = vod::FindMaxTerminals(
-          config, bench::SearchOptions(preset, 220));
-      row.push_back(std::to_string(result.max_terminals));
-      std::fprintf(stderr, "  %d classes, %.0f s -> %d\n", c, s,
-                   result.max_terminals);
-    }
-    table.AddRow(row);
-  }
-  table.Print();
+  bench::InitHarness(argc, argv);
+  bench::Sweep spec;
+  spec.title = "real-time priority classes x spacing";
+  spec.paper_ref = "ablation (§7.2 claim)";
+  spec.corner = {"classes \\ spacing"};
+  spec.base = {"disk_sched=real-time", "prefetch=real-time"};
+  spec.rows = bench::Axis<int>("realtime_classes", {1, 2, 3, 5},
+                               [](int c) { return std::to_string(c); });
+  spec.cols = bench::Axis<double>(
+      "realtime_spacing_sec", {1.0, 2.0, 4.0, 8.0},
+      [](double s) { return vod::FmtDouble(s, 0) + " s"; });
+  spec.search.start_guess = 220;
+  bench::PrintSweep(spec, bench::RunSweep(spec));
   std::printf("\nAs the paper observed, the setting barely matters: one "
               "class degenerates to the\nelevator and more classes only "
               "refine the urgency ordering slightly.\n");

@@ -16,15 +16,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "mpeg/library_cache.h"
 #include "obs/kernel_profile.h"
-#include "vod/capacity.h"
 #include "vod/config.h"
 #include "vod/metrics.h"
 #include "vod/report.h"
@@ -36,15 +37,15 @@ namespace spiffi::bench {
 
 enum class Preset { kSmoke, kFast, kFull };
 
-// Command-line preset override (--smoke / --full); 0 = none.
-inline int& PresetOverride() {
-  static int value = 0;
-  return value;
+// Command-line preset override: --smoke / --full on any harness binary
+// select the preset directly, above SPIFFI_BENCH_SMOKE / _FULL.
+inline std::optional<Preset>& PresetOverride() {
+  static std::optional<Preset> preset;
+  return preset;
 }
 
 inline Preset ActivePreset() {
-  if (PresetOverride() == 1) return Preset::kSmoke;
-  if (PresetOverride() == 2) return Preset::kFull;
+  if (PresetOverride()) return *PresetOverride();
   const char* full = std::getenv("SPIFFI_BENCH_FULL");
   if (full != nullptr && full[0] == '1') return Preset::kFull;
   const char* smoke = std::getenv("SPIFFI_BENCH_SMOKE");
@@ -52,22 +53,9 @@ inline Preset ActivePreset() {
   return Preset::kFast;
 }
 
-// --smoke / --full on any harness binary select the preset directly
-// (equivalent to SPIFFI_BENCH_SMOKE=1 / SPIFFI_BENCH_FULL=1).
-inline void ParsePreset(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) PresetOverride() = 1;
-    if (std::strcmp(argv[i], "--full") == 0) PresetOverride() = 2;
-  }
-}
-
 inline const char* PresetName(Preset preset) {
-  switch (preset) {
-    case Preset::kSmoke: return "smoke";
-    case Preset::kFast: return "fast";
-    case Preset::kFull: return "full";
-  }
-  return "?";
+  constexpr const char* kNames[] = {"smoke", "fast", "full"};  // enum order
+  return kNames[static_cast<int>(preset)];
 }
 
 // Paper base configuration (§7): 4 processors x 4 disks, 64 one-hour
@@ -112,49 +100,11 @@ inline int& JobsSetting() {
 // The resolved worker count the harness will actually use.
 inline int ActiveJobs() { return vod::ResolveJobs(JobsSetting()); }
 
-inline void ParseJobs(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      JobsSetting() = std::atoi(argv[i + 1]);
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      JobsSetting() = std::atoi(argv[i] + 7);
-    }
-  }
-}
-
-inline vod::CapacitySearchOptions SearchOptions(Preset preset,
-                                                int start_guess = 200) {
-  vod::CapacitySearchOptions options;
-  options.start_guess = start_guess;
-  options.max_terminals = 2000;
-  options.jobs = JobsSetting();
-  switch (preset) {
-    case Preset::kSmoke:
-      options.step = 20;
-      options.replications = 1;
-      break;
-    case Preset::kFast:
-      options.step = 5;
-      options.replications = 1;
-      break;
-    case Preset::kFull:
-      options.step = 5;
-      options.replications = 3;
-      break;
-  }
-  return options;
-}
-
 inline void PrintHeader(const char* experiment, const char* paper_ref,
                         Preset preset) {
   std::printf("=== %s (%s) — preset: %s ===\n", experiment, paper_ref,
               PresetName(preset));
 }
-
-// Memory sweep used by Figs 11-16 (aggregate server memory, MB).
-inline const std::int64_t kMemorySweepMiB[] = {128, 256, 512,
-                                               1024, 2048, 4096};
-inline constexpr int kMemorySweepPoints = 6;
 
 // --- Kernel self-profiling (--profile mode) ---
 //
@@ -176,11 +126,9 @@ inline constexpr int kMemorySweepPoints = 6;
 // among them that took the scalar path (mpeg/frame_window.h).
 
 struct ProfileCollector {
-  bool enabled = false;         // --profile: kernel self-profile JSON
-  bool report_enabled = false;  // --report: JSONL run reports
   std::string harness = "bench";
-  std::string path = "bench_profile.json";
-  std::string report_path = "bench_report.jsonl";
+  std::string path = "bench_profile.json";          // --profile
+  std::string report_path = "bench_report.jsonl";  // --report
   std::mutex mutex;  // runs arrive concurrently from worker threads
   std::vector<vod::RunProfile> runs;
   std::chrono::steady_clock::time_point start;
@@ -191,23 +139,8 @@ inline ProfileCollector& Profiler() {
   return collector;
 }
 
-// Both --profile and --report feed off the same run-observer stream;
-// install the collector exactly once no matter which (or both) is on.
-inline void EnsureRunCollector() {
-  static bool installed = false;
-  if (installed) return;
-  installed = true;
-  Profiler().start = std::chrono::steady_clock::now();
-  vod::SetRunObserver([](const vod::RunProfile& profile) {
-    ProfileCollector& sink = Profiler();
-    std::lock_guard<std::mutex> lock(sink.mutex);
-    sink.runs.push_back(profile);
-  });
-}
-
 inline void WriteProfileReport() {
   ProfileCollector& collector = Profiler();
-  if (!collector.enabled) return;
   std::ofstream out(collector.path);
   if (!out) {
     std::fprintf(stderr, "profile: cannot write %s\n",
@@ -267,20 +200,9 @@ inline void WriteProfileReport() {
       speedup, wall > 0.0 ? events / wall : 0.0);
 }
 
-inline void EnableProfile(const std::string& harness,
-                          const std::string& path) {
-  ProfileCollector& collector = Profiler();
-  collector.enabled = true;
-  collector.harness = harness;
-  if (!path.empty()) collector.path = path;
-  EnsureRunCollector();
-  std::atexit(WriteProfileReport);
-}
-
 // Writes one vod::RunReport JSON object per collected run (JSONL).
 inline void WriteRunReports() {
   ProfileCollector& collector = Profiler();
-  if (!collector.report_enabled) return;
   std::ofstream out(collector.report_path);
   if (!out) {
     std::fprintf(stderr, "report: cannot write %s\n",
@@ -310,16 +232,6 @@ inline void WriteRunReports() {
               collector.runs.size());
 }
 
-inline void EnableReport(const std::string& harness,
-                         const std::string& path) {
-  ProfileCollector& collector = Profiler();
-  collector.report_enabled = true;
-  collector.harness = harness;
-  if (!path.empty()) collector.report_path = path;
-  EnsureRunCollector();
-  std::atexit(WriteRunReports);
-}
-
 // --- Live fleet progress (--progress mode) ---
 //
 // A detached printer thread samples ParallelRunner::SnapshotAllRunners()
@@ -330,7 +242,6 @@ inline void EnableReport(const std::string& harness,
 // untouched either way.
 
 struct ProgressPrinter {
-  bool enabled = false;
   double interval_sec = 2.0;
   std::atomic<bool> stop{false};
   std::thread thread;
@@ -346,16 +257,15 @@ inline void ProgressThreadMain() {
   ProgressPrinter& printer = Progress();
   std::uint64_t last_events = 0;
   auto last_sample = printer.start;
-  auto next_print = printer.start +
-                    std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(printer.interval_sec));
+  const auto interval =
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(printer.interval_sec));
+  auto next_print = printer.start + interval;
   while (!printer.stop.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     auto now = std::chrono::steady_clock::now();
     if (now < next_print) continue;
-    next_print = now + std::chrono::duration_cast<
-                           std::chrono::steady_clock::duration>(
-                           std::chrono::duration<double>(printer.interval_sec));
+    next_print = now + interval;
     vod::ParallelRunner::FleetProgress fleet =
         vod::ParallelRunner::SnapshotAllRunners();
     double elapsed =
@@ -386,15 +296,12 @@ inline void ProgressThreadMain() {
 
 inline void StopProgress() {
   ProgressPrinter& printer = Progress();
-  if (!printer.enabled) return;
   printer.stop.store(true, std::memory_order_relaxed);
   if (printer.thread.joinable()) printer.thread.join();
 }
 
 inline void EnableProgress(double interval_sec) {
   ProgressPrinter& printer = Progress();
-  if (printer.enabled) return;
-  printer.enabled = true;
   if (interval_sec > 0.0) printer.interval_sec = interval_sec;
   printer.start = std::chrono::steady_clock::now();
   printer.thread = std::thread(ProgressThreadMain);
@@ -403,13 +310,8 @@ inline void EnableProgress(double interval_sec) {
 
 // The harness label: the binary's file name.
 inline std::string HarnessName(int argc, char** argv) {
-  std::string harness = "bench";
-  if (argc > 0 && argv[0] != nullptr) {
-    harness = argv[0];
-    std::size_t slash = harness.find_last_of('/');
-    if (slash != std::string::npos) harness = harness.substr(slash + 1);
-  }
-  return harness;
+  if (argc == 0 || argv[0] == nullptr) return "bench";
+  return std::filesystem::path(argv[0]).filename().string();
 }
 
 // True when `flag` or `flag=VALUE` is among the arguments, or the
@@ -442,14 +344,37 @@ inline bool FlagOrEnv(int argc, char** argv, const char* flag,
 //   --progress[=SEC]  (or SPIFFI_BENCH_PROGRESS=1): fleet status on
 //                     stderr every SEC seconds (default 2).
 inline void InitHarness(int argc, char** argv) {
-  ParsePreset(argc, argv);
-  ParseJobs(argc, argv);
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) PresetOverride() = Preset::kSmoke;
+    if (std::strcmp(argv[i], "--full") == 0) PresetOverride() = Preset::kFull;
+    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
+      JobsSetting() = std::atoi(argv[i + 1]);
+    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
+      JobsSetting() = std::atoi(argv[i] + 7);
+    }
+  }
+  ProfileCollector& collector = Profiler();
+  collector.harness = HarnessName(argc, argv);
   std::string value;
+  bool collect = false;
   if (FlagOrEnv(argc, argv, "--profile", "SPIFFI_BENCH_PROFILE", &value)) {
-    EnableProfile(HarnessName(argc, argv), value);
+    if (!value.empty()) collector.path = value;
+    std::atexit(WriteProfileReport);
+    collect = true;
   }
   if (FlagOrEnv(argc, argv, "--report", "SPIFFI_BENCH_REPORT", &value)) {
-    EnableReport(HarnessName(argc, argv), value);
+    if (!value.empty()) collector.report_path = value;
+    std::atexit(WriteRunReports);
+    collect = true;
+  }
+  // Both feed off the same run-observer stream.
+  if (collect) {
+    collector.start = std::chrono::steady_clock::now();
+    vod::SetRunObserver([](const vod::RunProfile& profile) {
+      ProfileCollector& sink = Profiler();
+      std::lock_guard<std::mutex> lock(sink.mutex);
+      sink.runs.push_back(profile);
+    });
   }
   if (FlagOrEnv(argc, argv, "--progress", "SPIFFI_BENCH_PROGRESS", &value)) {
     EnableProgress(std::atof(value.c_str()));

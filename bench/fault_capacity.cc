@@ -12,105 +12,56 @@
 // replicated layouts serve on through re-routed reads.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
-#include "bench_common.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
-  // --smoke pins the seconds-long preset regardless of environment (the
-  // CI smoke step uses it so a stray SPIFFI_BENCH_FULL cannot stall the
-  // pipeline).
-  bool force_smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) force_smoke = true;
-  }
-  spiffi::bench::InitHarness(argc, argv);
   using namespace spiffi;
-  bench::Preset preset =
-      force_smoke ? bench::Preset::kSmoke : bench::ActivePreset();
-  bench::PrintHeader("degraded-mode capacity",
-                     "fault injection, beyond §9", preset);
+  bench::InitHarness(argc, argv);
+  const bool smoke = bench::ActivePreset() == bench::Preset::kSmoke;
 
-  struct Layout {
-    std::string name;
-    vod::VideoPlacement placement;
-    int replicas;
-    int start_guess;
+  bench::Sweep layouts;
+  layouts.title = "degraded-mode capacity";
+  layouts.paper_ref = "fault injection, beyond §9";
+  layouts.corner = {"layout"};
+  layouts.base = {"fault_plan.disk_repair_mean_sec=15"};
+  layouts.rows = {
+      {"striped (no copies)", {"placement=striped", "replica_count=2"}},
+      {"replicated x2", {"placement=replicated-striped", "replica_count=2"}},
+      {"replicated x3", {"placement=replicated-striped", "replica_count=3"}},
   };
-  std::vector<Layout> layouts = {
-      {"striped (no copies)", vod::VideoPlacement::kStriped, 1, 200},
-      {"replicated x2", vod::VideoPlacement::kReplicatedStriped, 2, 200},
-      {"replicated x3", vod::VideoPlacement::kReplicatedStriped, 3, 200},
-  };
-
   // Per-disk MTBF (0 disables fault injection). The rates are chosen so
   // the 16-disk fleet sees roughly 0 / ~1 / ~4 failures per measurement
   // window at the fast preset; repairs take 15 s on average, well inside
-  // the window, so MTTR and re-route counters are exercised too.
-  struct Rate {
-    std::string name;
-    double disk_mtbf_sec;
+  // the window, so MTTR and re-route counters are exercised too. Shorter
+  // smoke windows need proportionally hotter failure rates.
+  layouts.cols = {
+      {"healthy", {"fault_plan.disk_mtbf_sec=0"}},
+      {"1 fail/window", {bench::Token("fault_plan.disk_mtbf_sec",
+                                      smoke ? 500.0 : 2000.0)}},
+      {"4 fails/window", {bench::Token("fault_plan.disk_mtbf_sec",
+                                       smoke ? 125.0 : 500.0)}},
   };
-  std::vector<Rate> rates = {
-      {"healthy", 0.0},
-      {"1 fail/window", 2000.0},
-      {"4 fails/window", 500.0},
+  if (smoke) layouts.rows.pop_back();  // x3 adds nothing qualitative
+  layouts.extra = {"rerouted @ worst", "mttr @ worst"};
+  layouts.extra_cells = [](const bench::Grid& grid, std::size_t r) {
+    const vod::SimMetrics& worst = grid[r].back().metrics;
+    // Degraded reads dodge the dead disk two ways: redirected at issue
+    // by fault-aware terminals, or re-routed node-to-node in flight.
+    return bench::Cells{
+        std::to_string(worst.requests_redirected + worst.rerouted_requests),
+        vod::FmtDouble(worst.mttr_sec, 1) + " s"};
   };
-  if (preset == bench::Preset::kSmoke) {
-    // Shorter windows need proportionally hotter failure rates.
-    rates[1].disk_mtbf_sec = 500.0;
-    rates[2].disk_mtbf_sec = 125.0;
-    layouts.pop_back();  // x3 adds nothing qualitative to the smoke run
-  }
-
-  std::vector<std::string> headers = {"layout"};
-  for (const Rate& r : rates) headers.push_back(r.name);
-  headers.push_back("rerouted @ worst");
-  headers.push_back("mttr @ worst");
-  vod::TextTable table(headers);
-
-  for (const Layout& layout : layouts) {
-    std::vector<std::string> row = {layout.name};
-    vod::SimMetrics worst;
-    for (const Rate& rate : rates) {
-      vod::SimConfig config = bench::BaseConfig(preset);
-      config.placement = layout.placement;
-      config.replica_count = layout.replicas > 1 ? layout.replicas : 2;
-      config.fault_plan.disk_mtbf_sec = rate.disk_mtbf_sec;
-      config.fault_plan.disk_repair_mean_sec = 15.0;
-      vod::CapacitySearchOptions options =
-          bench::SearchOptions(preset, layout.start_guess);
-      vod::CapacityResult result = vod::FindMaxTerminals(config, options);
-      row.push_back(std::to_string(result.max_terminals));
-      worst = result.at_capacity;
-      // Degraded reads dodge the dead disk two ways: redirected at issue
-      // by fault-aware terminals, or re-routed node-to-node in flight.
-      std::fprintf(stderr, "  %s, %s -> %d (rerouted %llu, mttr %.1fs)\n",
-                   layout.name.c_str(), rate.name.c_str(),
-                   result.max_terminals,
-                   static_cast<unsigned long long>(
-                       worst.requests_redirected + worst.rerouted_requests),
-                   worst.mttr_sec);
-    }
-    row.push_back(std::to_string(worst.requests_redirected +
-                                 worst.rerouted_requests));
-    char mttr[32];
-    std::snprintf(mttr, sizeof(mttr), "%.1f s", worst.mttr_sec);
-    row.push_back(mttr);
-    table.AddRow(row);
-  }
-  table.Print();
+  bench::PrintSweep(layouts, bench::RunSweep(layouts));
   std::printf(
       "\nReading: plain striping loses most of its capacity the moment "
       "disks start\nfailing (any stream crossing a dead disk glitches "
       "until the repair lands),\nwhile chained-declustered replication "
       "re-routes reads to the surviving copy\nand holds capacity near "
-      "the healthy figure at the cost of %dx storage.\n",
-      2);
+      "the healthy figure at the cost of 2x storage.\n");
 
-  // --- Resilience layers on top of re-routing (ISSUE 9) ---
+  // --- Resilience layers on top of re-routing ---
   //
   // Same replicated-x2 layout at the hottest failure rate, stepping up
   // through the resilience stack: admission control (refuse streams the
@@ -120,57 +71,35 @@ int main(int argc, char** argv) {
   // peers at a throttled rate). The capacity search measures how many
   // glitch-free terminals each stack level sustains under the same
   // fault pressure as the reroute-only baseline above.
-  struct Mode {
-    std::string name;
-    vod::AdmissionPolicy policy;
-    int retry_budget;
-    double rebuild_mbps;
-  };
-  std::vector<Mode> modes = {
-      {"reroute only", vod::AdmissionPolicy::kOff, 0, 0.0},
-      {"+admission", vod::AdmissionPolicy::kStaticReservation, 0, 0.0},
-      {"+retry", vod::AdmissionPolicy::kOff, 2, 0.0},
+  bench::Sweep resilience;
+  resilience.corner = {"resilience"};
+  resilience.base = layouts.base;
+  resilience.base.push_back("placement=replicated-striped");
+  resilience.base.push_back("replica_count=2");
+  resilience.base.push_back(layouts.cols.back().tokens[0]);
+  resilience.rows = {
+      {"reroute only", {}},
+      {"+admission", {"admission_policy=static-reservation"}},
+      {"+retry", {"request_retry_budget=2"}},
       // Rebuild throttled to ~3% of a disk's bandwidth: redundancy is
       // restored without eating the capacity retry wins back.
       {"+admission+retry+rebuild",
-       vod::AdmissionPolicy::kStaticReservation, 2, 2.0},
+       {"admission_policy=static-reservation", "request_retry_budget=2",
+        "rebuild_mbps=2"}},
   };
-
-  const Rate& worst_rate = rates.back();
-  vod::TextTable resilience_table(
-      {"resilience", "capacity", "retries", "failovers", "rebuilds",
-       "defers"});
-  for (const Mode& mode : modes) {
-    vod::SimConfig config = bench::BaseConfig(preset);
-    config.placement = vod::VideoPlacement::kReplicatedStriped;
-    config.replica_count = 2;
-    config.fault_plan.disk_mtbf_sec = worst_rate.disk_mtbf_sec;
-    config.fault_plan.disk_repair_mean_sec = 15.0;
-    config.admission_policy = mode.policy;
-    config.request_retry_budget = mode.retry_budget;
-    config.rebuild_mbps = mode.rebuild_mbps;
-    vod::CapacitySearchOptions options = bench::SearchOptions(preset, 200);
-    vod::CapacityResult result = vod::FindMaxTerminals(config, options);
-    const vod::SimMetrics& at = result.at_capacity;
-    std::fprintf(stderr,
-                 "  %s @ %s -> %d (retries %llu, failovers %llu, "
-                 "rebuilds %llu, defers %llu)\n",
-                 mode.name.c_str(), worst_rate.name.c_str(),
-                 result.max_terminals,
-                 static_cast<unsigned long long>(at.request_retries),
-                 static_cast<unsigned long long>(at.session_failovers),
-                 static_cast<unsigned long long>(at.rebuilds_completed),
-                 static_cast<unsigned long long>(at.admission_defers));
-    resilience_table.AddRow(
-        {mode.name, std::to_string(result.max_terminals),
-         std::to_string(at.request_retries),
-         std::to_string(at.session_failovers),
-         std::to_string(at.rebuilds_completed),
-         std::to_string(at.admission_defers)});
-  }
+  resilience.cols = {{"capacity", {}}};
+  resilience.extra = {"retries", "failovers", "rebuilds", "defers"};
+  resilience.extra_cells = [](const bench::Grid& grid, std::size_t r) {
+    const vod::SimMetrics& at = grid[r][0].metrics;
+    return bench::Cells{std::to_string(at.request_retries),
+                        std::to_string(at.session_failovers),
+                        std::to_string(at.rebuilds_completed),
+                        std::to_string(at.admission_defers)};
+  };
+  const bench::Grid grid = bench::RunSweep(resilience);
   std::printf("\nresilience stack, replicated x2 @ %s:\n",
-              worst_rate.name.c_str());
-  resilience_table.Print();
+              layouts.cols.back().label.c_str());
+  bench::PrintSweep(resilience, grid);
   std::printf(
       "\nReading: retry converts silent waits on a dead replica into "
       "immediate\nre-issues against the surviving copy, admission sheds "

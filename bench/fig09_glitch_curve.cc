@@ -5,29 +5,27 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_common.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
-  spiffi::bench::InitHarness(argc, argv);
   using namespace spiffi;
-  bench::Preset preset = bench::ActivePreset();
-  bench::PrintHeader("glitches vs. number of terminals", "Figure 9",
-                     preset);
-
-  vod::SimConfig config = bench::BaseConfig(preset);
-  std::printf("config: %s\n\n", config.Describe().c_str());
-
+  bench::InitHarness(argc, argv);
   // Locate the capacity first so the sweep brackets it like the paper's
   // example does.
-  vod::CapacityResult capacity =
-      vod::FindMaxTerminals(config, bench::SearchOptions(preset));
-  int c = capacity.max_terminals;
+  bench::Sweep spec;
+  spec.title = "glitches vs. number of terminals";
+  spec.paper_ref = "Figure 9";
+  spec.rows = {{"base config", {}}};
+  spec.cols = {{"max terminals", {}}};
+  const bench::Cell capacity = bench::RunSweep(spec)[0][0];
+  std::printf("config: %s\n\n", capacity.config.Describe().c_str());
+  const int c = capacity.terminals;
 
   std::vector<int> counts;
   for (int delta : {-40, -20, -10, 0, 10, 20, 40, 60}) {
     if (c + delta > 0) counts.push_back(c + delta);
   }
-  auto curve = vod::GlitchCurve(config, counts, /*replications=*/1,
+  auto curve = vod::GlitchCurve(capacity.config, counts, /*replications=*/1,
                                 bench::JobsSetting());
 
   vod::TextTable table({"terminals", "glitches"});

@@ -7,54 +7,26 @@
 // real-time prefetching; the non-real-time algorithms use the limited
 // prefetch setting.
 
-#include <cstdio>
-#include <string>
-#include <vector>
-
-#include "bench_common.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
-  spiffi::bench::InitHarness(argc, argv);
   using namespace spiffi;
-  bench::Preset preset = bench::ActivePreset();
-  bench::PrintHeader("disk scheduling algorithms x stripe sizes",
-                     "Figure 10", preset);
-
-  struct Algorithm {
-    std::string name;
-    server::DiskSchedPolicy policy;
-    int rt_classes = 3;
+  bench::InitHarness(argc, argv);
+  bench::Sweep spec;
+  spec.title = "disk scheduling algorithms x stripe sizes";
+  spec.paper_ref = "Figure 10";
+  spec.corner = {"algorithm"};
+  spec.base = {"gss_groups=1", "realtime_classes=3"};
+  spec.rows = {
+      {"elevator", {"disk_sched=elevator"}},
+      {"gss (1 group)", {"disk_sched=gss"}},
+      {"round-robin", {"disk_sched=round-robin"}},
+      {"real-time (2,4s)",
+       {"disk_sched=real-time", "realtime_classes=2", "prefetch=real-time"}},
+      {"real-time (3,4s)", {"disk_sched=real-time", "prefetch=real-time"}},
   };
-  std::vector<Algorithm> algorithms = {
-      {"elevator", server::DiskSchedPolicy::kElevator},
-      {"gss (1 group)", server::DiskSchedPolicy::kGss},
-      {"round-robin", server::DiskSchedPolicy::kRoundRobin},
-      {"real-time (2,4s)", server::DiskSchedPolicy::kRealTime, 2},
-      {"real-time (3,4s)", server::DiskSchedPolicy::kRealTime, 3},
-  };
-  const std::vector<std::int64_t> stripe_kb = {128, 256, 512, 1024};
-
-  vod::TextTable table({"algorithm", "128 KB", "256 KB", "512 KB",
-                        "1024 KB"});
-  for (const Algorithm& alg : algorithms) {
-    std::vector<std::string> row = {alg.name};
-    for (std::int64_t kb : stripe_kb) {
-      vod::SimConfig config = bench::BaseConfig(preset);
-      config.disk_sched = alg.policy;
-      config.gss_groups = 1;
-      config.realtime_classes = alg.rt_classes;
-      config.stripe_bytes = kb * 1024;
-      if (alg.policy == server::DiskSchedPolicy::kRealTime) {
-        config.prefetch = server::PrefetchPolicy::kRealTime;
-      }
-      vod::CapacityResult result = vod::FindMaxTerminals(
-          config, bench::SearchOptions(preset, /*start_guess=*/200));
-      row.push_back(std::to_string(result.max_terminals));
-      std::fprintf(stderr, "  %s @ %lld KB -> %d\n", alg.name.c_str(),
-                   static_cast<long long>(kb), result.max_terminals);
-    }
-    table.AddRow(row);
-  }
-  table.Print();
+  spec.cols = bench::SizeAxis("stripe_bytes", {128, 256, 512, 1024}, hw::kKiB,
+                              "KB");
+  bench::PrintSweep(spec, bench::RunSweep(spec));
   return 0;
 }

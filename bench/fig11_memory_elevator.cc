@@ -2,52 +2,19 @@
 // scheduling — global LRU vs. love prefetch page replacement as the
 // aggregate server memory shrinks from 4 GB to 128 MB (§7.3).
 
-#include <cstdio>
-#include <string>
-#include <vector>
-
-#include "bench_common.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
-  spiffi::bench::InitHarness(argc, argv);
   using namespace spiffi;
-  bench::Preset preset = bench::ActivePreset();
-  bench::PrintHeader("server memory vs. page replacement (elevator)",
-                     "Figure 11", preset);
-
-  struct Policy {
-    std::string name;
-    server::ReplacementPolicy replacement;
-  };
-  std::vector<Policy> policies = {
-      {"global LRU", server::ReplacementPolicy::kGlobalLru},
-      {"love prefetch", server::ReplacementPolicy::kLovePrefetch},
-  };
-
-  vod::TextTable table({"server memory", "global LRU", "love prefetch"});
-  std::vector<std::vector<int>> results(
-      bench::kMemorySweepPoints, std::vector<int>(policies.size()));
-  for (std::size_t p = 0; p < policies.size(); ++p) {
-    for (int m = 0; m < bench::kMemorySweepPoints; ++m) {
-      vod::SimConfig config = bench::BaseConfig(preset);
-      config.disk_sched = server::DiskSchedPolicy::kElevator;
-      config.replacement = policies[p].replacement;
-      config.server_memory_bytes =
-          bench::kMemorySweepMiB[m] * hw::kMiB;
-      vod::CapacityResult result = vod::FindMaxTerminals(
-          config, bench::SearchOptions(preset, 200));
-      results[m][p] = result.max_terminals;
-      std::fprintf(stderr, "  %s @ %lld MB -> %d\n",
-                   policies[p].name.c_str(),
-                   static_cast<long long>(bench::kMemorySweepMiB[m]),
-                   result.max_terminals);
-    }
-  }
-  for (int m = 0; m < bench::kMemorySweepPoints; ++m) {
-    table.AddRow({std::to_string(bench::kMemorySweepMiB[m]) + " MB",
-                  std::to_string(results[m][0]),
-                  std::to_string(results[m][1])});
-  }
-  table.Print();
+  bench::InitHarness(argc, argv);
+  bench::Sweep spec;
+  spec.title = "server memory vs. page replacement (elevator)";
+  spec.paper_ref = "Figure 11";
+  spec.corner = {"server memory"};
+  spec.base = {"disk_sched=elevator"};
+  spec.rows = bench::MemoryAxis({128, 256, 512, 1024, 2048, 4096});
+  spec.cols = {{"global LRU", {"replacement=global-lru"}},
+               {"love prefetch", {"replacement=love-prefetch"}}};
+  bench::PrintSweep(spec, bench::RunSweep(spec));
   return 0;
 }

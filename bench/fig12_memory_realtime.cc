@@ -3,70 +3,27 @@
 // prefetching — global LRU vs. love prefetch vs. love prefetch plus
 // delayed prefetching with 8 s and 4 s maximum advance (§7.3).
 
-#include <cstdio>
-#include <string>
-#include <vector>
-
-#include "bench_common.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
-  spiffi::bench::InitHarness(argc, argv);
   using namespace spiffi;
-  bench::Preset preset = bench::ActivePreset();
-  bench::PrintHeader("server memory vs. replacement+prefetch (real-time)",
-                     "Figure 12", preset);
-
-  struct Variant {
-    std::string name;
-    server::ReplacementPolicy replacement;
-    server::PrefetchPolicy prefetch;
-    double max_advance = 8.0;
+  bench::InitHarness(argc, argv);
+  bench::Sweep spec;
+  spec.title = "server memory vs. replacement+prefetch (real-time)";
+  spec.paper_ref = "Figure 12";
+  spec.corner = {"server memory"};
+  spec.base = {"disk_sched=real-time", "realtime_classes=3",
+               "realtime_spacing_sec=4", "max_advance_prefetch_sec=8"};
+  spec.rows = bench::MemoryAxis({128, 256, 512, 1024, 2048, 4096});
+  spec.cols = {
+      {"global LRU", {"replacement=global-lru", "prefetch=real-time"}},
+      {"love prefetch", {"replacement=love-prefetch", "prefetch=real-time"}},
+      {"love + delayed (8 s)",
+       {"replacement=love-prefetch", "prefetch=delayed"}},
+      {"love + delayed (4 s)",
+       {"replacement=love-prefetch", "prefetch=delayed",
+        "max_advance_prefetch_sec=4"}},
   };
-  std::vector<Variant> variants = {
-      {"global LRU", server::ReplacementPolicy::kGlobalLru,
-       server::PrefetchPolicy::kRealTime},
-      {"love prefetch", server::ReplacementPolicy::kLovePrefetch,
-       server::PrefetchPolicy::kRealTime},
-      {"love + delayed (8 s)", server::ReplacementPolicy::kLovePrefetch,
-       server::PrefetchPolicy::kDelayed, 8.0},
-      {"love + delayed (4 s)", server::ReplacementPolicy::kLovePrefetch,
-       server::PrefetchPolicy::kDelayed, 4.0},
-  };
-
-  std::vector<std::string> headers = {"server memory"};
-  for (const Variant& v : variants) headers.push_back(v.name);
-  vod::TextTable table(headers);
-
-  std::vector<std::vector<int>> results(
-      bench::kMemorySweepPoints, std::vector<int>(variants.size()));
-  for (std::size_t v = 0; v < variants.size(); ++v) {
-    for (int m = 0; m < bench::kMemorySweepPoints; ++m) {
-      vod::SimConfig config = bench::BaseConfig(preset);
-      config.disk_sched = server::DiskSchedPolicy::kRealTime;
-      config.realtime_classes = 3;
-      config.realtime_spacing_sec = 4.0;
-      config.replacement = variants[v].replacement;
-      config.prefetch = variants[v].prefetch;
-      config.max_advance_prefetch_sec = variants[v].max_advance;
-      config.server_memory_bytes =
-          bench::kMemorySweepMiB[m] * hw::kMiB;
-      vod::CapacityResult result = vod::FindMaxTerminals(
-          config, bench::SearchOptions(preset, 200));
-      results[m][v] = result.max_terminals;
-      std::fprintf(stderr, "  %s @ %lld MB -> %d\n",
-                   variants[v].name.c_str(),
-                   static_cast<long long>(bench::kMemorySweepMiB[m]),
-                   result.max_terminals);
-    }
-  }
-  for (int m = 0; m < bench::kMemorySweepPoints; ++m) {
-    std::vector<std::string> row = {
-        std::to_string(bench::kMemorySweepMiB[m]) + " MB"};
-    for (std::size_t v = 0; v < variants.size(); ++v) {
-      row.push_back(std::to_string(results[m][v]));
-    }
-    table.AddRow(row);
-  }
-  table.Print();
+  bench::PrintSweep(spec, bench::RunSweep(spec));
   return 0;
 }

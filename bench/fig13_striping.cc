@@ -7,61 +7,31 @@
 // Love prefetch page replacement and elevator scheduling throughout.
 
 #include <cstdio>
-#include <string>
-#include <vector>
 
-#include "bench_common.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
-  spiffi::bench::InitHarness(argc, argv);
   using namespace spiffi;
-  bench::Preset preset = bench::ActivePreset();
-  bench::PrintHeader("striped vs. non-striped layout",
-                     "Figures 13 and 14", preset);
-
-  struct Case {
-    std::string name;
-    vod::VideoPlacement placement;
-    double zipf_z;
-    int start_guess;
+  bench::InitHarness(argc, argv);
+  bench::Sweep spec;
+  spec.title = "striped vs. non-striped layout";
+  spec.paper_ref = "Figures 13 and 14";
+  spec.corner = {"layout / access"};
+  spec.base = {"disk_sched=elevator", "replacement=love-prefetch"};
+  spec.rows = {
+      {"striped, zipfian", {"placement=striped", "zipf_z=1"}},
+      {"striped, uniform", {"placement=striped", "zipf_z=0"}},
+      {"non-striped, zipfian", {"placement=non-striped", "zipf_z=1"}, {40}},
+      {"non-striped, uniform", {"placement=non-striped", "zipf_z=0"}, {80}},
   };
-  std::vector<Case> cases = {
-      {"striped, zipfian", vod::VideoPlacement::kStriped, 1.0, 200},
-      {"striped, uniform", vod::VideoPlacement::kStriped, 0.0, 200},
-      {"non-striped, zipfian", vod::VideoPlacement::kNonStriped, 1.0, 40},
-      {"non-striped, uniform", vod::VideoPlacement::kNonStriped, 0.0, 80},
+  spec.cols = bench::MemoryAxis({128, 512, 2048, 4096});
+  // The utilization at the largest memory's capacity.
+  spec.extra = {"disk util @ cap"};
+  spec.extra_cells = [](const bench::Grid& grid, std::size_t r) {
+    return bench::Cells{
+        vod::FmtPercent(grid[r].back().metrics.avg_disk_utilization)};
   };
-  const std::vector<std::int64_t> memory_mb = {128, 512, 2048, 4096};
-
-  std::vector<std::string> headers = {"layout / access"};
-  for (std::int64_t mb : memory_mb) {
-    headers.push_back(std::to_string(mb) + " MB");
-  }
-  headers.push_back("disk util @ cap");
-  vod::TextTable table(headers);
-
-  for (const Case& c : cases) {
-    std::vector<std::string> row = {c.name};
-    double utilization = 0.0;
-    for (std::int64_t mb : memory_mb) {
-      vod::SimConfig config = bench::BaseConfig(preset);
-      config.disk_sched = server::DiskSchedPolicy::kElevator;
-      config.replacement = server::ReplacementPolicy::kLovePrefetch;
-      config.placement = c.placement;
-      config.zipf_z = c.zipf_z;
-      config.server_memory_bytes = mb * hw::kMiB;
-      vod::CapacityResult result = vod::FindMaxTerminals(
-          config, bench::SearchOptions(preset, c.start_guess));
-      row.push_back(std::to_string(result.max_terminals));
-      utilization = result.at_capacity.avg_disk_utilization;
-      std::fprintf(stderr, "  %s @ %lld MB -> %d (util %.2f)\n",
-                   c.name.c_str(), static_cast<long long>(mb),
-                   result.max_terminals, utilization);
-    }
-    row.push_back(vod::FmtPercent(utilization));
-    table.AddRow(row);
-  }
-  table.Print();
+  bench::PrintSweep(spec, bench::RunSweep(spec));
   std::printf(
       "\nFig 14 reading: at capacity the striped layout drives every disk "
       "(util -> ~100%%),\nwhile the non-striped layout overloads the disks "

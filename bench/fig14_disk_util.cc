@@ -6,70 +6,33 @@
 // the others idle, capping average utilization far below 100%.
 
 #include <cstdio>
-#include <string>
-#include <vector>
 
-#include "bench_common.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
-  spiffi::bench::InitHarness(argc, argv);
   using namespace spiffi;
-  bench::Preset preset = bench::ActivePreset();
-  bench::PrintHeader("average disk utilization vs. load", "Figure 14",
-                     preset);
-
-  struct Case {
-    std::string name;
-    vod::VideoPlacement placement;
-    double zipf_z;
+  bench::InitHarness(argc, argv);
+  bench::Sweep spec;
+  spec.title = "average disk utilization vs. load";
+  spec.paper_ref = "Figure 14";
+  spec.corner = {"layout / access"};
+  spec.base = {"disk_sched=elevator", "replacement=love-prefetch",
+               bench::Token("server_memory_bytes", 512 * hw::kMiB)};
+  spec.rows = {
+      {"striped, zipfian", {"placement=striped", "zipf_z=1"}},
+      {"striped, uniform", {"placement=striped", "zipf_z=0"}},
+      {"non-striped, zipfian", {"placement=non-striped", "zipf_z=1"}},
+      {"non-striped, uniform", {"placement=non-striped", "zipf_z=0"}},
   };
-  std::vector<Case> cases = {
-      {"striped, zipfian", vod::VideoPlacement::kStriped, 1.0},
-      {"striped, uniform", vod::VideoPlacement::kStriped, 0.0},
-      {"non-striped, zipfian", vod::VideoPlacement::kNonStriped, 1.0},
-      {"non-striped, uniform", vod::VideoPlacement::kNonStriped, 0.0},
+  spec.cols = bench::Axis<int>("terminals", {30, 60, 120, 180, 240}, [](int n) {
+    return std::to_string(n) + " terms";
+  });
+  spec.fixed_count = true;
+  spec.format = [](const bench::Cell& cell) {
+    return vod::FmtPercent(cell.metrics.avg_disk_utilization, 0) +
+           (cell.metrics.glitches > 0 ? "*" : "");
   };
-  const std::vector<int> terminals = {30, 60, 120, 180, 240};
-
-  std::vector<std::string> headers = {"layout / access"};
-  for (int n : terminals) {
-    headers.push_back(std::to_string(n) + " terms");
-  }
-  vod::TextTable table(headers);
-
-  // All cells are independent runs; fan the whole grid across workers.
-  std::vector<vod::SimConfig> grid;
-  for (const Case& c : cases) {
-    for (int n : terminals) {
-      vod::SimConfig config = bench::BaseConfig(preset);
-      config.disk_sched = server::DiskSchedPolicy::kElevator;
-      config.replacement = server::ReplacementPolicy::kLovePrefetch;
-      config.placement = c.placement;
-      config.zipf_z = c.zipf_z;
-      config.server_memory_bytes = 512 * hw::kMiB;
-      config.terminals = n;
-      grid.push_back(config);
-    }
-  }
-  vod::ParallelRunner runner(bench::JobsSetting());
-  std::vector<vod::SimMetrics> results = runner.RunAll(grid);
-
-  std::size_t cell = 0;
-  for (const Case& c : cases) {
-    std::vector<std::string> row = {c.name};
-    for (int n : terminals) {
-      const vod::SimMetrics& m = results[cell++];
-      row.push_back(vod::FmtPercent(m.avg_disk_utilization, 0) +
-                    (m.glitches > 0 ? "*" : ""));
-      std::fprintf(stderr, "  %s @ %d terminals: util %.2f (min %.2f max "
-                           "%.2f) glitches %llu\n",
-                   c.name.c_str(), n, m.avg_disk_utilization,
-                   m.min_disk_utilization, m.max_disk_utilization,
-                   static_cast<unsigned long long>(m.glitches));
-    }
-    table.AddRow(row);
-  }
-  table.Print();
+  bench::PrintSweep(spec, bench::RunSweep(spec));
   std::printf("\n(* = the run was no longer glitch-free at this load)\n");
   return 0;
 }

@@ -7,56 +7,30 @@
 // previously referenced by another terminal, for the same runs.
 
 #include <cstdio>
-#include <string>
-#include <vector>
 
-#include "bench_common.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
-  spiffi::bench::InitHarness(argc, argv);
   using namespace spiffi;
-  bench::Preset preset = bench::ActivePreset();
-  bench::PrintHeader("movie access frequencies", "Figures 15 and 16",
-                     preset);
-
-  const std::vector<std::pair<std::string, double>> distributions = {
-      {"uniform", 0.0}, {"zipf 0.5", 0.5}, {"zipf 1.0", 1.0},
-      {"zipf 1.5", 1.5}};
-  const std::vector<std::int64_t> memory_mb = {128, 512, 2048, 4096};
-
-  std::vector<std::string> headers = {"distribution"};
-  for (std::int64_t mb : memory_mb) {
-    headers.push_back(std::to_string(mb) + " MB");
-  }
-  vod::TextTable capacity_table(headers);
-  vod::TextTable sharing_table(headers);
-
-  for (const auto& [name, z] : distributions) {
-    std::vector<std::string> capacity_row = {name};
-    std::vector<std::string> sharing_row = {name};
-    for (std::int64_t mb : memory_mb) {
-      vod::SimConfig config = bench::BaseConfig(preset);
-      config.disk_sched = server::DiskSchedPolicy::kElevator;
-      config.replacement = server::ReplacementPolicy::kLovePrefetch;
-      config.zipf_z = z;
-      config.server_memory_bytes = mb * hw::kMiB;
-      vod::CapacityResult result = vod::FindMaxTerminals(
-          config, bench::SearchOptions(preset, 200));
-      capacity_row.push_back(std::to_string(result.max_terminals));
-      sharing_row.push_back(vod::FmtPercent(
-          result.at_capacity.shared_reference_ratio()));
-      std::fprintf(stderr, "  %s @ %lld MB -> %d (shared %.1f%%)\n",
-                   name.c_str(), static_cast<long long>(mb),
-                   result.max_terminals,
-                   result.at_capacity.shared_reference_ratio() * 100);
-    }
-    capacity_table.AddRow(capacity_row);
-    sharing_table.AddRow(sharing_row);
-  }
+  bench::InitHarness(argc, argv);
+  bench::Sweep spec;
+  spec.title = "movie access frequencies";
+  spec.paper_ref = "Figures 15 and 16";
+  spec.corner = {"distribution"};
+  spec.base = {"disk_sched=elevator", "replacement=love-prefetch"};
+  spec.rows = {{"uniform", {"zipf_z=0"}},
+               {"zipf 0.5", {"zipf_z=0.5"}},
+               {"zipf 1.0", {"zipf_z=1"}},
+               {"zipf 1.5", {"zipf_z=1.5"}}};
+  spec.cols = bench::MemoryAxis({128, 512, 2048, 4096});
+  const bench::Grid grid = bench::RunSweep(spec);
   std::printf("Fig 15 — max glitch-free terminals:\n");
-  capacity_table.Print();
+  bench::PrintSweep(spec, grid);
   std::printf("\nFig 16 — %% of buffer references previously referenced "
               "by another terminal (at capacity):\n");
-  sharing_table.Print();
+  spec.format = [](const bench::Cell& cell) {
+    return vod::FmtPercent(cell.metrics.shared_reference_ratio());
+  };
+  bench::PrintSweep(spec, grid);
   return 0;
 }

@@ -7,60 +7,29 @@
 // memory effect exactly as the paper's figure does.)
 
 #include <cstdio>
-#include <string>
-#include <vector>
 
-#include "bench_common.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
-  spiffi::bench::InitHarness(argc, argv);
   using namespace spiffi;
-  bench::Preset preset = bench::ActivePreset();
-  bench::PrintHeader("inter-terminal sharing of buffered pages",
-                     "Figure 16", preset);
-
-  const std::vector<std::pair<std::string, double>> distributions = {
-      {"uniform", 0.0}, {"zipf 0.5", 0.5}, {"zipf 1.0", 1.0},
-      {"zipf 1.5", 1.5}};
-
-  std::vector<std::string> headers = {"distribution"};
-  for (int m = 0; m < bench::kMemorySweepPoints; ++m) {
-    headers.push_back(std::to_string(bench::kMemorySweepMiB[m]) + " MB");
-  }
-  vod::TextTable table(headers);
-
+  bench::InitHarness(argc, argv);
   constexpr int kTerminals = 180;  // near capacity, fixed across cells
-  // Every (distribution, memory) cell is independent; run the full grid
-  // through the parallel runner.
-  std::vector<vod::SimConfig> grid;
-  for (const auto& [name, z] : distributions) {
-    for (int m = 0; m < bench::kMemorySweepPoints; ++m) {
-      vod::SimConfig config = bench::BaseConfig(preset);
-      config.disk_sched = server::DiskSchedPolicy::kElevator;
-      config.replacement = server::ReplacementPolicy::kLovePrefetch;
-      config.zipf_z = z;
-      config.terminals = kTerminals;
-      config.server_memory_bytes =
-          bench::kMemorySweepMiB[m] * hw::kMiB;
-      grid.push_back(config);
-    }
-  }
-  vod::ParallelRunner runner(bench::JobsSetting());
-  std::vector<vod::SimMetrics> results = runner.RunAll(grid);
-
-  std::size_t cell = 0;
-  for (const auto& [name, z] : distributions) {
-    std::vector<std::string> row = {name};
-    for (int m = 0; m < bench::kMemorySweepPoints; ++m) {
-      const vod::SimMetrics& metrics = results[cell++];
-      row.push_back(vod::FmtPercent(metrics.shared_reference_ratio()));
-      std::fprintf(stderr, "  %s @ %lld MB: %.1f%% shared\n", name.c_str(),
-                   static_cast<long long>(bench::kMemorySweepMiB[m]),
-                   metrics.shared_reference_ratio() * 100);
-    }
-    table.AddRow(row);
-  }
-  table.Print();
+  bench::Sweep spec;
+  spec.title = "inter-terminal sharing of buffered pages";
+  spec.paper_ref = "Figure 16";
+  spec.corner = {"distribution"};
+  spec.base = {"disk_sched=elevator", "replacement=love-prefetch",
+               bench::Token("terminals", kTerminals)};
+  spec.rows = {{"uniform", {"zipf_z=0"}},
+               {"zipf 0.5", {"zipf_z=0.5"}},
+               {"zipf 1.0", {"zipf_z=1"}},
+               {"zipf 1.5", {"zipf_z=1.5"}}};
+  spec.cols = bench::MemoryAxis({128, 256, 512, 1024, 2048, 4096});
+  spec.fixed_count = true;
+  spec.format = [](const bench::Cell& cell) {
+    return vod::FmtPercent(cell.metrics.shared_reference_ratio());
+  };
+  bench::PrintSweep(spec, bench::RunSweep(spec));
   std::printf("\n(%d terminals in every cell)\n", kTerminals);
   return 0;
 }

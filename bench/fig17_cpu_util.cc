@@ -3,39 +3,26 @@
 // near saturation (§7.6).
 
 #include <cstdio>
-#include <vector>
 
-#include "bench_common.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
-  spiffi::bench::InitHarness(argc, argv);
   using namespace spiffi;
-  bench::Preset preset = bench::ActivePreset();
-  bench::PrintHeader("CPU utilization during scaleup", "Figure 17",
-                     preset);
-
-  vod::TextTable table({"disks", "terminals", "avg cpu utilization"});
-  for (int s : {1, 2, 4}) {
-    vod::SimConfig config = bench::BaseConfig(preset);
-    config.num_nodes = 4;
-    config.disks_per_node = 4 * s;
-    config.server_memory_bytes = 512LL * s * hw::kMiB;
-    config.replacement = server::ReplacementPolicy::kLovePrefetch;
-    config.disk_sched = server::DiskSchedPolicy::kRealTime;
-    config.prefetch = server::PrefetchPolicy::kDelayed;
-    vod::CapacitySearchOptions options =
-        bench::SearchOptions(preset, 200 * s);
-    options.step = preset == bench::Preset::kFull ? 5 : 5 * s;
-    vod::CapacityResult result = vod::FindMaxTerminals(config, options);
-    table.AddRow({std::to_string(16 * s),
-                  std::to_string(result.max_terminals),
-                  vod::FmtPercent(
-                      result.at_capacity.avg_cpu_utilization)});
-    std::fprintf(stderr, "  %d disks -> %d terminals, cpu %.1f%%\n",
-                 16 * s, result.max_terminals,
-                 result.at_capacity.avg_cpu_utilization * 100);
-  }
-  table.Print();
+  bench::InitHarness(argc, argv);
+  bench::Sweep spec;
+  spec.title = "CPU utilization during scaleup";
+  spec.paper_ref = "Figure 17";
+  spec.corner = {"disks"};
+  spec.base = {"replacement=love-prefetch", "disk_sched=real-time",
+               "prefetch=delayed"};
+  for (int s : {1, 2, 4}) spec.rows.push_back(bench::ScalePoint(s, 512));
+  spec.cols = {{"terminals", {}}};
+  spec.extra = {"avg cpu utilization"};
+  spec.extra_cells = [](const bench::Grid& grid, std::size_t r) {
+    return bench::Cells{
+        vod::FmtPercent(grid[r][0].metrics.avg_cpu_utilization)};
+  };
+  bench::PrintSweep(spec, bench::RunSweep(spec));
   std::printf("\nCPU is never the bottleneck: the video server remains "
               "I/O bound at every scale.\n");
   return 0;

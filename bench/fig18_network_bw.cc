@@ -2,43 +2,30 @@
 // scales — about one compressed video bit rate (4 Mbit/s ~ 0.5 MB/s) per
 // supported terminal (§7.6).
 
-#include <cstdio>
-
-#include "bench_common.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
-  spiffi::bench::InitHarness(argc, argv);
   using namespace spiffi;
-  bench::Preset preset = bench::ActivePreset();
-  bench::PrintHeader("peak aggregate network bandwidth", "Figure 18",
-                     preset);
-
-  vod::TextTable table({"disks", "terminals", "peak bandwidth",
-                        "per terminal"});
-  for (int s : {1, 2, 4}) {
-    vod::SimConfig config = bench::BaseConfig(preset);
-    config.num_nodes = 4;
-    config.disks_per_node = 4 * s;
-    config.server_memory_bytes = 512LL * s * hw::kMiB;
-    config.replacement = server::ReplacementPolicy::kLovePrefetch;
-    config.disk_sched = server::DiskSchedPolicy::kRealTime;
-    config.prefetch = server::PrefetchPolicy::kDelayed;
-    vod::CapacitySearchOptions options =
-        bench::SearchOptions(preset, 200 * s);
-    options.step = preset == bench::Preset::kFull ? 5 : 5 * s;
-    vod::CapacityResult result = vod::FindMaxTerminals(config, options);
-    double peak = result.at_capacity.peak_network_bytes_per_sec;
-    double per_terminal_mbit =
-        result.max_terminals > 0
-            ? peak * 8.0 / (1024.0 * 1024.0) / result.max_terminals
+  bench::InitHarness(argc, argv);
+  bench::Sweep spec;
+  spec.title = "peak aggregate network bandwidth";
+  spec.paper_ref = "Figure 18";
+  spec.corner = {"disks"};
+  spec.base = {"replacement=love-prefetch", "disk_sched=real-time",
+               "prefetch=delayed"};
+  for (int s : {1, 2, 4}) spec.rows.push_back(bench::ScalePoint(s, 512));
+  spec.cols = {{"terminals", {}}};
+  spec.extra = {"peak bandwidth", "per terminal"};
+  spec.extra_cells = [](const bench::Grid& grid, std::size_t r) {
+    const bench::Cell& cell = grid[r][0];
+    const double peak = cell.metrics.peak_network_bytes_per_sec;
+    const double mbit =
+        cell.terminals > 0
+            ? peak * 8.0 / (1024.0 * 1024.0) / cell.terminals
             : 0.0;
-    table.AddRow({std::to_string(16 * s),
-                  std::to_string(result.max_terminals),
-                  vod::FmtBytesPerSec(peak),
-                  vod::FmtDouble(per_terminal_mbit, 2) + " Mbit/s"});
-    std::fprintf(stderr, "  %d disks -> peak %.1f MB/s\n", 16 * s,
-                 peak / (1024.0 * 1024.0));
-  }
-  table.Print();
+    return bench::Cells{vod::FmtBytesPerSec(peak),
+                        vod::FmtDouble(mbit, 2) + " Mbit/s"};
+  };
+  bench::PrintSweep(spec, bench::RunSweep(spec));
   return 0;
 }

@@ -4,37 +4,21 @@
 
 #include <cstdio>
 
-#include "bench_common.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
-  spiffi::bench::InitHarness(argc, argv);
   using namespace spiffi;
-  bench::Preset preset = bench::ActivePreset();
-  bench::PrintHeader("pause and restart", "Figure 19", preset);
-
-  vod::TextTable table({"server memory", "no pausing", "with pausing"});
-  for (std::int64_t mb : {128LL, 512LL, 2048LL}) {
-    int capacities[2] = {0, 0};
-    for (int pause = 0; pause < 2; ++pause) {
-      vod::SimConfig config = bench::BaseConfig(preset);
-      config.disk_sched = server::DiskSchedPolicy::kElevator;
-      config.replacement = server::ReplacementPolicy::kLovePrefetch;
-      config.server_memory_bytes = mb * hw::kMiB;
-      config.pause_enabled = pause == 1;
-      config.pauses_per_video_mean = 2.0;
-      config.pause_duration_mean_sec = 120.0;
-      vod::CapacityResult result = vod::FindMaxTerminals(
-          config, bench::SearchOptions(preset, 200));
-      capacities[pause] = result.max_terminals;
-      std::fprintf(stderr, "  %lld MB pause=%d -> %d\n",
-                   static_cast<long long>(mb), pause,
-                   result.max_terminals);
-    }
-    table.AddRow({std::to_string(mb) + " MB",
-                  std::to_string(capacities[0]),
-                  std::to_string(capacities[1])});
-  }
-  table.Print();
+  bench::InitHarness(argc, argv);
+  bench::Sweep spec;
+  spec.title = "pause and restart";
+  spec.paper_ref = "Figure 19";
+  spec.corner = {"server memory"};
+  spec.base = {"disk_sched=elevator", "replacement=love-prefetch",
+               "pauses_per_video_mean=2", "pause_duration_mean_sec=120"};
+  spec.rows = bench::MemoryAxis({128, 512, 2048});
+  spec.cols = {{"no pausing", {"pause_enabled=false"}},
+               {"with pausing", {"pause_enabled=true"}}};
+  bench::PrintSweep(spec, bench::RunSweep(spec));
   std::printf("\nPausing terminals stop consuming while their buffers "
               "refill, so capacity is\nessentially unchanged (slightly "
               "higher if anything, since paused terminals\nplace no "

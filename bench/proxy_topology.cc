@@ -14,20 +14,16 @@
 //     headroom: glitch-free capacity with the proxy tier off vs on,
 //     same hardware.
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench_common.h"
 #include "proxy/proxy_cache.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
-  spiffi::bench::InitHarness(argc, argv);
   using namespace spiffi;
-  bench::Preset preset = bench::ActivePreset();
-  bench::PrintHeader("hierarchical proxy tier", "two-tier topology",
-                     preset);
-  bool smoke = preset == bench::Preset::kSmoke;
+  bench::InitHarness(argc, argv);
+  const bool smoke = bench::ActivePreset() == bench::Preset::kSmoke;
 
   constexpr int kProxies = 4;
 
@@ -37,101 +33,87 @@ int main(int argc, char** argv) {
   // popular library of 10-minute features. At 4 Mbit/s one 512 KB page
   // holds one second of footage, so pages/proxy reads directly as the
   // seconds of trailing footage a follower can still find cached.
-  auto shared_start_config = [&](bench::Preset p) {
-    vod::SimConfig config = bench::BaseConfig(p);
-    config.videos_per_disk = 1;  // 16-video popular library
-    config.video_seconds = 600.0;
-    config.random_initial_position = false;
-    config.start_window_sec = smoke ? 120.0 : 600.0;
-    config.warmup_seconds = config.start_window_sec + 60.0;
-    config.measure_seconds = smoke ? 60.0 : 240.0;
-    return config;
-  };
+  const double start_window = smoke ? 120.0 : 600.0;
+  const std::vector<std::string> shared_start = {
+      "videos_per_disk=1",  // 16-video popular library
+      "video_seconds=600", "random_initial_position=false",
+      bench::Token("start_window_sec", start_window),
+      bench::Token("warmup_seconds", start_window + 60.0),
+      bench::Token("measure_seconds", smoke ? 60.0 : 240.0)};
 
   // --- Phase 1: origin offload at fixed load ---
-  const int terminals = smoke ? 60 : 160;
-  std::vector<std::int64_t> cache_pages =
+  const std::vector<std::int64_t> cache_pages =
       smoke ? std::vector<std::int64_t>{128, 512}
             : std::vector<std::int64_t>{128, 512, 2048};
-  std::vector<double> skews =
+  const std::vector<double> skews =
       smoke ? std::vector<double>{0.271} : std::vector<double>{0.271, 1.0};
-  const proxy::ProxyPolicy policies[] = {
-      proxy::ProxyPolicy::kLru, proxy::ProxyPolicy::kRankZipf,
-      proxy::ProxyPolicy::kAdaptivePrefix};
-
-  vod::TextTable offload_table(
-      {"z", "policy", "pages/proxy", "offload", "hit ratio",
-       "origin reads/s", "fwd ms"});
+  bench::Sweep offload;
+  offload.title = "hierarchical proxy tier";
+  offload.paper_ref = "two-tier topology";
+  offload.corner = {"z", "policy", "pages/proxy"};
+  offload.base = shared_start;
+  offload.base.push_back(bench::Token("terminals", smoke ? 60 : 160));
+  offload.base.push_back(bench::Token("proxy_nodes", kProxies));
   for (double z : skews) {
-    for (proxy::ProxyPolicy policy : policies) {
+    for (const char* policy : proxy::kProxyPolicyNames) {
       for (std::int64_t pages : cache_pages) {
-        vod::SimConfig config = shared_start_config(preset);
-        config.zipf_z = z;
-        config.terminals = terminals;
-        config.proxy_nodes = kProxies;
-        config.proxy_cache_pages = pages;
-        config.proxy_policy = policy;
-        vod::SimMetrics m = vod::RunSimulation(config);
-        double hit_ratio =
-            m.proxy_references == 0
-                ? 0.0
-                : static_cast<double>(m.proxy_hits) / m.proxy_references;
-        double origin_reads_per_sec =
-            m.measured_seconds == 0.0 ? 0.0
-                                      : m.disk_reads / m.measured_seconds;
-        offload_table.AddRow(
-            {vod::FmtDouble(z, 3), proxy::ProxyPolicyName(policy),
-             std::to_string(pages),
-             vod::FmtDouble(m.proxy_offload_ratio(), 3),
-             vod::FmtDouble(hit_ratio, 3),
-             vod::FmtDouble(origin_reads_per_sec, 1),
-             vod::FmtDouble(m.avg_proxy_forward_ms, 2)});
-        std::fprintf(stderr,
-                     "  z=%.3f %s %lld pages: offload %.3f (%llu refs)\n",
-                     z, proxy::ProxyPolicyName(policy),
-                     static_cast<long long>(pages), m.proxy_offload_ratio(),
-                     static_cast<unsigned long long>(m.proxy_references));
+        offload.rows.push_back(
+            {vod::FmtDouble(z, 3),
+             {bench::Token("zipf_z", z), std::string("proxy_policy=") + policy,
+              bench::Token("proxy_cache_pages", pages)},
+             {},
+             {policy, std::to_string(pages)}});
       }
     }
   }
-  offload_table.Print();
+  offload.cols = {{"offload", {}}};
+  offload.fixed_count = true;
+  offload.format = [](const bench::Cell& cell) {
+    return vod::FmtDouble(cell.metrics.proxy_offload_ratio(), 3);
+  };
+  offload.extra = {"hit ratio", "origin reads/s", "fwd ms"};
+  offload.extra_cells = [](const bench::Grid& grid, std::size_t r) {
+    const vod::SimMetrics& m = grid[r][0].metrics;
+    double hit_ratio =
+        m.proxy_references == 0
+            ? 0.0
+            : static_cast<double>(m.proxy_hits) / m.proxy_references;
+    double origin_reads_per_sec =
+        m.measured_seconds == 0.0 ? 0.0 : m.disk_reads / m.measured_seconds;
+    return bench::Cells{vod::FmtDouble(hit_ratio, 3),
+                        vod::FmtDouble(origin_reads_per_sec, 1),
+                        vod::FmtDouble(m.avg_proxy_forward_ms, 2)};
+  };
+  bench::PrintSweep(offload, bench::RunSweep(offload));
 
   // --- Phase 2: capacity gain from the offload ---
   // The proxy tier buys admission headroom only when the origin is the
   // bottleneck: a lean origin pool (128 MB across the cluster) over the
   // full 64-video library, so origin disks carry the misses the proxies
   // fail to absorb.
-  vod::SimConfig base = shared_start_config(preset);
-  base.videos_per_disk = 4;  // full library again
-  base.server_memory_bytes = 128 * hw::kMiB;
-  base.zipf_z = 0.271;
-  vod::CapacitySearchOptions options = bench::SearchOptions(preset, 200);
-  options.step = smoke ? 25 : 10;
-  options.max_terminals = smoke ? 400 : 1200;
-
-  vod::SimConfig flat = base;
-  vod::CapacityResult flat_result = vod::FindMaxTerminals(flat, options);
-
-  vod::SimConfig proxied = base;
-  proxied.proxy_nodes = kProxies;
-  proxied.proxy_cache_pages = smoke ? 512 : 2048;
-  proxied.proxy_policy = proxy::ProxyPolicy::kRankZipf;
-  vod::CapacityResult proxied_result =
-      vod::FindMaxTerminals(proxied, options);
-
-  double gain = flat_result.max_terminals > 0
-                    ? static_cast<double>(proxied_result.max_terminals) /
-                          flat_result.max_terminals
-                    : 0.0;
-  vod::TextTable capacity_table(
-      {"topology", "capacity", "gain"});
-  capacity_table.AddRow({"flat", std::to_string(flat_result.max_terminals),
-                         "x1.00"});
-  capacity_table.AddRow(
+  const std::int64_t proxied_pages = smoke ? 512 : 2048;
+  bench::Sweep capacity;
+  capacity.corner = {"topology"};
+  capacity.base = shared_start;
+  capacity.base.insert(capacity.base.end(),
+                       {"videos_per_disk=4",  // full library again
+                        bench::Token("server_memory_bytes", 128 * hw::kMiB),
+                        "zipf_z=0.271"});
+  capacity.search = {.step = smoke ? 25 : 10, .ceiling = smoke ? 400 : 1200};
+  capacity.rows = {
+      {"flat", {}},
       {"proxy " + std::to_string(kProxies) + "x" +
-           std::to_string(proxied.proxy_cache_pages) + " rank-zipf",
-       std::to_string(proxied_result.max_terminals),
-       "x" + vod::FmtDouble(gain, 2)});
-  capacity_table.Print();
+           std::to_string(proxied_pages) + " rank-zipf",
+       {bench::Token("proxy_nodes", kProxies),
+        bench::Token("proxy_cache_pages", proxied_pages),
+        "proxy_policy=rank-zipf"}}};
+  capacity.cols = {{"capacity", {}}};
+  capacity.extra = {"gain"};
+  capacity.extra_cells = [](const bench::Grid& grid, std::size_t r) {
+    return bench::Cells{r == 0 ? "x1.00"
+                               : bench::Gain(grid[r][0].terminals,
+                                             grid[0][0].terminals)};
+  };
+  bench::PrintSweep(capacity, bench::RunSweep(capacity));
   return 0;
 }

@@ -8,38 +8,29 @@
 
 #include <cstdio>
 
-#include "bench_common.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
-  spiffi::bench::InitHarness(argc, argv);
   using namespace spiffi;
-  bench::Preset preset = bench::ActivePreset();
-  bench::PrintHeader("visual search load", "Section 8.1", preset);
-
-  vod::TextTable table(
-      {"workload", "max terminals", "disk util @ cap"});
-  for (int scenario = 0; scenario < 2; ++scenario) {
-    vod::SimConfig config = bench::BaseConfig(preset);
-    config.disk_sched = server::DiskSchedPolicy::kElevator;
-    config.replacement = server::ReplacementPolicy::kLovePrefetch;
-    config.server_memory_bytes = 512 * hw::kMiB;
-    const char* name = "sequential playback only";
-    if (scenario == 1) {
-      name = "1 search/video (show 1 s, skip 7 s)";
-      config.search_enabled = true;
-      config.searches_per_video_mean = 1.0;
-      config.search_duration_mean_sec = 30.0;
-      config.search_show_sec = 1.0;
-      config.search_skip_sec = 7.0;
-    }
-    vod::CapacityResult result = vod::FindMaxTerminals(
-        config, bench::SearchOptions(preset, 200));
-    table.AddRow({name, std::to_string(result.max_terminals),
-                  vod::FmtPercent(
-                      result.at_capacity.avg_disk_utilization)});
-    std::fprintf(stderr, "  %s -> %d\n", name, result.max_terminals);
-  }
-  table.Print();
+  bench::InitHarness(argc, argv);
+  bench::Sweep spec;
+  spec.title = "visual search load";
+  spec.paper_ref = "Section 8.1";
+  spec.corner = {"workload"};
+  spec.base = {"disk_sched=elevator", "replacement=love-prefetch",
+               bench::Token("server_memory_bytes", 512 * hw::kMiB)};
+  spec.rows = {{"sequential playback only", {}},
+               {"1 search/video (show 1 s, skip 7 s)",
+                {"search_enabled=true", "searches_per_video_mean=1",
+                 "search_duration_mean_sec=30", "search_show_sec=1",
+                 "search_skip_sec=7"}}};
+  spec.cols = {{"max terminals", {}}};
+  spec.extra = {"disk util @ cap"};
+  spec.extra_cells = [](const bench::Grid& grid, std::size_t r) {
+    return bench::Cells{
+        vod::FmtPercent(grid[r][0].metrics.avg_disk_utilization)};
+  };
+  bench::PrintSweep(spec, bench::RunSweep(spec));
   std::printf("\nSkipped segments are never read, so an 8x search costs "
               "roughly one block per\nshow+skip period (like normal "
               "playback) plus a re-prime when it ends — a modest\n"

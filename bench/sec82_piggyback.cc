@@ -3,59 +3,47 @@
 // "Experiments show that a 5 minute delay more than doubles the number of
 // terminals that may be supported glitch-free."
 
-#include <cstdio>
-#include <string>
-
-#include "bench_common.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
-  spiffi::bench::InitHarness(argc, argv);
   using namespace spiffi;
-  bench::Preset preset = bench::ActivePreset();
-  bench::PrintHeader("piggybacking terminals", "Section 8.2", preset);
-
-  vod::TextTable table({"batching window", "max terminals", "vs. none"});
-  int base_capacity = 0;
+  bench::InitHarness(argc, argv);
+  const bench::Preset preset = bench::ActivePreset();
+  bench::Sweep spec;
+  spec.title = "piggybacking terminals";
+  spec.paper_ref = "Section 8.2";
+  spec.corner = {"batching window"};
+  spec.base = {"disk_sched=elevator", "replacement=love-prefetch",
+               bench::Token("server_memory_bytes", 512 * hw::kMiB)};
+  spec.search.step = preset == bench::Preset::kFull ? 5 : 25;
   for (double window : {0.0, 60.0, 300.0}) {
-    vod::SimConfig config = bench::BaseConfig(preset);
-    config.disk_sched = server::DiskSchedPolicy::kElevator;
-    config.replacement = server::ReplacementPolicy::kLovePrefetch;
-    config.server_memory_bytes = 512 * hw::kMiB;
-    config.piggyback_window_sec = window;
     // Piggybacked terminals watch from the beginning, so the steady-state
     // position spread comes from staggering the starts over many minutes
     // (not from random initial positions). The warmup covers the spread
     // plus the batching delay. A simultaneous-start workload would let
     // nearly every terminal join one of ~64 groups and wildly overstate
     // the benefit.
-    config.start_window_sec = preset == bench::Preset::kSmoke
-                                  ? 120.0
-                                  : 900.0;
-    config.warmup_seconds = config.start_window_sec + window + 60.0;
-    vod::CapacitySearchOptions options = bench::SearchOptions(
-        preset, window > 0.0 ? 400 : 200);
-    options.step = preset == bench::Preset::kFull ? 5 : 25;
+    const double start_window = preset == bench::Preset::kSmoke ? 120.0 : 900.0;
     // The search ceiling scales with the batching window: a 5-minute
     // window more than doubles capacity, and a fixed 1200-terminal cap
     // used to silently clip exactly the rows the experiment is about.
-    options.max_terminals =
-        1200 + static_cast<int>(window / 60.0) * 600;
-    vod::CapacityResult result = vod::FindMaxTerminals(config, options);
-    bool saturated =
-        result.max_terminals >= options.max_terminals - options.step;
-    if (window == 0.0) base_capacity = result.max_terminals;
-    double factor = base_capacity > 0
-                        ? static_cast<double>(result.max_terminals) /
-                              base_capacity
-                        : 0.0;
-    std::string capacity_cell = std::to_string(result.max_terminals);
-    if (saturated) capacity_cell += " (cap)";
-    table.AddRow({vod::FmtDouble(window / 60.0, 0) + " min",
-                  capacity_cell, "x" + vod::FmtDouble(factor, 2)});
-    std::fprintf(stderr, "  window %.0fs -> %d%s\n", window,
-                 result.max_terminals,
-                 saturated ? " (search ceiling reached)" : "");
+    spec.rows.push_back(
+        {vod::FmtDouble(window / 60.0, 0) + " min",
+         {bench::Token("piggyback_window_sec", window),
+          bench::Token("start_window_sec", start_window),
+          bench::Token("warmup_seconds", start_window + window + 60.0)},
+         {.start_guess = window > 0.0 ? 400 : 200,
+          .ceiling = 1200 + static_cast<int>(window / 60.0) * 600}});
   }
-  table.Print();
+  spec.cols = {{"max terminals", {}}};
+  spec.format = [](const bench::Cell& cell) {
+    return std::to_string(cell.terminals) + (cell.at_ceiling ? " (cap)" : "");
+  };
+  spec.extra = {"vs. none"};
+  spec.extra_cells = [](const bench::Grid& grid, std::size_t r) {
+    return bench::Cells{
+        bench::Gain(grid[r][0].terminals, grid[0][0].terminals)};
+  };
+  bench::PrintSweep(spec, bench::RunSweep(spec));
   return 0;
 }

@@ -7,83 +7,63 @@
 // video-rental Zipf skew (z = 0.271), reporting glitch-free capacity
 // with sharing off and on — the gain is super-linear in request rate.
 
-#include <cstdio>
-#include <string>
+#include <vector>
 
-#include "bench_common.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
-  spiffi::bench::InitHarness(argc, argv);
   using namespace spiffi;
-  bench::Preset preset = bench::ActivePreset();
-  bench::PrintHeader("stream-sharing service tier", "Section 8.2 extended",
-                     preset);
+  bench::InitHarness(argc, argv);
+  const bench::Preset preset = bench::ActivePreset();
+  const bool smoke = preset == bench::Preset::kSmoke;
 
-  // Batching window + patch window + pinned prefix cache, all modest:
-  // one minute of commercials, 45 s of catch-up unicast, a quarter of
-  // the pool pinned on popular prefixes.
   constexpr double kBatchWindowSec = 60.0;
-  constexpr double kPatchWindowSec = 45.0;
-  constexpr double kPrefixFraction = 0.25;
 
-  vod::TextTable table({"video len", "req/term/hr", "capacity off",
-                        "capacity shared", "gain"});
-  bool smoke = preset == bench::Preset::kSmoke;
+  bench::Sweep spec;
+  spec.title = "stream-sharing service tier";
+  spec.paper_ref = "Section 8.2 extended";
+  // Shared-mode terminals watch from the beginning; the steady-state
+  // position spread must come from staggered starts (see
+  // sec82_piggyback.cc), and the warmup must cover the spread plus the
+  // batching delay.
+  const double start_window = smoke ? 120.0 : 900.0;
+  spec.base = {"disk_sched=elevator", "replacement=love-prefetch",
+               bench::Token("server_memory_bytes", 512 * hw::kMiB),
+               "zipf_z=0.271",  // video-rental popularity skew
+               bench::Token("start_window_sec", start_window),
+               bench::Token("warmup_seconds",
+                            start_window + kBatchWindowSec + 60.0)};
+  spec.search = {.step = preset == bench::Preset::kFull ? 5 : 25,
+                 .ceiling = 2400};
   // Shorter videos = higher request rate. Smoke trims the sweep to one
   // point so CI finishes in seconds.
-  std::vector<double> video_seconds =
+  const std::vector<double> video_seconds =
       smoke ? std::vector<double>{600.0}
             : std::vector<double>{1800.0, 1200.0, 600.0};
+  spec.corner = {"video len", "req/term/hr"};
   for (double seconds : video_seconds) {
-    vod::SimConfig base = bench::BaseConfig(preset);
-    base.disk_sched = server::DiskSchedPolicy::kElevator;
-    base.replacement = server::ReplacementPolicy::kLovePrefetch;
-    base.server_memory_bytes = 512 * hw::kMiB;
-    base.video_seconds = seconds;
-    base.zipf_z = 0.271;  // video-rental popularity skew
-    // Shared-mode terminals watch from the beginning; the steady-state
-    // position spread must come from staggered starts (see
-    // sec82_piggyback.cc), and the warmup must cover the spread plus
-    // the batching delay.
-    base.start_window_sec = smoke ? 120.0 : 900.0;
-    base.warmup_seconds =
-        base.start_window_sec + kBatchWindowSec + 60.0;
-
-    vod::CapacitySearchOptions options =
-        bench::SearchOptions(preset, 200);
-    options.step = preset == bench::Preset::kFull ? 5 : 25;
-    options.max_terminals = 2400;
-
-    vod::SimConfig off = base;
-    // Sharing off must still stagger starts so both columns measure the
-    // same workload; only the service tier differs.
-    off.random_initial_position = false;
-    vod::CapacityResult off_result = vod::FindMaxTerminals(off, options);
-
-    vod::SimConfig shared = base;
-    shared.piggyback_window_sec = kBatchWindowSec;
-    shared.patch_window_sec = kPatchWindowSec;
-    shared.prefix_cache_fraction = kPrefixFraction;
-    vod::CapacityResult shared_result =
-        vod::FindMaxTerminals(shared, options);
-    bool saturated =
-        shared_result.max_terminals >= options.max_terminals - options.step;
-
-    double requests_per_hour = 3600.0 / seconds;
-    double gain = off_result.max_terminals > 0
-                      ? static_cast<double>(shared_result.max_terminals) /
-                            off_result.max_terminals
-                      : 0.0;
-    std::string shared_cell = std::to_string(shared_result.max_terminals);
-    if (saturated) shared_cell += " (cap)";
-    table.AddRow({vod::FmtDouble(seconds / 60.0, 0) + " min",
-                  vod::FmtDouble(requests_per_hour, 1),
-                  std::to_string(off_result.max_terminals), shared_cell,
-                  "x" + vod::FmtDouble(gain, 2)});
-    std::fprintf(stderr, "  %.0f s videos: off %d, shared %d%s\n", seconds,
-                 off_result.max_terminals, shared_result.max_terminals,
-                 saturated ? " (search ceiling reached)" : "");
+    spec.rows.push_back({vod::FmtDouble(seconds / 60.0, 0) + " min",
+                         {bench::Token("video_seconds", seconds)},
+                         {},
+                         {vod::FmtDouble(3600.0 / seconds, 1)}});
   }
-  table.Print();
+  // Sharing off must still stagger starts so both columns measure the
+  // same workload; only the service tier differs. Sharing is batching
+  // window + patch window + pinned prefix cache, all modest: one minute
+  // of commercials, 45 s of catch-up unicast, a quarter of the pool
+  // pinned on popular prefixes.
+  spec.cols = {{"capacity off", {"random_initial_position=false"}},
+               {"capacity shared",
+                {bench::Token("piggyback_window_sec", kBatchWindowSec),
+                 "patch_window_sec=45", "prefix_cache_fraction=0.25"}}};
+  spec.format = [](const bench::Cell& cell) {
+    return std::to_string(cell.terminals) + (cell.at_ceiling ? " (cap)" : "");
+  };
+  spec.extra = {"gain"};
+  spec.extra_cells = [](const bench::Grid& grid, std::size_t r) {
+    return bench::Cells{
+        bench::Gain(grid[r][1].terminals, grid[r][0].terminals)};
+  };
+  bench::PrintSweep(spec, bench::RunSweep(spec));
   return 0;
 }

@@ -11,80 +11,67 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
-  spiffi::bench::InitHarness(argc, argv);
   using namespace spiffi;
-  bench::Preset preset = bench::ActivePreset();
-  bench::PrintHeader("scaleup to 32 and 64 disks", "Table 2", preset);
-
-  struct BaseConfig {
+  bench::InitHarness(argc, argv);
+  const std::vector<std::string> elevator = {"disk_sched=elevator",
+                                             "prefetch=fifo"};
+  const std::vector<std::string> realtime = {
+      "disk_sched=real-time", "realtime_classes=3", "realtime_spacing_sec=4",
+      "prefetch=delayed", "max_advance_prefetch_sec=8"};
+  struct Base {
     std::string sched;
     double terminal_mb;
-    std::int64_t server_mb_base;  // at 16 disks; scales with disks
-    bool realtime;
+    std::int64_t server_mb;  // at 16 disks; scales with disks
+    const std::vector<std::string>& tokens;
   };
-  std::vector<BaseConfig> bases = {
-      {"elevator", 2.0, 128, false},
-      {"elevator", 2.5, 128, false},
-      {"elevator", 2.0, 512, false},
-      {"real-time", 2.0, 512, true},
-  };
+  const std::vector<Base> bases = {{"elevator", 2.0, 128, elevator},
+                                   {"elevator", 2.5, 128, elevator},
+                                   {"elevator", 2.0, 512, elevator},
+                                   {"real-time", 2.0, 512, realtime}};
   const std::vector<int> scale = {1, 2, 4};  // 16, 32, 64 disks
 
-  vod::TextTable table({"sched", "term MB", "disks", "server MB",
-                        "max terms", "scaleup", "cpu util", "peak net"});
-
-  for (const BaseConfig& base : bases) {
-    int base_capacity = 0;
+  bench::Sweep spec;
+  spec.title = "scaleup to 32 and 64 disks";
+  spec.paper_ref = "Table 2";
+  spec.corner = {"sched", "term MB", "disks", "server MB"};
+  spec.base = {"replacement=love-prefetch"};
+  for (const Base& base : bases) {
     for (int s : scale) {
-      vod::SimConfig config = bench::BaseConfig(preset);
-      config.num_nodes = 4;
-      config.disks_per_node = 4 * s;  // 4 CPUs regardless of disks
-      config.server_memory_bytes = base.server_mb_base * s * hw::kMiB;
-      config.terminal_memory_bytes =
-          static_cast<std::int64_t>(base.terminal_mb * hw::kMiB);
-      config.replacement = server::ReplacementPolicy::kLovePrefetch;
-      if (base.realtime) {
-        config.disk_sched = server::DiskSchedPolicy::kRealTime;
-        config.realtime_classes = 3;
-        config.realtime_spacing_sec = 4.0;
-        config.prefetch = server::PrefetchPolicy::kDelayed;
-        config.max_advance_prefetch_sec = 8.0;
-      } else {
-        config.disk_sched = server::DiskSchedPolicy::kElevator;
-        config.prefetch = server::PrefetchPolicy::kFifo;
-      }
-      vod::CapacitySearchOptions options =
-          bench::SearchOptions(preset, 200 * s);
-      // Coarser steps at scale keep the big searches affordable.
-      options.step = preset == bench::Preset::kFull ? 5 : 5 * s;
-      vod::CapacityResult result = vod::FindMaxTerminals(config, options);
-      if (s == 1) base_capacity = result.max_terminals;
-      double efficiency =
-          base_capacity > 0
-              ? static_cast<double>(result.max_terminals) /
-                    (static_cast<double>(base_capacity) * s)
-              : 0.0;
-      char scaleup[32];
-      if (s == 1) {
-        std::snprintf(scaleup, sizeof(scaleup), "base");
-      } else {
-        std::snprintf(scaleup, sizeof(scaleup), "(%.2f)", efficiency);
-      }
-      table.AddRow({base.sched, vod::FmtDouble(base.terminal_mb, 1),
-                    std::to_string(16 * s),
-                    std::to_string(base.server_mb_base * s),
-                    std::to_string(result.max_terminals), scaleup,
-                    vod::FmtPercent(
-                        result.at_capacity.avg_cpu_utilization),
-                    vod::FmtBytesPerSec(
-                        result.at_capacity.peak_network_bytes_per_sec)});
-      std::fprintf(stderr, "  %s %.1fMB x%d -> %d\n", base.sched.c_str(),
-                   base.terminal_mb, s, result.max_terminals);
+      bench::SweepPoint point = bench::ScalePoint(s, base.server_mb);
+      point.label = base.sched;
+      point.more_labels = {vod::FmtDouble(base.terminal_mb, 1),
+                           std::to_string(16 * s),
+                           std::to_string(base.server_mb * s)};
+      point.tokens.push_back(bench::Token(
+          "terminal_memory_bytes",
+          static_cast<std::int64_t>(base.terminal_mb * hw::kMiB)));
+      point.tokens.insert(point.tokens.end(), base.tokens.begin(),
+                          base.tokens.end());
+      spec.rows.push_back(point);
     }
   }
-  table.Print();
+  spec.cols = {{"max terms", {}}};
+  spec.extra = {"scaleup", "cpu util", "peak net"};
+  spec.extra_cells = [&scale](const bench::Grid& grid, std::size_t r) {
+    const bench::Cell& cell = grid[r][0];
+    // Efficiency relative to the same base at 16 disks.
+    const int s = scale[r % scale.size()];
+    const int base_capacity = grid[r - r % scale.size()][0].terminals;
+    char scaleup[32] = "base";
+    if (s != 1) {
+      std::snprintf(scaleup, sizeof(scaleup), "(%.2f)",
+                    base_capacity > 0
+                        ? static_cast<double>(cell.terminals) /
+                              (static_cast<double>(base_capacity) * s)
+                        : 0.0);
+    }
+    return bench::Cells{
+        scaleup, vod::FmtPercent(cell.metrics.avg_cpu_utilization),
+        vod::FmtBytesPerSec(cell.metrics.peak_network_bytes_per_sec)};
+  };
+  bench::PrintSweep(spec, bench::RunSweep(spec));
   return 0;
 }

@@ -3,66 +3,56 @@
 // (§7.6, 1995 prices). Minimizing $/MB does not minimize $/terminal:
 // more spindles means more concurrent streams.
 
-#include <cstdio>
 #include <vector>
 
-#include "bench_common.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
-  spiffi::bench::InitHarness(argc, argv);
   using namespace spiffi;
-  bench::Preset preset = bench::ActivePreset();
-  bench::PrintHeader("disk cost per terminal", "Table 3", preset);
-
+  bench::InitHarness(argc, argv);
   struct Option {
     int disks;             // total drives
     double capacity_gb;    // per drive
     int cost_per_disk;     // 1995 US$
   };
-  std::vector<Option> options = {
+  const std::vector<Option> options = {
       {16, 9.0, 4000}, {32, 4.5, 2500}, {64, 2.2, 1500}};
 
-  vod::TextTable table({"disks", "capacity", "cost/disk", "cost/MB",
-                        "total cost", "terminals", "cost/terminal"});
-
+  bench::Sweep spec;
+  spec.title = "disk cost per terminal";
+  spec.paper_ref = "Table 3";
+  spec.corner = {"disks", "capacity", "cost/disk", "cost/MB", "total cost"};
+  spec.base = {"replacement=love-prefetch", "disk_sched=real-time",
+               "prefetch=delayed"};
   for (const Option& option : options) {
-    vod::SimConfig config = bench::BaseConfig(preset);
-    config.num_nodes = 4;
-    config.disks_per_node = option.disks / 4;
+    bench::SweepPoint point = bench::ScalePoint(option.disks / 16, 512);
+    point.more_labels = {
+        vod::FmtDouble(option.capacity_gb, 1) + " GB",
+        "$" + std::to_string(option.cost_per_disk),
+        "$" + vod::FmtDouble(option.cost_per_disk /
+                                 (option.capacity_gb * 1024.0),
+                             2),
+        "$" + std::to_string(option.disks * option.cost_per_disk)};
     // The library stays 64 videos in every case.
-    config.videos_per_disk = 64 / option.disks;
-    config.disk.capacity_bytes = static_cast<std::int64_t>(
-        option.capacity_gb * static_cast<double>(hw::kGiB));
-    config.server_memory_bytes =
-        512LL * (option.disks / 16) * hw::kMiB;
-    config.replacement = server::ReplacementPolicy::kLovePrefetch;
-    config.disk_sched = server::DiskSchedPolicy::kRealTime;
-    config.prefetch = server::PrefetchPolicy::kDelayed;
-    vod::CapacitySearchOptions search =
-        bench::SearchOptions(preset, 200 * option.disks / 16);
-    search.step = preset == bench::Preset::kFull
-                      ? 5
-                      : 5 * option.disks / 16;
-    vod::CapacityResult result = vod::FindMaxTerminals(config, search);
-
-    int total_cost = option.disks * option.cost_per_disk;
-    double cost_per_mb =
-        static_cast<double>(option.cost_per_disk) /
-        (option.capacity_gb * 1024.0);
-    double cost_per_terminal =
-        result.max_terminals > 0
-            ? static_cast<double>(total_cost) / result.max_terminals
-            : 0.0;
-    table.AddRow({std::to_string(option.disks),
-                  vod::FmtDouble(option.capacity_gb, 1) + " GB",
-                  "$" + std::to_string(option.cost_per_disk),
-                  "$" + vod::FmtDouble(cost_per_mb, 2),
-                  "$" + std::to_string(total_cost),
-                  std::to_string(result.max_terminals),
-                  "$" + vod::FmtDouble(cost_per_terminal, 0)});
-    std::fprintf(stderr, "  %d disks -> %d terminals\n", option.disks,
-                 result.max_terminals);
+    point.tokens.push_back(
+        bench::Token("videos_per_disk", 64 / option.disks));
+    point.tokens.push_back(bench::Token(
+        "disk.capacity_bytes",
+        static_cast<std::int64_t>(option.capacity_gb *
+                                  static_cast<double>(hw::kGiB))));
+    spec.rows.push_back(point);
   }
-  table.Print();
+  spec.cols = {{"terminals", {}}};
+  spec.extra = {"cost/terminal"};
+  spec.extra_cells = [&options](const bench::Grid& grid, std::size_t r) {
+    const int terminals = grid[r][0].terminals;
+    const int total_cost = options[r].disks * options[r].cost_per_disk;
+    return bench::Cells{
+        "$" + vod::FmtDouble(
+                  terminals > 0 ? static_cast<double>(total_cost) / terminals
+                                : 0.0,
+                  0)};
+  };
+  bench::PrintSweep(spec, bench::RunSweep(spec));
   return 0;
 }

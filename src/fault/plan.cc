@@ -25,7 +25,8 @@ std::string FaultPlan::Validate(int num_nodes, int total_disks) const {
     const FaultAction& action = script[i];
     std::ostringstream where;
     where << "fault_plan.script[" << i << "]: ";
-    if (action.time < 0.0) {
+    // Bounds on doubles are written so that NaN fails them.
+    if (!(action.time >= 0.0)) {
       return where.str() + "time must be >= 0";
     }
     int limit = TargetsDisk(action.kind) ? total_disks : num_nodes;
@@ -35,31 +36,32 @@ std::string FaultPlan::Validate(int num_nodes, int total_disks) const {
           << limit << ")";
       return out.str();
     }
-    if (action.kind == FaultKind::kDiskLimpBegin && action.factor < 1.0) {
+    if (action.kind == FaultKind::kDiskLimpBegin && !(action.factor >= 1.0)) {
       return where.str() + "limp factor must be >= 1";
     }
   }
-  if (disk_mtbf_sec < 0.0 || node_mtbf_sec < 0.0 || limp_mtbf_sec < 0.0) {
+  if (!(disk_mtbf_sec >= 0.0 && node_mtbf_sec >= 0.0 &&
+        limp_mtbf_sec >= 0.0)) {
     return "fault_plan: MTBF values must be >= 0";
   }
-  if (disk_mtbf_sec > 0.0 && disk_repair_mean_sec <= 0.0) {
+  if (disk_mtbf_sec > 0.0 && !(disk_repair_mean_sec > 0.0)) {
     return "fault_plan: disk_repair_mean_sec must be > 0";
   }
-  if (node_mtbf_sec > 0.0 && node_repair_mean_sec <= 0.0) {
+  if (node_mtbf_sec > 0.0 && !(node_repair_mean_sec > 0.0)) {
     return "fault_plan: node_repair_mean_sec must be > 0";
   }
   if (limp_mtbf_sec > 0.0) {
-    if (limp_duration_mean_sec <= 0.0) {
+    if (!(limp_duration_mean_sec > 0.0)) {
       return "fault_plan: limp_duration_mean_sec must be > 0";
     }
-    if (limp_factor < 1.0) {
+    if (!(limp_factor >= 1.0)) {
       return "fault_plan: limp_factor must be >= 1";
     }
   }
   if (reroute_hop_budget < 0) {
     return "fault_plan: reroute_hop_budget must be >= 0";
   }
-  if (recheck_sec <= 0.0) {
+  if (!(recheck_sec > 0.0)) {
     return "fault_plan: recheck_sec must be > 0";
   }
   return "";

@@ -1,9 +1,9 @@
 #include "obs/metrics_registry.h"
 
-#include <cmath>
 #include <cstdio>
 #include <utility>
 
+#include "obs/json.h"
 #include "sim/check.h"
 
 namespace spiffi::obs {
@@ -65,29 +65,19 @@ QuantileSketch MetricsRegistry::GetSketch(const std::string& name) const {
 
 namespace {
 
-void WriteNumber(std::ostream& out, double value) {
-  if (!std::isfinite(value)) {
-    out << 0;
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out << buf;
-}
-
 void WriteSketchJson(std::ostream& out, const QuantileSketch& s) {
   out << "{\"count\":" << s.count() << ",\"mean\":";
-  WriteNumber(out, s.mean());
+  WriteJsonNumber(out, s.mean());
   out << ",\"min\":";
-  WriteNumber(out, s.count() == 0 ? 0.0 : s.min());
+  WriteJsonNumber(out, s.count() == 0 ? 0.0 : s.min());
   out << ",\"max\":";
-  WriteNumber(out, s.count() == 0 ? 0.0 : s.max());
+  WriteJsonNumber(out, s.count() == 0 ? 0.0 : s.max());
   out << ",\"p50\":";
-  WriteNumber(out, s.Quantile(0.5));
+  WriteJsonNumber(out, s.Quantile(0.5));
   out << ",\"p90\":";
-  WriteNumber(out, s.Quantile(0.9));
+  WriteJsonNumber(out, s.Quantile(0.9));
   out << ",\"p99\":";
-  WriteNumber(out, s.Quantile(0.99));
+  WriteJsonNumber(out, s.Quantile(0.99));
   out << '}';
 }
 
@@ -101,7 +91,7 @@ void MetricsRegistry::WriteJson(std::ostream& out) const {
     first = false;
     out << "  \"" << name << "\":";
     if (entry.probe != nullptr) {
-      WriteNumber(out, entry.probe());
+      WriteJsonNumber(out, entry.probe());
     } else {
       QuantileSketch merged;
       entry.sketch_probe(merged);
@@ -115,7 +105,7 @@ void MetricsRegistry::WriteCsv(std::ostream& out) const {
   out << "metric,value\n";
   auto row = [&out](const std::string& name, double value) {
     out << name << ',';
-    WriteNumber(out, value);
+    WriteJsonNumber(out, value);
     out << '\n';
   };
   for (const auto& [name, entry] : entries_) {

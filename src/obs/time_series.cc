@@ -1,27 +1,11 @@
 #include "obs/time_series.h"
 
-#include <cmath>
 #include <cstdio>
 
+#include "obs/json.h"
 #include "sim/check.h"
 
 namespace spiffi::obs {
-
-namespace {
-
-// One formatting path for every exported number, so equal samples yield
-// byte-identical exports (the determinism bar for telemetry files).
-void WriteNumber(std::ostream& out, double value) {
-  if (!std::isfinite(value)) {
-    out << 0;
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out << buf;
-}
-
-}  // namespace
 
 void TimeSeries::AddChannel(const std::string& name, bool counter,
                             SampleFn fn) {
@@ -96,10 +80,10 @@ std::size_t TimeSeries::ColumnIndex(const std::string& column_name) const {
 
 void TimeSeries::WriteRowJsonl(std::ostream& out, const Row& row) const {
   out << "{\"t\":";
-  WriteNumber(out, row.time);
+  WriteJsonNumber(out, row.time);
   for (std::size_t c = 0; c < columns_.size(); ++c) {
     out << ",\"" << columns_[c] << "\":";
-    WriteNumber(out, row.values[c]);
+    WriteJsonNumber(out, row.values[c]);
   }
   out << "}\n";
 }
@@ -113,10 +97,10 @@ void TimeSeries::WriteCsv(std::ostream& out) const {
   for (const std::string& column : columns_) out << ',' << column;
   out << '\n';
   for (const Row& row : rows_) {
-    WriteNumber(out, row.time);
+    WriteJsonNumber(out, row.time);
     for (double value : row.values) {
       out << ',';
-      WriteNumber(out, value);
+      WriteJsonNumber(out, value);
     }
     out << '\n';
   }

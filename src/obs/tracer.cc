@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 
+#include "obs/json.h"
 #include "sim/check.h"
 
 namespace spiffi::obs {
@@ -161,41 +161,6 @@ void Tracer::SetThreadName(std::int32_t pid, std::int32_t tid,
                            std::string name) {
   thread_names_[{pid, tid}] = std::move(name);
 }
-
-namespace {
-
-// Event names and track names are ASCII identifiers in practice; escape
-// defensively anyway so the output is always valid JSON.
-void WriteJsonString(std::ostream& out, const char* s) {
-  out << '"';
-  for (; *s != '\0'; ++s) {
-    char c = *s;
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out << buf;
-    } else {
-      out << c;
-    }
-  }
-  out << '"';
-}
-
-// Doubles are written with %.17g (round-trip exact); non-finite values
-// have no JSON representation and become 0.
-void WriteJsonNumber(std::ostream& out, double value) {
-  if (!std::isfinite(value)) {
-    out << 0;
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out << buf;
-}
-
-}  // namespace
 
 void Tracer::WriteEventJson(std::ostream& out,
                             const TraceEvent& event) const {

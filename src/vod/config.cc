@@ -1,5 +1,7 @@
 #include "vod/config.h"
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "vod/config_knobs.h"
@@ -11,6 +13,16 @@ std::string SimConfig::Validate() const {
   if (std::string error = KnobBoundError(*this); !error.empty()) {
     return error;
   }
+  // total_disks() and num_videos() are int products; check them in 64
+  // bits before anything below calls them.
+  const std::int64_t disks =
+      static_cast<std::int64_t>(num_nodes) * disks_per_node;
+  if (disks > std::numeric_limits<int>::max()) {
+    return "num_nodes * disks_per_node overflows int";
+  }
+  if (disks * videos_per_disk > std::numeric_limits<int>::max()) {
+    return "videos_per_disk * num_nodes * disks_per_node overflows int";
+  }
   if (std::string error = mpeg::FrameModel::ParamsError(mpeg);
       !error.empty()) {
     return error;
@@ -21,8 +33,9 @@ std::string SimConfig::Validate() const {
   if (pool_pages_per_node() < 2) {
     return "server memory must hold at least two pages per node";
   }
+  // Bounds on doubles are written so that NaN fails them.
   if (prefetch == server::PrefetchPolicy::kDelayed &&
-      max_advance_prefetch_sec <= 0.0) {
+      !(max_advance_prefetch_sec > 0.0)) {
     return "max_advance_prefetch_sec must be positive for delayed "
            "prefetching";
   }
@@ -39,10 +52,10 @@ std::string SimConfig::Validate() const {
              "must land on distinct nodes)";
     }
   }
-  if (patch_window_sec >= video_seconds) {
+  if (!(patch_window_sec < video_seconds)) {
     return "patch_window_sec must be shorter than the video";
   }
-  if (prefix_cache_fraction > 0.0 && prefix_recompute_sec <= 0.0) {
+  if (prefix_cache_fraction > 0.0 && !(prefix_recompute_sec > 0.0)) {
     return "prefix_recompute_sec must be positive when the prefix cache "
            "is enabled";
   }
@@ -52,16 +65,16 @@ std::string SimConfig::Validate() const {
              "enabled";
     }
     if (proxy_policy != proxy::ProxyPolicy::kLru &&
-        proxy_recompute_sec <= 0.0) {
+        !(proxy_recompute_sec > 0.0)) {
       return "proxy_recompute_sec must be positive for popularity-aware "
              "proxy policies";
     }
   }
   if (admission_policy != AdmissionPolicy::kOff) {
-    if (admission_headroom <= 0.0 || admission_headroom > 1.0) {
+    if (!(admission_headroom > 0.0 && admission_headroom <= 1.0)) {
       return "admission_headroom must be in (0, 1]";
     }
-    if (admission_defer_sec <= 0.0) {
+    if (!(admission_defer_sec > 0.0)) {
       return "admission_defer_sec must be positive when admission "
              "control is enabled";
     }
@@ -70,16 +83,16 @@ std::string SimConfig::Validate() const {
     }
   }
   if (request_retry_budget > 0) {
-    if (retry_min_timeout_sec <= 0.0) {
+    if (!(retry_min_timeout_sec > 0.0)) {
       return "retry_min_timeout_sec must be positive when retries are "
              "enabled";
     }
-    if (retry_backoff_base_sec <= 0.0) {
+    if (!(retry_backoff_base_sec > 0.0)) {
       return "retry_backoff_base_sec must be positive when retries are "
              "enabled";
     }
   }
-  if (warmup_seconds < start_window_sec) {
+  if (!(warmup_seconds >= start_window_sec)) {
     return "warmup must cover the terminal start window";
   }
   return fault_plan.Validate(num_nodes, total_disks());

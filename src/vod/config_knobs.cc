@@ -122,16 +122,17 @@ std::string KnobBoundError(const SimConfig& config) {
           }
         },
         knob.get);
-    // NaN fails every comparison, so it passes, as it always has.
+    // Each test is written so that NaN, which fails every comparison,
+    // fails the bound.
     const std::string key = knob.key;
-    if (bound.kind == KnobBound::kNonNegative && value < 0.0) {
+    if (bound.kind == KnobBound::kNonNegative && !(value >= 0.0)) {
       return key + " must be non-negative";
     }
-    if (bound.kind == KnobBound::kPositive && value <= 0.0) {
+    if (bound.kind == KnobBound::kPositive && !(value > 0.0)) {
       return key + " must be positive";
     }
     if (bound.kind == KnobBound::kRange &&
-        (value < bound.lo || value > bound.hi)) {
+        !(value >= bound.lo && value <= bound.hi)) {
       return key + " must be in [" + NumberText(bound.lo) + ", " +
              NumberText(bound.hi) + "]";
     }

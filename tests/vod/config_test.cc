@@ -1,6 +1,13 @@
 #include "vod/config.h"
 
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "gtest/gtest.h"
+#include "vod/config_knobs.h"
 #include "vod/report.h"
 
 namespace spiffi::vod {
@@ -80,6 +87,115 @@ TEST(SimConfigTest, RejectsNonPositiveCounts) {
       EXPECT_FALSE(c.Validate().empty()) << "terminals=" << bad;
     }
   }
+}
+
+TEST(SimConfigTest, RejectsNaNInEveryBoundedDouble) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  // Every double with a bound in the knob table.
+  int bounded = 0;
+  for (const ConfigKnob& knob : kConfigKnobs) {
+    const auto* get = std::get_if<ConfigKnob::Ref<double>>(&knob.get);
+    if (get == nullptr || knob.bound.kind == KnobBound::kNone) continue;
+    SimConfig c;
+    const_cast<double&>((*get)(c)) = kNaN;
+    EXPECT_FALSE(c.Validate().empty()) << knob.key << "=nan";
+    ++bounded;
+  }
+  EXPECT_GE(bounded, 9);
+  // Every double a hand-written rule bounds, with the rule switched on.
+  const std::vector<std::pair<const char*, std::function<void(SimConfig&)>>>
+      rules = {
+          {"max_advance_prefetch_sec",
+           [](SimConfig& c) {
+             c.prefetch = server::PrefetchPolicy::kDelayed;
+             c.max_advance_prefetch_sec = kNaN;
+           }},
+          {"prefix_recompute_sec",
+           [](SimConfig& c) {
+             c.prefix_cache_fraction = 0.25;
+             c.prefix_recompute_sec = kNaN;
+           }},
+          {"proxy_recompute_sec",
+           [](SimConfig& c) {
+             c.proxy_nodes = 1;
+             c.proxy_policy = proxy::ProxyPolicy::kRankZipf;
+             c.proxy_recompute_sec = kNaN;
+           }},
+          {"admission_headroom",
+           [](SimConfig& c) {
+             c.admission_policy = AdmissionPolicy::kStaticReservation;
+             c.admission_headroom = kNaN;
+           }},
+          {"admission_defer_sec",
+           [](SimConfig& c) {
+             c.admission_policy = AdmissionPolicy::kStaticReservation;
+             c.admission_defer_sec = kNaN;
+           }},
+          {"retry_min_timeout_sec",
+           [](SimConfig& c) {
+             c.request_retry_budget = 1;
+             c.retry_min_timeout_sec = kNaN;
+           }},
+          {"retry_backoff_base_sec",
+           [](SimConfig& c) {
+             c.request_retry_budget = 1;
+             c.retry_backoff_base_sec = kNaN;
+           }},
+          {"warmup_seconds", [](SimConfig& c) { c.warmup_seconds = kNaN; }},
+          {"start_window_sec",
+           [](SimConfig& c) { c.start_window_sec = kNaN; }},
+          {"fault_plan.disk_mtbf_sec",
+           [](SimConfig& c) { c.fault_plan.disk_mtbf_sec = kNaN; }},
+          {"fault_plan.disk_repair_mean_sec",
+           [](SimConfig& c) {
+             c.fault_plan.disk_mtbf_sec = 100.0;
+             c.fault_plan.disk_repair_mean_sec = kNaN;
+           }},
+          {"fault_plan.node_repair_mean_sec",
+           [](SimConfig& c) {
+             c.fault_plan.node_mtbf_sec = 100.0;
+             c.fault_plan.node_repair_mean_sec = kNaN;
+           }},
+          {"fault_plan.limp_duration_mean_sec",
+           [](SimConfig& c) {
+             c.fault_plan.limp_mtbf_sec = 100.0;
+             c.fault_plan.limp_duration_mean_sec = kNaN;
+           }},
+          {"fault_plan.limp_factor",
+           [](SimConfig& c) {
+             c.fault_plan.limp_mtbf_sec = 100.0;
+             c.fault_plan.limp_factor = kNaN;
+           }},
+          {"fault_plan.recheck_sec",
+           [](SimConfig& c) { c.fault_plan.recheck_sec = kNaN; }},
+          {"fault_plan.script time",
+           [](SimConfig& c) {
+             c.fault_plan.script = {
+                 {kNaN, fault::FaultKind::kDiskFail, 0, 1.0}};
+           }},
+      };
+  for (const auto& [name, set] : rules) {
+    SimConfig c;
+    set(c);
+    EXPECT_FALSE(c.Validate().empty()) << name << "=nan";
+  }
+}
+
+TEST(SimConfigTest, RejectsOverflowingDerivedCounts) {
+  SimConfig c;
+  c.num_nodes = 70000;
+  c.disks_per_node = 70000;  // 4.9e9 disks
+  c.server_memory_bytes = 1000000000000000;
+  EXPECT_EQ(c.Validate(), "num_nodes * disks_per_node overflows int");
+
+  c = SimConfig{};
+  c.videos_per_disk = 200000000;  // x 16 disks = 3.2e9 videos
+  EXPECT_EQ(c.Validate(),
+            "videos_per_disk * num_nodes * disks_per_node overflows int");
+
+  c = SimConfig{};
+  c.videos_per_disk = std::numeric_limits<int>::max() / c.total_disks();
+  EXPECT_EQ(c.Validate(), "");
 }
 
 TEST(SimConfigTest, ValidatesReplicatedPlacement) {
