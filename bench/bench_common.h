@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,11 +23,13 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "mpeg/library_cache.h"
 #include "obs/kernel_profile.h"
 #include "vod/config.h"
+#include "vod/config_knobs.h"
 #include "vod/metrics.h"
 #include "vod/report.h"
 #include "vod/runner.h"
@@ -88,8 +91,8 @@ inline vod::SimConfig BaseConfig(Preset preset) {
 // Every capacity search and glitch curve in the harnesses runs through
 // the parallel experiment runner. The job count comes from --jobs N (or
 // --jobs=N), else the SPIFFI_JOBS environment variable, else
-// hardware_concurrency; --jobs 1 forces the serial path. Results are
-// identical for every value (see docs/parallel_runs.md).
+// hardware_concurrency; --jobs 1 is one worker with no speculation.
+// Results are identical for every value (see docs/parallel_runs.md).
 
 // The raw setting: 0 = default (sim::DefaultJobs()), n >= 1 = exactly n.
 inline int& JobsSetting() {
@@ -117,7 +120,10 @@ inline void PrintHeader(const char* experiment, const char* paper_ref,
 // per-run wall time from the elapsed wall time of the whole harness —
 // their ratio is the achieved parallel speedup. `library_builds` counts
 // the video libraries the process built (mpeg/library_cache.h): one per
-// replication seed per capacity search, not one per probe.
+// replication seed per distinct library key of a sweep, not one per
+// probe. `runs` counts every executed run, speculative ones included;
+// --report writes the realized runs only, so report lines / `runs` is
+// the share of the work the results rest on.
 // `library_draws` counts the frame sizes those builds drew, an exact
 // host-independent measure of set-up work; `library_fallback_draws`
 // counts those the batch kernel redrew on the exact scalar path.
@@ -131,6 +137,9 @@ struct ProfileCollector {
   std::string report_path = "bench_report.jsonl";  // --report
   std::mutex mutex;  // runs arrive concurrently from worker threads
   std::vector<vod::RunProfile> runs;
+  // ConfigDigest of each run the harness's results rest on, in result
+  // order (NoteRealizedRuns); written by the main thread only.
+  std::vector<std::uint64_t> realized;
   std::chrono::steady_clock::time_point start;
 };
 
@@ -200,7 +209,18 @@ inline void WriteProfileReport() {
       speedup, wall > 0.0 ? events / wall : 0.0);
 }
 
-// Writes one vod::RunReport JSON object per collected run (JSONL).
+// Notes the runs of `config` at `terminals`, seeds config.seed onward
+// over `replications`, as realized: --report writes these, in the order
+// noted, so two invocations write the same lines.
+inline void NoteRealizedRuns(vod::SimConfig config, int terminals,
+                             int replications) {
+  config.terminals = terminals;
+  for (int r = 0; r < replications; ++r, ++config.seed) {
+    Profiler().realized.push_back(vod::ConfigDigest(config));
+  }
+}
+
+// Writes one vod::RunReport JSON object per realized run (JSONL).
 inline void WriteRunReports() {
   ProfileCollector& collector = Profiler();
   std::ofstream out(collector.report_path);
@@ -210,8 +230,13 @@ inline void WriteRunReports() {
     return;
   }
   std::lock_guard<std::mutex> lock(collector.mutex);
-  for (std::size_t i = 0; i < collector.runs.size(); ++i) {
-    const vod::RunProfile& run = collector.runs[i];
+  std::unordered_map<std::uint64_t, const vod::RunProfile*> by_digest;
+  for (const vod::RunProfile& run : collector.runs) {
+    by_digest.emplace(run.config_digest, &run);
+  }
+  for (std::size_t i = 0; i < collector.realized.size(); ++i) {
+    // A realized run always ran to completion, so the observer saw it.
+    const vod::RunProfile& run = *by_digest.at(collector.realized[i]);
     vod::RunReport report;
     report.label = collector.harness + "/run" + std::to_string(i);
     report.config_summary = run.config_summary;
@@ -229,7 +254,7 @@ inline void WriteRunReports() {
     vod::WriteRunReportJson(out, report);
   }
   std::printf("report: wrote %s (%zu runs)\n", collector.report_path.c_str(),
-              collector.runs.size());
+              collector.realized.size());
 }
 
 // --- Live fleet progress (--progress mode) ---
@@ -339,7 +364,7 @@ inline bool FlagOrEnv(int argc, char** argv, const char* flag,
 //   --profile[=PATH]  (or SPIFFI_BENCH_PROFILE=1): kernel self-profile
 //                     JSON of every run;
 //   --report[=PATH]   (or SPIFFI_BENCH_REPORT=1): one machine-readable
-//                     report line per run, rendered by
+//                     report line per realized run, rendered by
 //                     tools/run_report.py;
 //   --progress[=SEC]  (or SPIFFI_BENCH_PROGRESS=1): fleet status on
 //                     stderr every SEC seconds (default 2).

@@ -27,6 +27,9 @@ int main(int argc, char** argv) {
   }
   auto curve = vod::GlitchCurve(capacity.config, counts, /*replications=*/1,
                                 bench::JobsSetting());
+  for (int terminals : counts) {
+    bench::NoteRealizedRuns(capacity.config, terminals, 1);
+  }
 
   vod::TextTable table({"terminals", "glitches"});
   for (const auto& [terminals, glitches] : curve) {

@@ -1,8 +1,8 @@
 // One capacity-sweep driver for the figure and table harnesses.
 //
 // Every table of the paper's evaluation (§7-§8) is the same experiment:
-// the maximum glitch-free terminal count (vod::FindMaxTerminals), taken
-// over a grid of config variants. A harness declares that grid as a
+// the maximum glitch-free terminal count (a vod::FindCapacities search),
+// taken over a grid of config variants. A harness declares that grid as a
 // Sweep — a row axis and a column axis of labelled `key=value` deltas
 // (the knob keys of vod/config_knobs.h) — RunSweep runs it, and
 // PrintSweep prints it as a table.
@@ -143,16 +143,18 @@ inline std::string Gain(int terminals, int baseline) {
   return "x" + vod::FmtDouble(ratio, 2);
 }
 
-// Builds every cell's config and validates it, then runs the grid:
-// capacity cells one search after another (each fans its probes across
-// --jobs workers), fixed-count cells in one batch on a ParallelRunner.
-// A token SetConfigKnob rejects, or a config Validate() rejects, exits
-// with status 1 before anything runs, naming the cell.
+// Builds every cell's config and validates it, then runs the grid on
+// one ParallelRunner of --jobs workers: capacity cells as one
+// vod::FindCapacities batch, fixed-count cells as one RunAll batch. Each cell's
+// realized runs are noted for --report in cell order. A token
+// SetConfigKnob rejects, or a config Validate() rejects, exits with
+// status 1 before anything runs, naming the cell.
 inline Grid RunSweep(const Sweep& spec) {
   const Preset preset = ActivePreset();
   Grid grid(spec.rows.size(), std::vector<Cell>(spec.cols.size()));
   Cells names;  // "<row label cells> @ <column label>", row-major
   std::vector<vod::SimConfig> configs;
+  std::vector<vod::CapacitySearch> searches;  // capacity grids only
   for (std::size_t r = 0; r < spec.rows.size(); ++r) {
     for (std::size_t c = 0; c < spec.cols.size(); ++c) {
       std::string name = spec.rows[r].label;
@@ -184,40 +186,46 @@ inline Grid RunSweep(const Sweep& spec) {
         std::exit(1);
       }
       configs.push_back(config);
+      if (spec.fixed_count) continue;
+      vod::CapacitySearchOptions options;
+      options.start_guess = 200;
+      options.max_terminals = 2000;
+      options.step = preset == Preset::kSmoke ? 20 : 5;
+      options.replications = preset == Preset::kFull ? 3 : 1;
+      options.jobs = JobsSetting();
+      for (const SearchOverride& o :
+           {spec.search, spec.rows[r].search, spec.cols[c].search}) {
+        if (o.start_guess > 0) options.start_guess = o.start_guess;
+        if (o.step > 0) options.step = o.step;
+        if (o.ceiling > 0) options.max_terminals = o.ceiling;
+      }
+      searches.push_back({config, options});
     }
   }
   if (spec.title != nullptr) PrintHeader(spec.title, spec.paper_ref, preset);
 
-  std::vector<vod::SimMetrics> fixed;
-  if (spec.fixed_count) {
-    vod::ParallelRunner runner(JobsSetting());
-    fixed = runner.RunAll(configs);
-  }
+  vod::ParallelRunner runner(JobsSetting());
+  const std::vector<vod::SimMetrics> fixed =
+      spec.fixed_count ? runner.RunAll(configs)
+                       : std::vector<vod::SimMetrics>();
+  const std::vector<vod::CapacityResult> found =
+      vod::FindCapacities(searches, runner);
   for (std::size_t r = 0, i = 0; r < spec.rows.size(); ++r) {
     for (std::size_t c = 0; c < spec.cols.size(); ++c, ++i) {
       Cell& cell = grid[r][c];
       if (spec.fixed_count) {
         cell.terminals = cell.config.terminals;
         cell.metrics = fixed[i];
+        NoteRealizedRuns(cell.config, cell.terminals, 1);
       } else {
-        vod::CapacitySearchOptions options;
-        options.start_guess = 200;
-        options.max_terminals = 2000;
-        options.step = preset == Preset::kSmoke ? 20 : 5;
-        options.replications = preset == Preset::kFull ? 3 : 1;
-        options.jobs = JobsSetting();
-        for (const SearchOverride& o :
-             {spec.search, spec.rows[r].search, spec.cols[c].search}) {
-          if (o.start_guess > 0) options.start_guess = o.start_guess;
-          if (o.step > 0) options.step = o.step;
-          if (o.ceiling > 0) options.max_terminals = o.ceiling;
-        }
-        vod::CapacityResult result =
-            vod::FindMaxTerminals(cell.config, options);
-        cell.terminals = result.max_terminals;
+        const vod::CapacitySearchOptions& options = searches[i].options;
+        cell.terminals = found[i].max_terminals;
         cell.at_ceiling =
-            result.max_terminals >= options.max_terminals - options.step;
-        cell.metrics = result.at_capacity;
+            found[i].max_terminals >= options.max_terminals - options.step;
+        cell.metrics = found[i].at_capacity;
+        for (const auto& [terminals, glitches] : found[i].probes) {
+          NoteRealizedRuns(cell.config, terminals, options.replications);
+        }
       }
       std::fprintf(stderr, "  %s -> %s%s\n", names[i].c_str(),
                    spec.format(cell).c_str(),

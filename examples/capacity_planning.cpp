@@ -56,8 +56,12 @@ int main(int argc, char** argv) {
   vod::CapacitySearchOptions options;
   options.start_guess = 12 * config.total_disks();
   options.step = 5;
-  options.verbose = true;
   vod::CapacityResult result = vod::FindMaxTerminals(config, options);
+  for (const auto& [terminals, glitches] : result.probes) {
+    std::printf("  probe %4d terminals: %llu glitches\n", terminals,
+                static_cast<unsigned long long>(glitches));
+  }
+  std::printf("\n");
 
   const vod::SimMetrics& m = result.at_capacity;
   // Simple 1995 cost model: $4000 per 9 GB drive, $40/MB memory.

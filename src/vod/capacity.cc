@@ -1,10 +1,10 @@
 #include "vod/capacity.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
+#include <utility>
 #include <variant>
 
 #include "sim/check.h"
@@ -17,9 +17,9 @@ namespace {
 
 // The capacity search as an explicit decision machine: NextProbe() names
 // the terminal count the search must evaluate next, Advance() folds in
-// the glitch-free verdict. The serial driver and the speculative
-// parallel driver both walk exactly this machine, so they probe the same
-// realized path and return identical results.
+// the glitch-free verdict. FindCapacities walks one machine per search
+// and SpeculativePoints expands copies of it, so every search probes
+// exactly the path its verdicts dictate.
 struct SearchState {
   enum class Phase { kBracket, kBisect, kDone };
 
@@ -134,9 +134,10 @@ std::vector<SimConfig> ReplicationConfigs(SimConfig config, int terminals,
   return configs;
 }
 
-// The video library of every replication seed, held for a whole search
-// or curve. Probes differ only in their terminal count, so with these
-// pins every probe of one seed shares a single library build (runner
+// The video library of every replication seed, held for a whole batch of
+// searches or a curve. Probes differ only in their terminal count, so
+// with these pins every probe of one seed — of every search whose config
+// has the same library inputs — shares a single library build (runner
 // workers included) instead of rebuilding it per probe.
 using LibraryPins = std::vector<std::shared_ptr<const mpeg::VideoLibrary>>;
 
@@ -155,85 +156,16 @@ std::uint64_t SumGlitches(const std::vector<SimMetrics>& reps) {
   return total;
 }
 
-struct ProbeOutcome {
-  std::uint64_t glitches = 0;
-  SimMetrics aggregate;
-};
+using RunHandle = ParallelRunner::RunHandle;
 
-// Speculative parallel search: keeps the runner fed with the probes the
-// search may need next, cancels the ones a resolved sibling made moot,
-// and consumes outcomes strictly along the realized decision path.
-CapacityResult FindMaxTerminalsParallel(const SimConfig& base,
-                                        const CapacitySearchOptions& options,
-                                        int jobs) {
-  ParallelRunner runner(jobs);
-  SearchState state(options);
+// One search of a FindCapacities batch: its decision machine, the probe
+// points it has in flight (each point's replication runs), its result.
+struct Walk {
+  const CapacitySearch* search;
+  SearchState state;
+  std::map<int, std::vector<RunHandle>> inflight;
   CapacityResult result;
-  SimMetrics good_metrics;
-
-  // Outstanding probe budget: enough points to occupy every worker with
-  // `replications` runs each, and always at least one speculative probe
-  // beyond the realized one.
-  int budget =
-      std::max(2, (jobs + options.replications - 1) / options.replications);
-
-  std::map<int, std::vector<ParallelRunner::RunHandle>> inflight;
-
-  while (state.phase != SearchState::Phase::kDone) {
-    std::vector<int> wanted = SpeculativePoints(state, budget);
-    SPIFFI_CHECK(!wanted.empty());
-    SPIFFI_CHECK(wanted.front() == state.NextProbe());
-
-    for (int t : wanted) {
-      if (inflight.count(t) != 0) continue;
-      std::vector<ParallelRunner::RunHandle>& runs = inflight[t];
-      for (const SimConfig& config :
-           ReplicationConfigs(base, t, options.replications)) {
-        runs.push_back(runner.Submit(config));
-      }
-    }
-    // Anything inflight the (re)expanded tree no longer contains was made
-    // moot by the last verdict: stop it.
-    std::set<int> wanted_set(wanted.begin(), wanted.end());
-    for (auto it = inflight.begin(); it != inflight.end();) {
-      if (wanted_set.count(it->first) == 0) {
-        for (const ParallelRunner::RunHandle& run : it->second) {
-          runner.Cancel(run);
-        }
-        it = inflight.erase(it);
-      } else {
-        ++it;
-      }
-    }
-
-    int t = wanted.front();
-    std::vector<SimMetrics> reps;
-    reps.reserve(options.replications);
-    for (const ParallelRunner::RunHandle& run : inflight.at(t)) {
-      SimMetrics metrics;
-      bool completed = runner.Wait(run, &metrics);
-      SPIFFI_CHECK(completed);  // realized probes are never cancelled
-      reps.push_back(metrics);
-    }
-    inflight.erase(t);
-
-    ProbeOutcome outcome;
-    outcome.glitches = SumGlitches(reps);
-    outcome.aggregate = AggregateReplications(reps);
-    result.probes.emplace_back(t, outcome.glitches);
-    if (options.verbose) {
-      std::fprintf(stderr, "  probe %4d terminals: %llu glitches\n", t,
-                   static_cast<unsigned long long>(outcome.glitches));
-    }
-    if (outcome.glitches == 0) good_metrics = outcome.aggregate;
-    state.Advance(outcome.glitches == 0);
-  }
-  // Leftover speculative probes are cancelled by the runner's destructor.
-
-  result.max_terminals = state.known_good;
-  result.at_capacity = good_metrics;
-  return result;
-}
+};
 
 }  // namespace
 
@@ -271,86 +203,149 @@ SimMetrics AggregateReplications(const std::vector<SimMetrics>& reps) {
 }
 
 std::uint64_t GlitchesAt(SimConfig config, int terminals, int replications,
-                         SimMetrics* out_aggregate, ParallelRunner* runner) {
+                         SimMetrics* out_aggregate) {
   SPIFFI_CHECK(replications > 0);
-  std::vector<SimConfig> configs =
-      ReplicationConfigs(config, terminals, replications);
   std::vector<SimMetrics> reps;
   reps.reserve(replications);
-  if (runner != nullptr) {
-    reps = runner->RunAll(configs);
-  } else {
-    for (const SimConfig& replication : configs) {
-      reps.push_back(RunSimulation(replication));
-    }
+  for (const SimConfig& replication :
+       ReplicationConfigs(config, terminals, replications)) {
+    reps.push_back(RunSimulation(replication));
   }
   if (out_aggregate != nullptr) *out_aggregate = AggregateReplications(reps);
   return SumGlitches(reps);
 }
 
+std::vector<CapacityResult> FindCapacities(
+    const std::vector<CapacitySearch>& searches) {
+  if (searches.empty()) return {};
+  ParallelRunner runner(ResolveJobs(searches.front().options.jobs));
+  return FindCapacities(searches, runner);
+}
+
+std::vector<CapacityResult> FindCapacities(
+    const std::vector<CapacitySearch>& searches, ParallelRunner& runner) {
+  const int jobs = runner.jobs();
+  std::vector<LibraryPins> pins;
+  std::vector<Walk> walks;
+  walks.reserve(searches.size());
+  for (const CapacitySearch& search : searches) {
+    const CapacitySearchOptions& options = search.options;
+    SPIFFI_CHECK(options.step > 0);
+    SPIFFI_CHECK(options.min_terminals > 0);
+    SPIFFI_CHECK(options.max_terminals >= options.min_terminals);
+    SPIFFI_CHECK(options.replications > 0);
+    SPIFFI_CHECK(ResolveJobs(options.jobs) == jobs);
+    pins.push_back(PinLibraries(search.base, options.replications));
+    walks.push_back({&search, SearchState(options), {}, {}});
+  }
+
+  for (;;) {
+    // The outstanding set, in submission order: every live search's
+    // realized probe, then speculative points, breadth first across the
+    // searches, while the set holds fewer than two points or fewer than
+    // `jobs` runs. A lone search thus keeps max(2, ceil(jobs /
+    // replications)) points out, and a batch speculates only on workers
+    // its realized probes leave idle. One worker never speculates.
+    std::vector<std::vector<int>> frontiers;
+    std::vector<std::pair<Walk*, int>> wanted;
+    int runs = 0;
+    auto want = [&](Walk& walk, int t) {
+      wanted.emplace_back(&walk, t);
+      runs += walk.search->options.replications;
+    };
+    for (Walk& walk : walks) {
+      frontiers.push_back(
+          SpeculativePoints(walk.state, jobs > 1 ? jobs + 1 : 1));
+      if (!frontiers.back().empty()) want(walk, frontiers.back().front());
+    }
+    const std::size_t live = wanted.size();
+    for (int depth = 1; depth <= jobs; ++depth) {
+      for (std::size_t i = 0; i < walks.size(); ++i) {
+        if (static_cast<std::size_t>(depth) < frontiers[i].size() &&
+            (wanted.size() < 2 || runs < jobs)) {
+          want(walks[i], frontiers[i][depth]);
+        }
+      }
+    }
+
+    // Stop the probes the last verdicts made moot, and every probe of a
+    // finished search.
+    for (Walk& walk : walks) {
+      for (auto it = walk.inflight.begin(); it != walk.inflight.end();) {
+        if (std::find(wanted.begin(), wanted.end(),
+                      std::pair{&walk, it->first}) == wanted.end()) {
+          for (const RunHandle& run : it->second) runner.Cancel(run);
+          it = walk.inflight.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+    if (wanted.empty()) break;
+    for (const auto& [walk, t] : wanted) {
+      if (walk->inflight.count(t) != 0) continue;
+      std::vector<RunHandle>& handles = walk->inflight[t];
+      for (const SimConfig& config :
+           ReplicationConfigs(walk->search->base, t,
+                              walk->search->options.replications)) {
+        handles.push_back(runner.Submit(config));
+      }
+    }
+
+    // Fold in the verdict of the first search whose realized probe has
+    // finished; the others keep theirs for the next rounds.
+    std::vector<std::vector<RunHandle>> realized;
+    for (std::size_t i = 0; i < live; ++i) {
+      realized.push_back(wanted[i].first->inflight.at(wanted[i].second));
+    }
+    const auto [walk, t] = wanted[runner.WaitAny(realized)];
+    std::vector<SimMetrics> reps;
+    for (const RunHandle& run : walk->inflight.at(t)) {
+      SimMetrics metrics;
+      bool completed = runner.Wait(run, &metrics);
+      SPIFFI_CHECK(completed);  // realized probes are never cancelled
+      reps.push_back(metrics);
+    }
+    walk->inflight.erase(t);
+    const std::uint64_t glitches = SumGlitches(reps);
+    walk->result.probes.emplace_back(t, glitches);
+    if (glitches == 0) walk->result.at_capacity = AggregateReplications(reps);
+    walk->state.Advance(glitches == 0);
+    walk->result.max_terminals = walk->state.known_good;
+  }
+
+  std::vector<CapacityResult> results;
+  results.reserve(walks.size());
+  for (Walk& walk : walks) results.push_back(std::move(walk.result));
+  return results;
+}
+
 CapacityResult FindMaxTerminals(const SimConfig& base,
                                 const CapacitySearchOptions& options) {
-  SPIFFI_CHECK(options.step > 0);
-  SPIFFI_CHECK(options.min_terminals > 0);
-  SPIFFI_CHECK(options.max_terminals >= options.min_terminals);
-  SPIFFI_CHECK(options.replications > 0);
-
-  const LibraryPins pins = PinLibraries(base, options.replications);
-  int jobs = options.jobs == 1 ? 1 : ResolveJobs(options.jobs);
-  if (jobs > 1) return FindMaxTerminalsParallel(base, options, jobs);
-
-  SearchState state(options);
-  CapacityResult result;
-  SimMetrics good_metrics;
-  while (state.phase != SearchState::Phase::kDone) {
-    int t = state.NextProbe();
-    SimMetrics aggregate;
-    std::uint64_t glitches =
-        GlitchesAt(base, t, options.replications, &aggregate);
-    result.probes.emplace_back(t, glitches);
-    if (options.verbose) {
-      std::fprintf(stderr, "  probe %4d terminals: %llu glitches\n", t,
-                   static_cast<unsigned long long>(glitches));
-    }
-    if (glitches == 0) good_metrics = aggregate;
-    state.Advance(glitches == 0);
-  }
-  result.max_terminals = state.known_good;
-  result.at_capacity = good_metrics;
-  return result;
+  return FindCapacities({{base, options}})[0];
 }
 
 std::vector<std::pair<int, std::uint64_t>> GlitchCurve(
     const SimConfig& base, const std::vector<int>& terminal_counts,
     int replications, int jobs) {
   const LibraryPins pins = PinLibraries(base, replications);
+  std::vector<SimConfig> configs;
+  configs.reserve(terminal_counts.size() * replications);
+  for (int terminals : terminal_counts) {
+    for (const SimConfig& config :
+         ReplicationConfigs(base, terminals, replications)) {
+      configs.push_back(config);
+    }
+  }
+  ParallelRunner runner(jobs);
+  const std::vector<SimMetrics> all = runner.RunAll(configs);
   std::vector<std::pair<int, std::uint64_t>> curve;
   curve.reserve(terminal_counts.size());
-  int resolved = jobs == 1 ? 1 : ResolveJobs(jobs);
-  if (resolved > 1 && terminal_counts.size() * replications > 1) {
-    // Every (point, replication) pair is independent: fan the whole grid
-    // out at once and assemble per-point sums in submission order.
-    ParallelRunner runner(resolved);
-    std::vector<SimConfig> configs;
-    configs.reserve(terminal_counts.size() * replications);
-    for (int terminals : terminal_counts) {
-      for (const SimConfig& config :
-           ReplicationConfigs(base, terminals, replications)) {
-        configs.push_back(config);
-      }
-    }
-    std::vector<SimMetrics> all = runner.RunAll(configs);
-    std::size_t index = 0;
-    for (int terminals : terminal_counts) {
-      std::uint64_t total = 0;
-      for (int r = 0; r < replications; ++r) total += all[index++].glitches;
-      curve.emplace_back(terminals, total);
-    }
-    return curve;
-  }
+  std::size_t index = 0;
   for (int terminals : terminal_counts) {
-    curve.emplace_back(terminals,
-                       GlitchesAt(base, terminals, replications));
+    std::uint64_t total = 0;
+    for (int r = 0; r < replications; ++r) total += all[index++].glitches;
+    curve.emplace_back(terminals, total);
   }
   return curve;
 }

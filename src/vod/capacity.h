@@ -6,14 +6,15 @@
 // the requested granularity. Replications rerun a point with different
 // seeds; a point passes only if every replication is glitch-free.
 //
-// With jobs > 1 the search runs its probes through a ParallelRunner:
-// replications of one point fan out across workers, and the bisection is
-// speculative — both possible next probe points of the search's decision
-// tree are launched before the current probe resolves, and probes made
-// moot by a finished sibling are cancelled. Because each probe is a
-// deterministic function of (config, terminals, seed), the speculative
-// search walks exactly the serial decision path and returns identical
-// results for every job count (locked by tests/vod/runner_test.cc).
+// FindCapacities walks a batch of searches over one ParallelRunner. Every
+// unfinished search's realized next probe is submitted first; workers
+// left idle take speculative probes — points either verdict of a pending
+// probe may lead to — and probes made moot by a verdict are cancelled.
+// Each probe is a deterministic function of (config, terminals, seed),
+// and each search folds its verdicts in its own probe order, so every
+// search walks exactly its serial decision path and returns identical
+// results for every job count and batch (locked by
+// tests/vod/runner_test.cc).
 
 #ifndef SPIFFI_VOD_CAPACITY_H_
 #define SPIFFI_VOD_CAPACITY_H_
@@ -35,12 +36,16 @@ struct CapacitySearchOptions {
   int step = 5;          // result granularity
   int start_guess = 100; // first point probed
   int replications = 1;  // seeds per point
-  bool verbose = false;  // print each probe to stderr
-  // Worker threads for probes and replications: 1 = serial in the
-  // calling thread, 0 = sim::DefaultJobs() (SPIFFI_JOBS / hardware
-  // concurrency), n > 1 = that many workers with speculative bisection.
-  // The result is identical for every value.
+  // Runner workers: 1 = one worker, realized probes only; 0 =
+  // sim::DefaultJobs() (SPIFFI_JOBS / hardware concurrency); n > 1 =
+  // that many workers, idle ones taking speculative probes. The result
+  // is identical for every value.
   int jobs = 1;
+};
+
+struct CapacitySearch {
+  SimConfig base;
+  CapacitySearchOptions options;
 };
 
 struct CapacityResult {
@@ -66,20 +71,30 @@ struct CapacityResult {
 SimMetrics AggregateReplications(const std::vector<SimMetrics>& reps);
 
 // Total glitches at `terminals`, summed over `replications` seeds
-// (config.seed, config.seed+1, ...). `out_aggregate` (optional)
-// receives the aggregate of all replications — not just the last one.
-// `runner` (optional) fans the replications across its workers; the
-// result is identical either way.
+// (config.seed, config.seed+1, ...), run one after another in the
+// calling thread. `out_aggregate` (optional) receives the aggregate of
+// all replications — not just the last one.
 std::uint64_t GlitchesAt(SimConfig config, int terminals, int replications,
-                         SimMetrics* out_aggregate = nullptr,
-                         ParallelRunner* runner = nullptr);
+                         SimMetrics* out_aggregate = nullptr);
 
+// One result per search, in search order. Every search must resolve to
+// the same jobs (checked). The video library of every search's
+// replication seeds is pinned for the whole call, so searches with equal
+// library inputs share one build per seed.
+std::vector<CapacityResult> FindCapacities(
+    const std::vector<CapacitySearch>& searches);
+// The same on a caller's runner (shared with other work, or read for
+// progress), whose job count must equal every search's resolved jobs.
+std::vector<CapacityResult> FindCapacities(
+    const std::vector<CapacitySearch>& searches, ParallelRunner& runner);
+
+// FindCapacities({{base, options}})[0].
 CapacityResult FindMaxTerminals(const SimConfig& base,
                                 const CapacitySearchOptions& options);
 
 // Glitch counts over a range of terminal counts (paper Fig 9's curve).
-// jobs as in CapacitySearchOptions: every (point, replication) pair runs
-// concurrently, results are assembled in point order.
+// jobs as in CapacitySearchOptions: every (point, replication) pair is
+// one run of a ParallelRunner::RunAll batch, assembled in point order.
 std::vector<std::pair<int, std::uint64_t>> GlitchCurve(
     const SimConfig& base, const std::vector<int>& terminal_counts,
     int replications = 1, int jobs = 1);

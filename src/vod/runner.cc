@@ -128,6 +128,26 @@ bool ParallelRunner::Wait(const RunHandle& run, SimMetrics* out,
   return true;
 }
 
+std::size_t ParallelRunner::WaitAny(
+    const std::vector<std::vector<RunHandle>>& groups) {
+  SPIFFI_CHECK(!groups.empty());
+  auto finished = [](const RunHandle& run) {
+    return run->state == Run::State::kDone ||
+           run->state == Run::State::kCancelled;
+  };
+  std::size_t ready = 0;
+  std::unique_lock<std::mutex> lock(mutex_);
+  run_finished_.wait(lock, [&] {
+    for (ready = 0; ready < groups.size(); ++ready) {
+      if (std::all_of(groups[ready].begin(), groups[ready].end(), finished)) {
+        return true;
+      }
+    }
+    return false;
+  });
+  return ready;
+}
+
 std::vector<SimMetrics> ParallelRunner::RunAll(
     const std::vector<SimConfig>& configs) {
   std::vector<RunHandle> handles;

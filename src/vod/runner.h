@@ -14,14 +14,16 @@
 //
 // Runs are cooperatively cancellable: Cancel() flips a flag the
 // simulation checks between event slices (Simulation::Run(cancel, out)),
-// so a capacity-search probe made moot by a finished sibling stops
-// within a few percent of its runtime instead of running to completion.
+// so a speculative capacity-search probe made moot by another probe's
+// verdict stops within a few percent of its runtime instead of running
+// to completion.
 
 #ifndef SPIFFI_VOD_RUNNER_H_
 #define SPIFFI_VOD_RUNNER_H_
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -130,6 +132,10 @@ class ParallelRunner {
   // cancellation.
   bool Wait(const RunHandle& run, SimMetrics* out,
             double* wall_seconds = nullptr);
+
+  // Blocks until every run of some group of `groups` finished or was
+  // cancelled; returns the index of the first such group.
+  std::size_t WaitAny(const std::vector<std::vector<RunHandle>>& groups);
 
   // Convenience barrier: runs every config and returns the metrics in
   // submission order. The caller must not cancel these runs.

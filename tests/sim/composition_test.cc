@@ -1,13 +1,13 @@
 // Composition tests: the kernel primitives (processes, semaphores,
-// mailboxes, resources, wait lists) cooperating in one simulation, plus
+// resources, wait lists) cooperating in one simulation, plus
 // event-trace-level determinism of the whole ensemble.
 
+#include <deque>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "sim/environment.h"
-#include "sim/mailbox.h"
 #include "sim/process.h"
 #include "sim/resource.h"
 #include "sim/semaphore.h"
@@ -17,13 +17,14 @@ namespace spiffi::sim {
 namespace {
 
 // A tiny producer/consumer pipeline: producers acquire a token, "compute"
-// on a shared CPU, and mail results to consumers.
+// on a shared CPU, and queue results for a consumer.
 struct Pipeline {
   explicit Pipeline(Environment* env)
-      : tokens(env, 2), cpu(env, 1, "cpu"), results(env) {}
+      : tokens(env, 2), cpu(env, 1, "cpu"), arrived(env) {}
   Semaphore tokens;
   Resource cpu;
-  Mailbox<int> results;
+  std::deque<int> results;
+  WaitList arrived;  // notified once per queued result
   std::vector<std::string> log;
 };
 
@@ -31,7 +32,8 @@ Process Producer(Environment* env, Pipeline* p, int id, int items) {
   for (int i = 0; i < items; ++i) {
     co_await p->tokens.Acquire();
     co_await p->cpu.Use(0.01);
-    p->results.Send(id * 100 + i);
+    p->results.push_back(id * 100 + i);
+    p->arrived.NotifyOne();
     p->tokens.Release();
     co_await env->Hold(0.05);
   }
@@ -39,7 +41,9 @@ Process Producer(Environment* env, Pipeline* p, int id, int items) {
 
 Process Consumer(Environment* env, Pipeline* p, int total) {
   for (int i = 0; i < total; ++i) {
-    int value = co_await p->results.Receive();
+    while (p->results.empty()) co_await p->arrived.Wait();
+    const int value = p->results.front();
+    p->results.pop_front();
     p->log.push_back(std::to_string(env->now()) + ":" +
                      std::to_string(value));
   }

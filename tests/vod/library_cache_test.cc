@@ -184,7 +184,8 @@ TEST(LibraryCacheTest, SharedLibraryRunMatchesFreshBuild) {
 }
 
 // One library build per replication seed for a whole search, at any
-// job count — not one per probe.
+// job count — not one per probe — and for a whole batch of searches
+// whose configs differ in no library input.
 class SearchBuildsTest
     : public ::testing::TestWithParam<std::pair<int, int>> {};
 
@@ -197,9 +198,23 @@ TEST_P(SearchBuildsTest, OneBuildPerReplication) {
   options.step = 8;
   options.replications = replications;
   options.jobs = jobs;
-  const std::uint64_t before = Builds();
+  std::uint64_t before = Builds();
   const CapacityResult result = FindMaxTerminals(TinyConfig(), options);
   EXPECT_GT(result.probes.size(), 2u);
+  EXPECT_EQ(Builds() - before, static_cast<std::uint64_t>(replications));
+
+  SimConfig real_time = TinyConfig();
+  real_time.disk_sched = server::DiskSchedPolicy::kRealTime;
+  real_time.prefetch = server::PrefetchPolicy::kDelayed;
+  SimConfig small_memory = TinyConfig();
+  small_memory.server_memory_bytes = 64LL * 1024 * 1024;
+  CapacitySearchOptions coarse = options;
+  coarse.start_guess = 40;
+  coarse.step = 16;
+  before = Builds();
+  const std::vector<CapacityResult> batch = FindCapacities(
+      {{TinyConfig(), coarse}, {real_time, options}, {small_memory, options}});
+  ASSERT_EQ(batch.size(), 3u);
   EXPECT_EQ(Builds() - before, static_cast<std::uint64_t>(replications));
 }
 
