@@ -1,8 +1,12 @@
-# Runs one harness at the smoke preset and byte-compares its stdout with
-# the committed golden (bench/testdata/<harness>.smoke.txt).
+# Runs one program and byte-compares its stdout with a committed golden
+# (bench/testdata/<harness>.smoke.txt, examples/testdata/<example>.txt).
 #
-#   cmake -DHARNESS=<binary> -DGOLDEN=<file> -P golden_test.cmake
-execute_process(COMMAND ${HARNESS} --smoke --jobs 2
+#   cmake -DHARNESS=<binary> "-DARGS=<arguments>" -DGOLDEN=<file>
+#         -P golden_test.cmake
+#
+# ARGS is one space-separated string, e.g. "--smoke --jobs 2".
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND ${HARNESS} ${args}
                 OUTPUT_VARIABLE actual RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "${HARNESS} exited with ${status}")
