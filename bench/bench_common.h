@@ -88,8 +88,8 @@ inline vod::SimConfig BaseConfig(Preset preset) {
 
 // --- Parallel execution (--jobs mode) ---
 //
-// Every capacity search and glitch curve in the harnesses runs through
-// the parallel experiment runner. The job count comes from --jobs N (or
+// Every capacity search and fixed-count grid in the harnesses runs
+// through the parallel experiment runner. The job count comes from --jobs N (or
 // --jobs=N), else the SPIFFI_JOBS environment variable, else
 // hardware_concurrency; --jobs 1 is one worker with no speculation.
 // Results are identical for every value (see docs/parallel_runs.md).
@@ -120,8 +120,8 @@ inline void PrintHeader(const char* experiment, const char* paper_ref,
 // per-run wall time from the elapsed wall time of the whole harness —
 // their ratio is the achieved parallel speedup. `library_builds` counts
 // the video libraries the process built (mpeg/library_cache.h): one per
-// replication seed per distinct library key of a sweep, not one per
-// probe. `runs` counts every executed run, speculative ones included;
+// replication seed per distinct library key of a sweep, capacity or
+// fixed-count, not one per probe or run. `runs` counts every executed run, speculative ones included;
 // --report writes the realized runs only, so report lines / `runs` is
 // the share of the work the results rest on.
 // `library_draws` counts the frame sizes those builds drew, an exact

@@ -2,7 +2,9 @@
 // the glitch count as the terminal count is swept through the capacity
 // of one configuration (16 disks, 512 KB stripe, elevator scheduling).
 
+#include <cstdint>
 #include <cstdio>
+#include <map>
 #include <vector>
 
 #include "sweep.h"
@@ -10,7 +12,7 @@
 int main(int argc, char** argv) {
   using namespace spiffi;
   bench::InitHarness(argc, argv);
-  // Locate the capacity first so the sweep brackets it like the paper's
+  // Locate the capacity first so the curve brackets it like the paper's
   // example does.
   bench::Sweep spec;
   spec.title = "glitches vs. number of terminals";
@@ -21,19 +23,36 @@ int main(int argc, char** argv) {
   std::printf("config: %s\n\n", capacity.config.Describe().c_str());
   const int c = capacity.terminals;
 
+  // The curve is one run per terminal count. A count the search already
+  // probed with the curve's single replication reuses that probe; the
+  // others are the columns of a fixed-count sweep of the same config.
+  std::map<int, std::uint64_t> glitches;
+  if (capacity.replications == 1) {
+    glitches.insert(capacity.probes.begin(), capacity.probes.end());
+  }
+  bench::Sweep curve = spec;
+  curve.title = nullptr;
+  curve.fixed_count = true;
+  curve.cols.clear();
   std::vector<int> counts;
   for (int delta : {-40, -20, -10, 0, 10, 20, 40, 60}) {
-    if (c + delta > 0) counts.push_back(c + delta);
+    const int terminals = c + delta;
+    if (terminals <= 0) continue;
+    counts.push_back(terminals);
+    if (glitches.count(terminals) == 0) {
+      curve.cols.push_back({std::to_string(terminals),
+                            {bench::Token("terminals", terminals)}});
+    }
   }
-  auto curve = vod::GlitchCurve(capacity.config, counts, /*replications=*/1,
-                                bench::JobsSetting());
-  for (int terminals : counts) {
-    bench::NoteRealizedRuns(capacity.config, terminals, 1);
+  const bench::Grid ran = bench::RunSweep(curve);
+  for (const bench::Cell& cell : ran[0]) {
+    glitches[cell.terminals] = cell.metrics.glitches;
   }
 
   vod::TextTable table({"terminals", "glitches"});
-  for (const auto& [terminals, glitches] : curve) {
-    table.AddRow({std::to_string(terminals), std::to_string(glitches)});
+  for (int terminals : counts) {
+    table.AddRow({std::to_string(terminals),
+                  std::to_string(glitches.at(terminals))});
   }
   table.Print();
   std::printf("\nmax terminals without glitches: %d\n", c);

@@ -66,6 +66,10 @@ struct Cell {
   int terminals = 0;        // the capacity found, or the fixed count
   bool at_ceiling = false;  // the search ended within a step of its ceiling
   vod::SimMetrics metrics;  // at capacity, or of the fixed-count run
+  // Capacity cells: the search's realized probes (terminal count, total
+  // glitches over the replications), and its replications per probe.
+  std::vector<std::pair<int, std::uint64_t>> probes;
+  int replications = 1;
 };
 using Grid = std::vector<std::vector<Cell>>;  // [row][column]
 
@@ -145,8 +149,9 @@ inline std::string Gain(int terminals, int baseline) {
 
 // Builds every cell's config and validates it, then runs the grid on
 // one ParallelRunner of --jobs workers: capacity cells as one
-// vod::FindCapacities batch, fixed-count cells as one RunAll batch. Each cell's
-// realized runs are noted for --report in cell order. A token
+// vod::FindCapacities batch, fixed-count cells as one RunAll batch. Both
+// build one video library per distinct library key and seed of the grid.
+// Each cell's realized runs are noted for --report in cell order. A token
 // SetConfigKnob rejects, or a config Validate() rejects, exits with
 // status 1 before anything runs, naming the cell.
 inline Grid RunSweep(const Sweep& spec) {
@@ -223,7 +228,9 @@ inline Grid RunSweep(const Sweep& spec) {
         cell.at_ceiling =
             found[i].max_terminals >= options.max_terminals - options.step;
         cell.metrics = found[i].at_capacity;
-        for (const auto& [terminals, glitches] : found[i].probes) {
+        cell.probes = found[i].probes;
+        cell.replications = options.replications;
+        for (const auto& [terminals, glitches] : cell.probes) {
           NoteRealizedRuns(cell.config, terminals, options.replications);
         }
       }

@@ -169,7 +169,6 @@ void FaultInjector::Fire(FaultKind kind, int target, double factor) {
 void FaultInjector::TraceEventMark(FaultKind kind, int target,
                                    double factor, bool applied,
                                    double since) {
-#if SPIFFI_TRACING
   if (env_->tracer() == nullptr) return;
   // Track convention: tid = global disk id for disk events, tid =
   // total_disks + node for node events, so every component gets its own
@@ -222,13 +221,6 @@ void FaultInjector::TraceEventMark(FaultKind kind, int target,
     default:
       break;
   }
-#else
-  (void)kind;
-  (void)target;
-  (void)factor;
-  (void)applied;
-  (void)since;
-#endif
 }
 
 }  // namespace spiffi::fault

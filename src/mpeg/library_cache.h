@@ -8,8 +8,9 @@
 // differ only in their terminal count.
 //
 // Entries are weak: the cache never keeps a library alive by itself. A
-// library lives while some holder (a Simulation, or a pin taken by a
-// capacity search for its whole call) owns a shared_ptr to it; the next
+// library lives while some holder (a Simulation, or a pin that a
+// capacity search or a runner batch holds for its whole call — see
+// vod::PinLibraries) owns a shared_ptr to it; the next
 // request after the last holder lets go builds it afresh. Expired
 // entries are swept whenever a new key is inserted, so the map stays
 // bounded by the number of live libraries plus the builds in flight.

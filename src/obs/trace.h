@@ -2,10 +2,8 @@
 //
 // These helpers are how hot paths emit trace events. They read the
 // Tracer owned by the simulation Environment (null until
-// Environment::EnableTracing is called) and compile to nothing when the
-// build-time SPIFFI_TRACING toggle is off, so an untraced build pays
-// zero cost and a traced build pays one pointer test per call site while
-// no tracer is installed.
+// Environment::EnableTracing is called), so a run without a tracer pays
+// one pointer test per call site.
 //
 //   obs::TraceInstant(env, obs::TraceCategory::kBuffer, "hit", pid, tid);
 //
@@ -27,13 +25,7 @@
 #include "obs/tracer.h"
 #include "sim/environment.h"
 
-#ifndef SPIFFI_TRACING
-#define SPIFFI_TRACING 1
-#endif
-
 namespace spiffi::obs {
-
-#if SPIFFI_TRACING
 
 inline void TraceInstant(sim::Environment* env, TraceCategory category,
                          const char* name, std::int32_t pid,
@@ -114,35 +106,6 @@ class ScopedSpan {
   std::int32_t tid_;
   sim::SimTime start_;
 };
-
-#else  // !SPIFFI_TRACING
-
-inline void TraceInstant(sim::Environment*, TraceCategory, const char*,
-                         std::int32_t, std::int32_t,
-                         std::initializer_list<TraceArg> = {}) {}
-inline void TraceCounter(sim::Environment*, TraceCategory, const char*,
-                         std::int32_t, std::int32_t, double) {}
-inline void TraceSpan(sim::Environment*, TraceCategory, const char*,
-                      std::int32_t, std::int32_t, sim::SimTime,
-                      std::initializer_list<TraceArg> = {}) {}
-inline std::uint64_t TraceAsyncBegin(sim::Environment*, TraceCategory,
-                                     const char*, std::int32_t,
-                                     std::initializer_list<TraceArg> = {}) {
-  return 0;
-}
-inline void TraceAsyncEnd(sim::Environment*, TraceCategory, const char*,
-                          std::int32_t, std::uint64_t,
-                          std::initializer_list<TraceArg> = {}) {}
-
-class ScopedSpan {
- public:
-  ScopedSpan(sim::Environment*, TraceCategory, const char*, std::int32_t,
-             std::int32_t) {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-};
-
-#endif  // SPIFFI_TRACING
 
 }  // namespace spiffi::obs
 

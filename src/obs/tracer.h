@@ -21,8 +21,8 @@
 // the ring stores only the pointer.
 //
 // Instrumentation call sites should go through the helpers in
-// obs/trace.h, which compile to nothing when SPIFFI_TRACING is off; this
-// class itself is always available (tests, tools).
+// obs/trace.h, which skip the call while no tracer is installed; tests
+// and tools may use this class directly.
 
 #ifndef SPIFFI_OBS_TRACER_H_
 #define SPIFFI_OBS_TRACER_H_

@@ -108,7 +108,7 @@ class Environment {
 
   // Installs (or returns the already-installed) event tracer. Until this
   // is called, tracer() is null and instrumentation costs one pointer
-  // test per call site (nothing at all when SPIFFI_TRACING is off).
+  // test per call site.
   obs::Tracer& EnableTracing(std::size_t ring_capacity = 256 * 1024);
   obs::Tracer* tracer() const { return tracer_.get(); }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <set>
 #include <utility>
 #include <variant>
@@ -134,22 +133,6 @@ std::vector<SimConfig> ReplicationConfigs(SimConfig config, int terminals,
   return configs;
 }
 
-// The video library of every replication seed, held for a whole batch of
-// searches or a curve. Probes differ only in their terminal count, so
-// with these pins every probe of one seed — of every search whose config
-// has the same library inputs — shares a single library build (runner
-// workers included) instead of rebuilding it per probe.
-using LibraryPins = std::vector<std::shared_ptr<const mpeg::VideoLibrary>>;
-
-LibraryPins PinLibraries(const SimConfig& base, int replications) {
-  LibraryPins pins;
-  for (const SimConfig& config :
-       ReplicationConfigs(base, base.terminals, replications)) {
-    pins.push_back(SharedLibraryFor(config));
-  }
-  return pins;
-}
-
 std::uint64_t SumGlitches(const std::vector<SimMetrics>& reps) {
   std::uint64_t total = 0;
   for (const SimMetrics& m : reps) total += m.glitches;
@@ -235,7 +218,11 @@ std::vector<CapacityResult> FindCapacities(
     SPIFFI_CHECK(options.max_terminals >= options.min_terminals);
     SPIFFI_CHECK(options.replications > 0);
     SPIFFI_CHECK(ResolveJobs(options.jobs) == jobs);
-    pins.push_back(PinLibraries(search.base, options.replications));
+    // Probes differ only in their terminal count, so with these pins
+    // every probe of one seed — of every search whose config has the
+    // same library inputs — shares a single library build.
+    pins.push_back(PinLibraries(ReplicationConfigs(
+        search.base, search.base.terminals, options.replications)));
     walks.push_back({&search, SearchState(options), {}, {}});
   }
 
@@ -323,31 +310,6 @@ std::vector<CapacityResult> FindCapacities(
 CapacityResult FindMaxTerminals(const SimConfig& base,
                                 const CapacitySearchOptions& options) {
   return FindCapacities({{base, options}})[0];
-}
-
-std::vector<std::pair<int, std::uint64_t>> GlitchCurve(
-    const SimConfig& base, const std::vector<int>& terminal_counts,
-    int replications, int jobs) {
-  const LibraryPins pins = PinLibraries(base, replications);
-  std::vector<SimConfig> configs;
-  configs.reserve(terminal_counts.size() * replications);
-  for (int terminals : terminal_counts) {
-    for (const SimConfig& config :
-         ReplicationConfigs(base, terminals, replications)) {
-      configs.push_back(config);
-    }
-  }
-  ParallelRunner runner(jobs);
-  const std::vector<SimMetrics> all = runner.RunAll(configs);
-  std::vector<std::pair<int, std::uint64_t>> curve;
-  curve.reserve(terminal_counts.size());
-  std::size_t index = 0;
-  for (int terminals : terminal_counts) {
-    std::uint64_t total = 0;
-    for (int r = 0; r < replications; ++r) total += all[index++].glitches;
-    curve.emplace_back(terminals, total);
-  }
-  return curve;
 }
 
 }  // namespace spiffi::vod

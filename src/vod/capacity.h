@@ -79,8 +79,9 @@ std::uint64_t GlitchesAt(SimConfig config, int terminals, int replications,
 
 // One result per search, in search order. Every search must resolve to
 // the same jobs (checked). The video library of every search's
-// replication seeds is pinned for the whole call, so searches with equal
-// library inputs share one build per seed.
+// replication seeds is pinned up front for the whole call
+// (PinLibraries), so searches with equal library inputs share one build
+// per seed.
 std::vector<CapacityResult> FindCapacities(
     const std::vector<CapacitySearch>& searches);
 // The same on a caller's runner (shared with other work, or read for
@@ -91,13 +92,6 @@ std::vector<CapacityResult> FindCapacities(
 // FindCapacities({{base, options}})[0].
 CapacityResult FindMaxTerminals(const SimConfig& base,
                                 const CapacitySearchOptions& options);
-
-// Glitch counts over a range of terminal counts (paper Fig 9's curve).
-// jobs as in CapacitySearchOptions: every (point, replication) pair is
-// one run of a ParallelRunner::RunAll batch, assembled in point order.
-std::vector<std::pair<int, std::uint64_t>> GlitchCurve(
-    const SimConfig& base, const std::vector<int>& terminal_counts,
-    int replications = 1, int jobs = 1);
 
 }  // namespace spiffi::vod
 

@@ -1,7 +1,6 @@
 #include "vod/runner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "sim/check.h"
@@ -65,7 +64,7 @@ ParallelRunner::~ParallelRunner() {
     for (const RunHandle& run : queue_) {
       if (run->state == Run::State::kPending) {
         run->state = Run::State::kCancelled;
-        ++stats_.cancelled;
+        ++cancelled_;
       }
     }
     queue_.clear();
@@ -105,7 +104,7 @@ void ParallelRunner::Cancel(const RunHandle& run) {
         }
       }
       run->state = Run::State::kCancelled;
-      ++stats_.cancelled;
+      ++cancelled_;
       target_sim_seconds_ -= run->sim_end_seconds;
       retired = true;
     }
@@ -114,8 +113,7 @@ void ParallelRunner::Cancel(const RunHandle& run) {
   if (retired) run_finished_.notify_all();
 }
 
-bool ParallelRunner::Wait(const RunHandle& run, SimMetrics* out,
-                          double* wall_seconds) {
+bool ParallelRunner::Wait(const RunHandle& run, SimMetrics* out) {
   SPIFFI_CHECK(run != nullptr);
   std::unique_lock<std::mutex> lock(mutex_);
   run_finished_.wait(lock, [&] {
@@ -124,7 +122,6 @@ bool ParallelRunner::Wait(const RunHandle& run, SimMetrics* out,
   });
   if (run->state != Run::State::kDone) return false;
   if (out != nullptr) *out = run->metrics;
-  if (wall_seconds != nullptr) *wall_seconds = run->wall_seconds;
   return true;
 }
 
@@ -150,6 +147,7 @@ std::size_t ParallelRunner::WaitAny(
 
 std::vector<SimMetrics> ParallelRunner::RunAll(
     const std::vector<SimConfig>& configs) {
+  const LibraryPins pins = PinLibraries(configs);
   std::vector<RunHandle> handles;
   handles.reserve(configs.size());
   for (const SimConfig& config : configs) handles.push_back(Submit(config));
@@ -164,34 +162,14 @@ std::vector<SimMetrics> ParallelRunner::RunAll(
   return results;
 }
 
-ParallelRunner::Stats ParallelRunner::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-ParallelRunner::RunSnapshot ParallelRunner::SnapshotRun(
-    const RunHandle& run) const {
-  SPIFFI_CHECK(run != nullptr);
-  RunSnapshot snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    snapshot.state = run->state;
-  }
-  {
-    std::lock_guard<std::mutex> lock(run->progress_mutex);
-    snapshot.progress = run->progress;
-  }
-  return snapshot;
-}
-
 ParallelRunner::FleetProgress ParallelRunner::SnapshotProgress() const {
   FleetProgress fleet;
   std::lock_guard<std::mutex> lock(mutex_);
   fleet.submitted = submitted_;
   fleet.pending = queue_.size();
   fleet.running = active_.size();
-  fleet.completed = stats_.completed;
-  fleet.cancelled = stats_.cancelled;
+  fleet.completed = completed_;
+  fleet.cancelled = cancelled_;
   fleet.target_sim_seconds = target_sim_seconds_;
   fleet.done_sim_seconds = done_sim_seconds_;
   fleet.events_fired = events_completed_;
@@ -234,7 +212,7 @@ void ParallelRunner::WorkerLoop() {
       queue_.pop_front();
       if (run->cancel.load(std::memory_order_relaxed)) {
         run->state = Run::State::kCancelled;
-        ++stats_.cancelled;
+        ++cancelled_;
         target_sim_seconds_ -= run->sim_end_seconds;
         run_finished_.notify_all();
         continue;
@@ -243,7 +221,6 @@ void ParallelRunner::WorkerLoop() {
       active_.push_back(run);
     }
 
-    auto start = std::chrono::steady_clock::now();
     // The simulation's whole world is local to this call; the only state
     // shared with other threads is the cancel flag, the progress
     // snapshot (own mutex), and the fields written back under the lock
@@ -261,19 +238,14 @@ void ParallelRunner::WorkerLoop() {
     // Destroy per-run attachments (flushing/closing their outputs)
     // before waiters are released.
     keepalive.reset();
-    double wall = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
 
     {
       std::lock_guard<std::mutex> lock(mutex_);
       active_.erase(std::find(active_.begin(), active_.end(), run));
-      run->wall_seconds = wall;
       if (completed) {
         run->metrics = metrics;
         run->state = Run::State::kDone;
-        ++stats_.completed;
-        stats_.run_wall_seconds += wall;
+        ++completed_;
         done_sim_seconds_ += run->sim_end_seconds;
         // The final slice boundary is the exact phase end, so the last
         // progress snapshot carries the run's total event count.
@@ -281,7 +253,7 @@ void ParallelRunner::WorkerLoop() {
         events_completed_ += run->progress.events_fired;
       } else {
         run->state = Run::State::kCancelled;
-        ++stats_.cancelled;
+        ++cancelled_;
         target_sim_seconds_ -= run->sim_end_seconds;
       }
     }

@@ -13,8 +13,8 @@
 // tests/vod/runner_test.cc).
 //
 // Runs are cooperatively cancellable: Cancel() flips a flag the
-// simulation checks between event slices (Simulation::Run(cancel, out)),
-// so a speculative capacity-search probe made moot by another probe's
+// simulation checks between event slices (Simulation::Run), so a
+// speculative capacity-search probe made moot by another probe's
 // verdict stops within a few percent of its runtime instead of running
 // to completion.
 
@@ -67,28 +67,12 @@ class ParallelRunner {
     std::atomic<bool> cancel{false};
     State state = State::kPending;
     SimMetrics metrics;          // valid when state == kDone
-    double wall_seconds = 0.0;   // this run's execution wall time
 
     // Last slice-boundary snapshot from the executing simulation.
     mutable std::mutex progress_mutex;
     RunProgress progress;
   };
   using RunHandle = std::shared_ptr<Run>;
-
-  struct Stats {
-    std::uint64_t completed = 0;
-    std::uint64_t cancelled = 0;
-    // Sum of per-run wall time over completed runs. Dividing by the
-    // elapsed wall time of the batch gives the achieved parallelism.
-    double run_wall_seconds = 0.0;
-  };
-
-  // Live snapshot of one run: its state plus the most recent progress
-  // report (zeroed until the first slice boundary fires).
-  struct RunSnapshot {
-    Run::State state = Run::State::kPending;
-    RunProgress progress;
-  };
 
   // Aggregate progress across a runner's whole workload, the input to
   // fleet status lines and ETAs. `target_sim_seconds` counts every
@@ -128,25 +112,21 @@ class ParallelRunner {
   void Cancel(const RunHandle& run);
 
   // Blocks until the run finished or was cancelled. Returns true and
-  // fills `out` (and optionally `wall_seconds`) on completion, false on
-  // cancellation.
-  bool Wait(const RunHandle& run, SimMetrics* out,
-            double* wall_seconds = nullptr);
+  // fills `out` (when non-null) on completion, false on cancellation.
+  bool Wait(const RunHandle& run, SimMetrics* out);
 
   // Blocks until every run of some group of `groups` finished or was
   // cancelled; returns the index of the first such group.
   std::size_t WaitAny(const std::vector<std::vector<RunHandle>>& groups);
 
   // Convenience barrier: runs every config and returns the metrics in
-  // submission order. The caller must not cancel these runs.
+  // submission order. The caller must not cancel these runs. The video
+  // libraries of all configs are pinned on the calling thread before
+  // anything is submitted and held for the call (PinLibraries), so the
+  // batch builds one library per distinct library key, at any job count.
   std::vector<SimMetrics> RunAll(const std::vector<SimConfig>& configs);
 
-  Stats stats() const;
-
   // --- Live introspection (all safe to call from any thread) ---
-
-  // State + latest progress of one run.
-  RunSnapshot SnapshotRun(const RunHandle& run) const;
 
   // Aggregate progress over everything this runner has been given.
   FleetProgress SnapshotProgress() const;
@@ -164,7 +144,8 @@ class ParallelRunner {
   std::condition_variable run_finished_;
   std::deque<RunHandle> queue_;
   bool shutdown_ = false;
-  Stats stats_;
+  std::uint64_t completed_ = 0;
+  std::uint64_t cancelled_ = 0;
   // Runs currently executing on workers (for fleet snapshots).
   std::vector<RunHandle> active_;
   std::uint64_t submitted_ = 0;

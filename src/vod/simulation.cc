@@ -134,6 +134,15 @@ std::shared_ptr<const mpeg::VideoLibrary> SharedLibraryFor(
   return mpeg::SharedLibrary(key);
 }
 
+LibraryPins PinLibraries(const std::vector<SimConfig>& configs) {
+  LibraryPins pins;
+  pins.reserve(configs.size());
+  for (const SimConfig& config : configs) {
+    pins.push_back(SharedLibraryFor(config));
+  }
+  return pins;
+}
+
 Simulation::Simulation(const SimConfig& config) : config_(config) {
   std::string error = config.Validate();
   if (!error.empty()) {
@@ -833,13 +842,9 @@ obs::Tracer& Simulation::EnableTracing(std::size_t ring_capacity) {
 SimMetrics Simulation::Run() {
   static const std::atomic<bool> never_cancelled{false};
   SimMetrics metrics;
-  bool completed = Run(never_cancelled, &metrics);
+  bool completed = Run(never_cancelled, &metrics, ProgressFn());
   SPIFFI_CHECK(completed);
   return metrics;
-}
-
-bool Simulation::Run(const std::atomic<bool>& cancel, SimMetrics* out) {
-  return Run(cancel, out, ProgressFn());
 }
 
 bool Simulation::Run(const std::atomic<bool>& cancel, SimMetrics* out,

@@ -83,10 +83,17 @@ void SetRunObserver(RunObserver observer);
 // shared instance for its inputs (mpeg/library_cache.h). Simulations own
 // everything else themselves; this one immutable object is shared. A
 // caller that holds the returned pointer across several constructions
-// (a capacity search pins one per replication seed) makes them all
-// share a single build.
+// makes them all share a single build.
 std::shared_ptr<const mpeg::VideoLibrary> SharedLibraryFor(
     const SimConfig& config);
+
+// The libraries of `configs`, in config order. Held across a batch of
+// runs (a capacity search's probes, a ParallelRunner::RunAll), they make
+// every run of one library key share a single build — one per distinct
+// key, whatever the run order or job count. Take them on a thread that
+// is not a pool worker, so each build fans out over several threads.
+using LibraryPins = std::vector<std::shared_ptr<const mpeg::VideoLibrary>>;
+LibraryPins PinLibraries(const std::vector<SimConfig>& configs);
 
 class Simulation {
  public:
@@ -108,13 +115,10 @@ class Simulation {
   // cancelled. Slicing is observationally identical to Run() — the same
   // events fire in the same order — so a completed run's metrics are
   // bit-identical to Run()'s (Run() itself is this method with a
-  // never-set flag).
-  bool Run(const std::atomic<bool>& cancel, SimMetrics* out);
-
-  // As above, additionally invoking `progress` (may be empty) at every
-  // slice boundary. The callback runs on the simulating thread and must
-  // not re-enter the simulation; it exists so harnesses can publish
-  // sim-time / events-fired snapshots for live introspection.
+  // never-set flag). `progress` (may be empty) is invoked at every slice
+  // boundary, on the simulating thread, and must not re-enter the
+  // simulation; it lets harnesses publish sim-time / events-fired
+  // snapshots for live introspection.
   bool Run(const std::atomic<bool>& cancel, SimMetrics* out,
            const ProgressFn& progress);
 

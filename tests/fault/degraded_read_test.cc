@@ -181,7 +181,6 @@ TEST(DegradedReadTest, FaultMetricsAreZeroWithoutAPlan) {
   EXPECT_EQ(m.glitches, 0u);
 }
 
-#if SPIFFI_TRACING
 TEST(DegradedReadTest, FaultEventsAppearOnTheFaultTrack) {
   SimConfig config = BaseFaultConfig();
   config.placement = VideoPlacement::kReplicatedStriped;
@@ -220,7 +219,6 @@ TEST(DegradedReadTest, FaultEventsAppearOnTheFaultTrack) {
   EXPECT_NE(json.find("\"faults\""), std::string::npos);
   EXPECT_NE(json.find("disk_fail"), std::string::npos);
 }
-#endif  // SPIFFI_TRACING
 
 }  // namespace
 }  // namespace spiffi::vod

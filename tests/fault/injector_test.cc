@@ -159,7 +159,6 @@ TEST(FaultInjectorTest, SameSeedReplaysBitIdentically) {
   }
 }
 
-#if SPIFFI_TRACING
 TEST(FaultInjectorTest, EmitsFaultTrackTraceEvents) {
   sim::Environment env;
   obs::Tracer& tracer = env.EnableTracing(4096);
@@ -204,7 +203,6 @@ TEST(FaultInjectorTest, EmitsFaultTrackTraceEvents) {
   EXPECT_TRUE(saw_disk_down_span);
   EXPECT_TRUE(saw_node_down_span);
 }
-#endif  // SPIFFI_TRACING
 
 }  // namespace
 }  // namespace spiffi::fault

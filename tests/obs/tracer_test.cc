@@ -5,8 +5,6 @@
 #include "obs/tracer.h"
 
 #include <cctype>
-
-#include "obs/trace.h"  // for the SPIFFI_TRACING default
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -341,7 +339,6 @@ TEST(TracerTest, ChromeJsonIsWellFormed) {
   EXPECT_EQ(root.At("traceEvents").array.size(), 8u);
 }
 
-#if SPIFFI_TRACING
 // Full-system check: a small traced simulation exports valid Chrome
 // JSON whose events span the block-request lifecycle — at least the six
 // categories terminal / server / disk / network / buffer / prefetch.
@@ -390,25 +387,6 @@ TEST(TracerTest, SimulationTraceCoversRequestLifecycle) {
   EXPECT_TRUE(saw_terminals);
   EXPECT_TRUE(saw_disk_track);
 }
-#else
-// With tracing compiled out, EnableTracing still works (the Tracer class
-// itself always exists) but instrumentation sites record nothing.
-TEST(TracerTest, CompiledOutInstrumentationRecordsNothing) {
-  vod::SimConfig config;
-  config.num_nodes = 2;
-  config.disks_per_node = 2;
-  config.video_seconds = 120.0;
-  config.server_memory_bytes = 256LL * 1024 * 1024;
-  config.terminals = 5;
-  config.start_window_sec = 5.0;
-  config.warmup_seconds = 5.0;
-  config.measure_seconds = 10.0;
-  vod::Simulation simulation(config);
-  Tracer& tracer = simulation.EnableTracing(1024);
-  simulation.Run();
-  EXPECT_EQ(tracer.size(), 0u);
-}
-#endif
 
 }  // namespace
 }  // namespace spiffi::obs

@@ -1,8 +1,10 @@
 #include "vod/capacity.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "vod/runner.h"
 #include "vod/simulation.h"
 
 namespace spiffi::vod {
@@ -90,14 +92,20 @@ TEST(CapacityTest, ReplicationsSumGlitches) {
   EXPECT_GE(three, one);  // more seeds, at least as many glitches
 }
 
+// A glitch curve's points, run as one RunAll batch, count what a
+// capacity probe at the same terminal count counts.
 TEST(CapacityTest, GlitchCurveMatchesDirectProbes) {
-  SimConfig config = TinyConfig();
-  auto curve = GlitchCurve(config, {10, 90});
+  const SimConfig config = TinyConfig();
+  std::vector<SimConfig> points(2, config);
+  points[0].terminals = 10;
+  points[1].terminals = 90;
+  ParallelRunner runner(1);
+  const std::vector<SimMetrics> curve = runner.RunAll(points);
   ASSERT_EQ(curve.size(), 2u);
-  EXPECT_EQ(curve[0].first, 10);
-  EXPECT_EQ(curve[0].second, 0u);
-  EXPECT_GT(curve[1].second, 0u);
-  EXPECT_EQ(curve[1].second, GlitchesAt(config, 90, 1));
+  EXPECT_EQ(curve[0].terminals, 10);
+  EXPECT_EQ(curve[0].glitches, 0u);
+  EXPECT_GT(curve[1].glitches, 0u);
+  EXPECT_EQ(curve[1].glitches, GlitchesAt(config, 90, 1));
 }
 
 // The replication aggregate of the stream-sharing, proxy, and resilience

@@ -1,5 +1,5 @@
 // The process-wide video library cache (mpeg/library_cache.h) and the
-// pins capacity searches take on it.
+// pins capacity searches and runner batches take on it.
 //
 // Build and hit counters are process-wide, so every test reads them as
 // deltas around its own work.
@@ -12,6 +12,7 @@
 
 #include "gtest/gtest.h"
 #include "vod/capacity.h"
+#include "vod/runner.h"
 #include "vod/simulation.h"
 
 namespace spiffi::vod {
@@ -223,11 +224,48 @@ INSTANTIATE_TEST_SUITE_P(LibraryCache, SearchBuildsTest,
                                            std::pair{4, 1}, std::pair{4, 2}));
 
 TEST(LibraryCacheTest, SerialGlitchCurveBuildsOneLibraryPerSeed) {
+  std::vector<SimConfig> curve;
+  for (int terminals : {5, 10, 20}) {
+    for (std::uint64_t replication = 0; replication < 2; ++replication) {
+      SimConfig config = TinyConfig();
+      config.terminals = terminals;
+      config.seed += replication;
+      curve.push_back(config);
+    }
+  }
   const std::uint64_t before = Builds();
-  const auto curve = GlitchCurve(TinyConfig(), {5, 10, 20}, 2, /*jobs=*/1);
-  ASSERT_EQ(curve.size(), 3u);
+  ParallelRunner runner(1);
+  ASSERT_EQ(runner.RunAll(curve).size(), 6u);
   EXPECT_EQ(Builds() - before, 2u);
 }
+
+// A RunAll batch builds one library per distinct library key and seed,
+// however its runs interleave the keys, at any job count.
+class RunAllBuildsTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RunAllBuildsTest, OneBuildPerLibraryKeyAndSeed) {
+  constexpr int kKeys = 3;
+  constexpr int kSeeds = 2;
+  std::vector<SimConfig> batch;
+  for (int terminals : {5, 10}) {
+    for (int seed = 0; seed < kSeeds; ++seed) {
+      for (double zipf_z : {1.0, 0.5, 0.0}) {
+        SimConfig config = TinyConfig();
+        config.terminals = terminals;
+        config.seed += static_cast<std::uint64_t>(seed);
+        config.zipf_z = zipf_z;
+        batch.push_back(config);
+      }
+    }
+  }
+  const std::uint64_t before = Builds();
+  ParallelRunner runner(GetParam());
+  ASSERT_EQ(runner.RunAll(batch).size(), batch.size());
+  EXPECT_EQ(Builds() - before, static_cast<std::uint64_t>(kKeys * kSeeds));
+}
+
+INSTANTIATE_TEST_SUITE_P(LibraryCache, RunAllBuildsTest,
+                         ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace spiffi::vod

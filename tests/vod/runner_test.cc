@@ -97,8 +97,8 @@ TEST(RunnerTest, SameSeedBitIdenticalAcrossJobCounts) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     ExpectBitIdentical(at_one[i], at_eight[i]);
   }
-  EXPECT_EQ(serial.stats().completed, batch.size());
-  EXPECT_EQ(parallel.stats().completed, batch.size());
+  EXPECT_EQ(serial.SnapshotProgress().completed, batch.size());
+  EXPECT_EQ(parallel.SnapshotProgress().completed, batch.size());
 }
 
 TEST(RunnerTest, RunnerMatchesDirectRunSimulation) {
@@ -120,8 +120,9 @@ TEST(RunnerTest, CancelledPendingRunNeverExecutes) {
   SimMetrics metrics;
   EXPECT_FALSE(runner.Wait(doomed, &metrics));
   EXPECT_TRUE(runner.Wait(busy, &metrics));
-  EXPECT_EQ(runner.stats().completed, 1u);
-  EXPECT_EQ(runner.stats().cancelled, 1u);
+  const ParallelRunner::FleetProgress fleet = runner.SnapshotProgress();
+  EXPECT_EQ(fleet.completed, 1u);
+  EXPECT_EQ(fleet.cancelled, 1u);
 }
 
 TEST(RunnerTest, CancelledRunningRunStopsEarly) {
@@ -403,13 +404,27 @@ TEST(RunnerTest, CapacitySearchIdenticalSerialVsParallel) {
   ExpectBitIdentical(serial.at_capacity, parallel.at_capacity);
 }
 
+// A glitch curve (paper Fig 9) is one RunAll batch of every (terminal
+// count, replication) run.
 TEST(RunnerTest, GlitchCurveIdenticalSerialVsParallel) {
-  SimConfig config = TinyConfig();
-  std::vector<int> counts = {10, 40, 90};
-  auto serial = GlitchCurve(config, counts, /*replications=*/2, /*jobs=*/1);
-  auto parallel =
-      GlitchCurve(config, counts, /*replications=*/2, /*jobs=*/8);
-  EXPECT_EQ(serial, parallel);
+  std::vector<SimConfig> curve;
+  for (int terminals : {10, 40, 90}) {
+    for (std::uint64_t replication = 0; replication < 2; ++replication) {
+      SimConfig config = TinyConfig();
+      config.terminals = terminals;
+      config.seed += replication;
+      curve.push_back(config);
+    }
+  }
+  ParallelRunner serial(1);
+  ParallelRunner parallel(8);
+  const std::vector<SimMetrics> at_one = serial.RunAll(curve);
+  const std::vector<SimMetrics> at_eight = parallel.RunAll(curve);
+  ASSERT_EQ(at_one.size(), curve.size());
+  ASSERT_EQ(at_eight.size(), curve.size());
+  for (std::size_t i = 0; i < curve.size(); ++i) {
+    ExpectBitIdentical(at_one[i], at_eight[i]);
+  }
 }
 
 }  // namespace

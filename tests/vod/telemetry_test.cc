@@ -1,6 +1,7 @@
 #include "vod/telemetry.h"
 
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -173,17 +174,21 @@ TEST(TelemetryTest, RunnerExposesLiveRunProgress) {
   SimMetrics metrics;
   ASSERT_TRUE(runner.Wait(run, &metrics));
 
-  ParallelRunner::RunSnapshot snapshot = runner.SnapshotRun(run);
-  EXPECT_EQ(snapshot.state, ParallelRunner::Run::State::kDone);
+  EXPECT_EQ(run->state, ParallelRunner::Run::State::kDone);
+  RunProgress progress;
+  {
+    std::lock_guard<std::mutex> lock(run->progress_mutex);
+    progress = run->progress;
+  }
   // The final slice boundary reports the exact end of the run.
-  EXPECT_DOUBLE_EQ(snapshot.progress.sim_now_seconds,
+  EXPECT_DOUBLE_EQ(progress.sim_now_seconds,
                    config.warmup_seconds + config.measure_seconds);
-  EXPECT_DOUBLE_EQ(snapshot.progress.sim_end_seconds,
+  EXPECT_DOUBLE_EQ(progress.sim_end_seconds,
                    config.warmup_seconds + config.measure_seconds);
-  EXPECT_TRUE(snapshot.progress.in_measurement);
+  EXPECT_TRUE(progress.in_measurement);
   // The run's total event count includes warmup, so it dominates the
   // measurement-window count SimMetrics reports.
-  EXPECT_GE(snapshot.progress.events_fired, metrics.events_simulated);
+  EXPECT_GE(progress.events_fired, metrics.events_simulated);
   EXPECT_GT(metrics.events_simulated, 0u);
 
   ParallelRunner::FleetProgress fleet = runner.SnapshotProgress();
