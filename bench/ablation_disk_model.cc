@@ -10,37 +10,35 @@
 
 #include <cstdio>
 
-#include "sweep.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace spiffi;
   bench::InitHarness(argc, argv);
-  bench::Sweep cache;
-  cache.title = "disk read-ahead cache and terminal memory";
-  cache.paper_ref = "ablation";
+  bench::PrintHeader("disk read-ahead cache and terminal memory", "ablation");
+  vod::Sweep cache;
   cache.corner = {"cache context"};
   cache.base = {"replacement=love-prefetch",
-                bench::Token("server_memory_bytes", 512 * hw::kMiB)};
-  cache.rows = bench::SizeAxis("disk.cache_context_bytes", {0, 64, 128, 256},
-                               hw::kKiB, "KB");
+                vod::Token("server_memory_bytes", 512 * hw::kMiB)};
+  cache.rows = vod::SizeAxis("disk.cache_context_bytes", {0, 64, 128, 256},
+                             hw::kKiB, "KB");
   cache.cols = {{"max terminals", {}}};
-  const bench::Grid cache_grid = bench::RunSweep(cache);
+  const vod::Grid cache_grid = bench::RunSweep(cache);
   std::printf("-- read-ahead cache context size --\n");
-  bench::PrintSweep(cache, cache_grid);
+  vod::PrintSweep(cache, cache_grid);
 
-  bench::Sweep terminal = cache;
-  terminal.title = nullptr;
+  vod::Sweep terminal = cache;
   terminal.corner = {"terminal memory"};
   terminal.rows.clear();
   for (double mb : {1.5, 2.0, 2.5, 3.0, 4.0}) {
     terminal.rows.push_back(
         {vod::FmtDouble(mb, 1) + " MB",
-         {bench::Token("terminal_memory_bytes",
-                       static_cast<std::int64_t>(
-                           mb * static_cast<double>(hw::kMiB)))}});
+         {vod::Token("terminal_memory_bytes",
+                     static_cast<std::int64_t>(
+                         mb * static_cast<double>(hw::kMiB)))}});
   }
   std::printf("\n-- terminal memory (elevator, 512 KB stripe) --\n");
-  bench::PrintSweep(terminal, bench::RunSweep(terminal));
+  vod::PrintSweep(terminal, bench::RunSweep(terminal));
   std::printf("\nMore terminal buffering tolerates longer worst-case "
               "service times and lifts the\nglitch-free capacity — the "
               "effect behind the elevator's poor scaleup in Table 2.\n");

@@ -6,16 +6,16 @@
 
 #include <cstdio>
 
-#include "sweep.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace spiffi;
   bench::InitHarness(argc, argv);
-  bench::Sweep spec;
-  spec.title = "prefetch aggressiveness (workers per disk)";
-  spec.paper_ref = "ablation (§5.2.3 claim)";
+  bench::PrintHeader("prefetch aggressiveness (workers per disk)",
+                     "ablation (§5.2.3 claim)");
+  vod::Sweep spec;
   spec.corner = {"scheduler"};
-  spec.base = {bench::Token("server_memory_bytes", 512 * hw::kMiB),
+  spec.base = {vod::Token("server_memory_bytes", 512 * hw::kMiB),
                "replacement=love-prefetch"};
   spec.rows = {
       {"elevator (on-reference trigger)",
@@ -27,12 +27,12 @@ int main(int argc, char** argv) {
   };
   // The baseline without prefetching keeps the default trigger.
   spec.cols = {{"no prefetch", {"prefetch=none", "prefetch_trigger=auto"}}};
-  for (const bench::SweepPoint& workers : bench::Axis<int>(
+  for (const vod::SweepPoint& workers : vod::Axis<int>(
            "prefetch_workers", {1, 4, 16, 64},
            [](int w) { return std::to_string(w); })) {
     spec.cols.push_back(workers);
   }
-  bench::PrintSweep(spec, bench::RunSweep(spec));
+  vod::PrintSweep(spec, bench::RunSweep(spec));
   std::printf("\nElevator cannot distinguish a prefetch from an urgent "
               "demand read, so aggressive\nprefetching clogs its queue; "
               "the real-time scheduler parks prefetches in the\nlowest "

@@ -5,23 +5,23 @@
 
 #include <cstdio>
 
-#include "sweep.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace spiffi;
   bench::InitHarness(argc, argv);
-  bench::Sweep spec;
-  spec.title = "real-time priority classes x spacing";
-  spec.paper_ref = "ablation (§7.2 claim)";
+  bench::PrintHeader("real-time priority classes x spacing",
+                     "ablation (§7.2 claim)");
+  vod::Sweep spec;
   spec.corner = {"classes \\ spacing"};
   spec.base = {"disk_sched=real-time", "prefetch=real-time"};
-  spec.rows = bench::Axis<int>("realtime_classes", {1, 2, 3, 5},
-                               [](int c) { return std::to_string(c); });
-  spec.cols = bench::Axis<double>(
+  spec.rows = vod::Axis<int>("realtime_classes", {1, 2, 3, 5},
+                             [](int c) { return std::to_string(c); });
+  spec.cols = vod::Axis<double>(
       "realtime_spacing_sec", {1.0, 2.0, 4.0, 8.0},
       [](double s) { return vod::FmtDouble(s, 0) + " s"; });
   spec.search.start_guess = 220;
-  bench::PrintSweep(spec, bench::RunSweep(spec));
+  vod::PrintSweep(spec, bench::RunSweep(spec));
   std::printf("\nAs the paper observed, the setting barely matters: one "
               "class degenerates to the\nelevator and more classes only "
               "refine the urgency ordering slightly.\n");

@@ -1,5 +1,5 @@
 // Shared helpers for the reproduction harnesses (one binary per paper
-// table/figure).
+// table/figure), each a vod::Sweep spec run by RunSweep below.
 //
 // Each harness runs in a "fast" preset by default: shorter measurement
 // windows and coarser capacity-search steps than the paper's
@@ -24,6 +24,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mpeg/library_cache.h"
@@ -34,6 +35,7 @@
 #include "vod/report.h"
 #include "vod/runner.h"
 #include "vod/simulation.h"
+#include "vod/sweep.h"
 #include "vod/table.h"
 
 namespace spiffi::bench {
@@ -103,10 +105,9 @@ inline int& JobsSetting() {
 // The resolved worker count the harness will actually use.
 inline int ActiveJobs() { return vod::ResolveJobs(JobsSetting()); }
 
-inline void PrintHeader(const char* experiment, const char* paper_ref,
-                        Preset preset) {
+inline void PrintHeader(const char* experiment, const char* paper_ref) {
   std::printf("=== %s (%s) — preset: %s ===\n", experiment, paper_ref,
-              PresetName(preset));
+              PresetName(ActivePreset()));
 }
 
 // --- Kernel self-profiling (--profile mode) ---
@@ -218,6 +219,47 @@ inline void NoteRealizedRuns(vod::SimConfig config, int terminals,
   for (int r = 0; r < replications; ++r, ++config.seed) {
     Profiler().realized.push_back(vod::ConfigDigest(config));
   }
+}
+
+// --- Sweeps at the active preset ---
+
+// vod::RunSweep (vod/sweep.h) from BaseConfig(preset) and the preset's
+// search start guess, step, ceiling and replications at --jobs, with
+// each cell's realized runs noted for --report in cell order.
+inline vod::Grid RunSweep(const vod::Sweep& spec) {
+  const Preset preset = ActivePreset();
+  vod::CapacitySearchOptions search;
+  search.start_guess = 200;
+  search.max_terminals = 2000;
+  search.step = preset == Preset::kSmoke ? 20 : 5;
+  search.replications = preset == Preset::kFull ? 3 : 1;
+  search.jobs = JobsSetting();
+  vod::Grid grid = vod::RunSweep(spec, BaseConfig(preset), search);
+  for (const std::vector<vod::Cell>& row : grid) {
+    for (const vod::Cell& cell : row) {
+      for (const auto& [terminals, glitches] : cell.probes) {
+        NoteRealizedRuns(cell.config, terminals, cell.replications);
+      }
+    }
+  }
+  return grid;
+}
+
+// The aggregate server memory sweep of Figs 11-16 and 19.
+inline std::vector<vod::SweepPoint> MemoryAxis(std::vector<std::int64_t> mb) {
+  return vod::SizeAxis("server_memory_bytes", std::move(mb), hw::kMiB, "MB");
+}
+
+// One point of the §7.6 scaleup: 4 CPUs throughout and 16 * s disks,
+// labelled by the disk count, with the server memory scaled from
+// `memory_mb` at 16 disks. The search's start guess scales too, and so
+// does its step outside the full preset: coarser steps at scale keep
+// the big searches affordable.
+inline vod::SweepPoint ScalePoint(int s, std::int64_t memory_mb) {
+  return {std::to_string(16 * s),
+          {"num_nodes=4", vod::Token("disks_per_node", 4 * s),
+           vod::Token("server_memory_bytes", memory_mb * s * hw::kMiB)},
+          {200 * s, ActivePreset() == Preset::kFull ? 5 : 5 * s}};
 }
 
 // Writes one vod::RunReport JSON object per realized run (JSONL).

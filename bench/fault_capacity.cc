@@ -14,16 +14,15 @@
 #include <cstdio>
 #include <string>
 
-#include "sweep.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace spiffi;
   bench::InitHarness(argc, argv);
   const bool smoke = bench::ActivePreset() == bench::Preset::kSmoke;
 
-  bench::Sweep layouts;
-  layouts.title = "degraded-mode capacity";
-  layouts.paper_ref = "fault injection, beyond §9";
+  bench::PrintHeader("degraded-mode capacity", "fault injection, beyond §9");
+  vod::Sweep layouts;
   layouts.corner = {"layout"};
   layouts.base = {"fault_plan.disk_repair_mean_sec=15"};
   layouts.rows = {
@@ -38,22 +37,22 @@ int main(int argc, char** argv) {
   // smoke windows need proportionally hotter failure rates.
   layouts.cols = {
       {"healthy", {"fault_plan.disk_mtbf_sec=0"}},
-      {"1 fail/window", {bench::Token("fault_plan.disk_mtbf_sec",
-                                      smoke ? 500.0 : 2000.0)}},
-      {"4 fails/window", {bench::Token("fault_plan.disk_mtbf_sec",
-                                       smoke ? 125.0 : 500.0)}},
+      {"1 fail/window", {vod::Token("fault_plan.disk_mtbf_sec",
+                                    smoke ? 500.0 : 2000.0)}},
+      {"4 fails/window", {vod::Token("fault_plan.disk_mtbf_sec",
+                                     smoke ? 125.0 : 500.0)}},
   };
   if (smoke) layouts.rows.pop_back();  // x3 adds nothing qualitative
   layouts.extra = {"rerouted @ worst", "mttr @ worst"};
-  layouts.extra_cells = [](const bench::Grid& grid, std::size_t r) {
+  layouts.extra_cells = [](const vod::Grid& grid, std::size_t r) {
     const vod::SimMetrics& worst = grid[r].back().metrics;
     // Degraded reads dodge the dead disk two ways: redirected at issue
     // by fault-aware terminals, or re-routed node-to-node in flight.
-    return bench::Cells{
+    return vod::Cells{
         std::to_string(worst.requests_redirected + worst.rerouted_requests),
         vod::FmtDouble(worst.mttr_sec, 1) + " s"};
   };
-  bench::PrintSweep(layouts, bench::RunSweep(layouts));
+  vod::PrintSweep(layouts, bench::RunSweep(layouts));
   std::printf(
       "\nReading: plain striping loses most of its capacity the moment "
       "disks start\nfailing (any stream crossing a dead disk glitches "
@@ -71,7 +70,7 @@ int main(int argc, char** argv) {
   // peers at a throttled rate). The capacity search measures how many
   // glitch-free terminals each stack level sustains under the same
   // fault pressure as the reroute-only baseline above.
-  bench::Sweep resilience;
+  vod::Sweep resilience;
   resilience.corner = {"resilience"};
   resilience.base = layouts.base;
   resilience.base.push_back("placement=replicated-striped");
@@ -89,17 +88,17 @@ int main(int argc, char** argv) {
   };
   resilience.cols = {{"capacity", {}}};
   resilience.extra = {"retries", "failovers", "rebuilds", "defers"};
-  resilience.extra_cells = [](const bench::Grid& grid, std::size_t r) {
+  resilience.extra_cells = [](const vod::Grid& grid, std::size_t r) {
     const vod::SimMetrics& at = grid[r][0].metrics;
-    return bench::Cells{std::to_string(at.request_retries),
-                        std::to_string(at.session_failovers),
-                        std::to_string(at.rebuilds_completed),
-                        std::to_string(at.admission_defers)};
+    return vod::Cells{std::to_string(at.request_retries),
+                      std::to_string(at.session_failovers),
+                      std::to_string(at.rebuilds_completed),
+                      std::to_string(at.admission_defers)};
   };
-  const bench::Grid grid = bench::RunSweep(resilience);
+  const vod::Grid grid = bench::RunSweep(resilience);
   std::printf("\nresilience stack, replicated x2 @ %s:\n",
               layouts.cols.back().label.c_str());
-  bench::PrintSweep(resilience, grid);
+  vod::PrintSweep(resilience, grid);
   std::printf(
       "\nReading: retry converts silent waits on a dead replica into "
       "immediate\nre-issues against the surviving copy, admission sheds "

@@ -12,8 +12,7 @@ int main(int argc, char** argv) {
   using spiffi::vod::FmtDouble;
   using spiffi::vod::TextTable;
 
-  spiffi::bench::PrintHeader("Zipfian distribution", "Figure 8",
-                             spiffi::bench::ActivePreset());
+  spiffi::bench::PrintHeader("Zipfian distribution", "Figure 8");
 
   constexpr int kVideos = 64;
   ZipfDistribution uniform(kVideos, 0.0);

@@ -7,19 +7,18 @@
 #include <map>
 #include <vector>
 
-#include "sweep.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace spiffi;
   bench::InitHarness(argc, argv);
   // Locate the capacity first so the curve brackets it like the paper's
   // example does.
-  bench::Sweep spec;
-  spec.title = "glitches vs. number of terminals";
-  spec.paper_ref = "Figure 9";
+  bench::PrintHeader("glitches vs. number of terminals", "Figure 9");
+  vod::Sweep spec;
   spec.rows = {{"base config", {}}};
   spec.cols = {{"max terminals", {}}};
-  const bench::Cell capacity = bench::RunSweep(spec)[0][0];
+  const vod::Cell capacity = bench::RunSweep(spec)[0][0];
   std::printf("config: %s\n\n", capacity.config.Describe().c_str());
   const int c = capacity.terminals;
 
@@ -30,8 +29,7 @@ int main(int argc, char** argv) {
   if (capacity.replications == 1) {
     glitches.insert(capacity.probes.begin(), capacity.probes.end());
   }
-  bench::Sweep curve = spec;
-  curve.title = nullptr;
+  vod::Sweep curve = spec;
   curve.fixed_count = true;
   curve.cols.clear();
   std::vector<int> counts;
@@ -41,11 +39,11 @@ int main(int argc, char** argv) {
     counts.push_back(terminals);
     if (glitches.count(terminals) == 0) {
       curve.cols.push_back({std::to_string(terminals),
-                            {bench::Token("terminals", terminals)}});
+                            {vod::Token("terminals", terminals)}});
     }
   }
-  const bench::Grid ran = bench::RunSweep(curve);
-  for (const bench::Cell& cell : ran[0]) {
+  const vod::Grid ran = bench::RunSweep(curve);
+  for (const vod::Cell& cell : ran[0]) {
     glitches[cell.terminals] = cell.metrics.glitches;
   }
 

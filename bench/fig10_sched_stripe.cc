@@ -7,14 +7,13 @@
 // real-time prefetching; the non-real-time algorithms use the limited
 // prefetch setting.
 
-#include "sweep.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace spiffi;
   bench::InitHarness(argc, argv);
-  bench::Sweep spec;
-  spec.title = "disk scheduling algorithms x stripe sizes";
-  spec.paper_ref = "Figure 10";
+  bench::PrintHeader("disk scheduling algorithms x stripe sizes", "Figure 10");
+  vod::Sweep spec;
   spec.corner = {"algorithm"};
   spec.base = {"gss_groups=1", "realtime_classes=3"};
   spec.rows = {
@@ -25,8 +24,8 @@ int main(int argc, char** argv) {
        {"disk_sched=real-time", "realtime_classes=2", "prefetch=real-time"}},
       {"real-time (3,4s)", {"disk_sched=real-time", "prefetch=real-time"}},
   };
-  spec.cols = bench::SizeAxis("stripe_bytes", {128, 256, 512, 1024}, hw::kKiB,
-                              "KB");
-  bench::PrintSweep(spec, bench::RunSweep(spec));
+  spec.cols = vod::SizeAxis("stripe_bytes", {128, 256, 512, 1024}, hw::kKiB,
+                            "KB");
+  vod::PrintSweep(spec, bench::RunSweep(spec));
   return 0;
 }

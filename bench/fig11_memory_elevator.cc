@@ -2,19 +2,19 @@
 // scheduling — global LRU vs. love prefetch page replacement as the
 // aggregate server memory shrinks from 4 GB to 128 MB (§7.3).
 
-#include "sweep.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace spiffi;
   bench::InitHarness(argc, argv);
-  bench::Sweep spec;
-  spec.title = "server memory vs. page replacement (elevator)";
-  spec.paper_ref = "Figure 11";
+  bench::PrintHeader("server memory vs. page replacement (elevator)",
+                     "Figure 11");
+  vod::Sweep spec;
   spec.corner = {"server memory"};
   spec.base = {"disk_sched=elevator"};
   spec.rows = bench::MemoryAxis({128, 256, 512, 1024, 2048, 4096});
   spec.cols = {{"global LRU", {"replacement=global-lru"}},
                {"love prefetch", {"replacement=love-prefetch"}}};
-  bench::PrintSweep(spec, bench::RunSweep(spec));
+  vod::PrintSweep(spec, bench::RunSweep(spec));
   return 0;
 }

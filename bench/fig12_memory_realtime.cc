@@ -3,14 +3,14 @@
 // prefetching — global LRU vs. love prefetch vs. love prefetch plus
 // delayed prefetching with 8 s and 4 s maximum advance (§7.3).
 
-#include "sweep.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace spiffi;
   bench::InitHarness(argc, argv);
-  bench::Sweep spec;
-  spec.title = "server memory vs. replacement+prefetch (real-time)";
-  spec.paper_ref = "Figure 12";
+  bench::PrintHeader("server memory vs. replacement+prefetch (real-time)",
+                     "Figure 12");
+  vod::Sweep spec;
   spec.corner = {"server memory"};
   spec.base = {"disk_sched=real-time", "realtime_classes=3",
                "realtime_spacing_sec=4", "max_advance_prefetch_sec=8"};
@@ -24,6 +24,6 @@ int main(int argc, char** argv) {
        {"replacement=love-prefetch", "prefetch=delayed",
         "max_advance_prefetch_sec=4"}},
   };
-  bench::PrintSweep(spec, bench::RunSweep(spec));
+  vod::PrintSweep(spec, bench::RunSweep(spec));
   return 0;
 }

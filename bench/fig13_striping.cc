@@ -8,14 +8,13 @@
 
 #include <cstdio>
 
-#include "sweep.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace spiffi;
   bench::InitHarness(argc, argv);
-  bench::Sweep spec;
-  spec.title = "striped vs. non-striped layout";
-  spec.paper_ref = "Figures 13 and 14";
+  bench::PrintHeader("striped vs. non-striped layout", "Figures 13 and 14");
+  vod::Sweep spec;
   spec.corner = {"layout / access"};
   spec.base = {"disk_sched=elevator", "replacement=love-prefetch"};
   spec.rows = {
@@ -27,11 +26,11 @@ int main(int argc, char** argv) {
   spec.cols = bench::MemoryAxis({128, 512, 2048, 4096});
   // The utilization at the largest memory's capacity.
   spec.extra = {"disk util @ cap"};
-  spec.extra_cells = [](const bench::Grid& grid, std::size_t r) {
-    return bench::Cells{
+  spec.extra_cells = [](const vod::Grid& grid, std::size_t r) {
+    return vod::Cells{
         vod::FmtPercent(grid[r].back().metrics.avg_disk_utilization)};
   };
-  bench::PrintSweep(spec, bench::RunSweep(spec));
+  vod::PrintSweep(spec, bench::RunSweep(spec));
   std::printf(
       "\nFig 14 reading: at capacity the striped layout drives every disk "
       "(util -> ~100%%),\nwhile the non-striped layout overloads the disks "

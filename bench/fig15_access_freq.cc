@@ -8,14 +8,13 @@
 
 #include <cstdio>
 
-#include "sweep.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace spiffi;
   bench::InitHarness(argc, argv);
-  bench::Sweep spec;
-  spec.title = "movie access frequencies";
-  spec.paper_ref = "Figures 15 and 16";
+  bench::PrintHeader("movie access frequencies", "Figures 15 and 16");
+  vod::Sweep spec;
   spec.corner = {"distribution"};
   spec.base = {"disk_sched=elevator", "replacement=love-prefetch"};
   spec.rows = {{"uniform", {"zipf_z=0"}},
@@ -23,14 +22,14 @@ int main(int argc, char** argv) {
                {"zipf 1.0", {"zipf_z=1"}},
                {"zipf 1.5", {"zipf_z=1.5"}}};
   spec.cols = bench::MemoryAxis({128, 512, 2048, 4096});
-  const bench::Grid grid = bench::RunSweep(spec);
+  const vod::Grid grid = bench::RunSweep(spec);
   std::printf("Fig 15 — max glitch-free terminals:\n");
-  bench::PrintSweep(spec, grid);
+  vod::PrintSweep(spec, grid);
   std::printf("\nFig 16 — %% of buffer references previously referenced "
               "by another terminal (at capacity):\n");
-  spec.format = [](const bench::Cell& cell) {
+  spec.format = [](const vod::Cell& cell) {
     return vod::FmtPercent(cell.metrics.shared_reference_ratio());
   };
-  bench::PrintSweep(spec, grid);
+  vod::PrintSweep(spec, grid);
   return 0;
 }

@@ -4,21 +4,20 @@
 
 #include <cstdio>
 
-#include "sweep.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace spiffi;
   bench::InitHarness(argc, argv);
-  bench::Sweep spec;
-  spec.title = "pause and restart";
-  spec.paper_ref = "Figure 19";
+  bench::PrintHeader("pause and restart", "Figure 19");
+  vod::Sweep spec;
   spec.corner = {"server memory"};
   spec.base = {"disk_sched=elevator", "replacement=love-prefetch",
                "pauses_per_video_mean=2", "pause_duration_mean_sec=120"};
   spec.rows = bench::MemoryAxis({128, 512, 2048});
   spec.cols = {{"no pausing", {"pause_enabled=false"}},
                {"with pausing", {"pause_enabled=true"}}};
-  bench::PrintSweep(spec, bench::RunSweep(spec));
+  vod::PrintSweep(spec, bench::RunSweep(spec));
   std::printf("\nPausing terminals stop consuming while their buffers "
               "refill, so capacity is\nessentially unchanged (slightly "
               "higher if anything, since paused terminals\nplace no "

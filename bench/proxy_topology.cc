@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "proxy/proxy_cache.h"
-#include "sweep.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace spiffi;
@@ -37,9 +37,9 @@ int main(int argc, char** argv) {
   const std::vector<std::string> shared_start = {
       "videos_per_disk=1",  // 16-video popular library
       "video_seconds=600", "random_initial_position=false",
-      bench::Token("start_window_sec", start_window),
-      bench::Token("warmup_seconds", start_window + 60.0),
-      bench::Token("measure_seconds", smoke ? 60.0 : 240.0)};
+      vod::Token("start_window_sec", start_window),
+      vod::Token("warmup_seconds", start_window + 60.0),
+      vod::Token("measure_seconds", smoke ? 60.0 : 240.0)};
 
   // --- Phase 1: origin offload at fixed load ---
   const std::vector<std::int64_t> cache_pages =
@@ -47,20 +47,19 @@ int main(int argc, char** argv) {
             : std::vector<std::int64_t>{128, 512, 2048};
   const std::vector<double> skews =
       smoke ? std::vector<double>{0.271} : std::vector<double>{0.271, 1.0};
-  bench::Sweep offload;
-  offload.title = "hierarchical proxy tier";
-  offload.paper_ref = "two-tier topology";
+  bench::PrintHeader("hierarchical proxy tier", "two-tier topology");
+  vod::Sweep offload;
   offload.corner = {"z", "policy", "pages/proxy"};
   offload.base = shared_start;
-  offload.base.push_back(bench::Token("terminals", smoke ? 60 : 160));
-  offload.base.push_back(bench::Token("proxy_nodes", kProxies));
+  offload.base.push_back(vod::Token("terminals", smoke ? 60 : 160));
+  offload.base.push_back(vod::Token("proxy_nodes", kProxies));
   for (double z : skews) {
     for (const char* policy : proxy::kProxyPolicyNames) {
       for (std::int64_t pages : cache_pages) {
         offload.rows.push_back(
             {vod::FmtDouble(z, 3),
-             {bench::Token("zipf_z", z), std::string("proxy_policy=") + policy,
-              bench::Token("proxy_cache_pages", pages)},
+             {vod::Token("zipf_z", z), std::string("proxy_policy=") + policy,
+              vod::Token("proxy_cache_pages", pages)},
              {},
              {policy, std::to_string(pages)}});
       }
@@ -68,11 +67,11 @@ int main(int argc, char** argv) {
   }
   offload.cols = {{"offload", {}}};
   offload.fixed_count = true;
-  offload.format = [](const bench::Cell& cell) {
+  offload.format = [](const vod::Cell& cell) {
     return vod::FmtDouble(cell.metrics.proxy_offload_ratio(), 3);
   };
   offload.extra = {"hit ratio", "origin reads/s", "fwd ms"};
-  offload.extra_cells = [](const bench::Grid& grid, std::size_t r) {
+  offload.extra_cells = [](const vod::Grid& grid, std::size_t r) {
     const vod::SimMetrics& m = grid[r][0].metrics;
     double hit_ratio =
         m.proxy_references == 0
@@ -80,11 +79,11 @@ int main(int argc, char** argv) {
             : static_cast<double>(m.proxy_hits) / m.proxy_references;
     double origin_reads_per_sec =
         m.measured_seconds == 0.0 ? 0.0 : m.disk_reads / m.measured_seconds;
-    return bench::Cells{vod::FmtDouble(hit_ratio, 3),
-                        vod::FmtDouble(origin_reads_per_sec, 1),
-                        vod::FmtDouble(m.avg_proxy_forward_ms, 2)};
+    return vod::Cells{vod::FmtDouble(hit_ratio, 3),
+                      vod::FmtDouble(origin_reads_per_sec, 1),
+                      vod::FmtDouble(m.avg_proxy_forward_ms, 2)};
   };
-  bench::PrintSweep(offload, bench::RunSweep(offload));
+  vod::PrintSweep(offload, bench::RunSweep(offload));
 
   // --- Phase 2: capacity gain from the offload ---
   // The proxy tier buys admission headroom only when the origin is the
@@ -92,28 +91,28 @@ int main(int argc, char** argv) {
   // full 64-video library, so origin disks carry the misses the proxies
   // fail to absorb.
   const std::int64_t proxied_pages = smoke ? 512 : 2048;
-  bench::Sweep capacity;
+  vod::Sweep capacity;
   capacity.corner = {"topology"};
   capacity.base = shared_start;
   capacity.base.insert(capacity.base.end(),
                        {"videos_per_disk=4",  // full library again
-                        bench::Token("server_memory_bytes", 128 * hw::kMiB),
+                        vod::Token("server_memory_bytes", 128 * hw::kMiB),
                         "zipf_z=0.271"});
   capacity.search = {.step = smoke ? 25 : 10, .ceiling = smoke ? 400 : 1200};
   capacity.rows = {
       {"flat", {}},
       {"proxy " + std::to_string(kProxies) + "x" +
            std::to_string(proxied_pages) + " rank-zipf",
-       {bench::Token("proxy_nodes", kProxies),
-        bench::Token("proxy_cache_pages", proxied_pages),
+       {vod::Token("proxy_nodes", kProxies),
+        vod::Token("proxy_cache_pages", proxied_pages),
         "proxy_policy=rank-zipf"}}};
   capacity.cols = {{"capacity", {}}};
   capacity.extra = {"gain"};
-  capacity.extra_cells = [](const bench::Grid& grid, std::size_t r) {
-    return bench::Cells{r == 0 ? "x1.00"
-                               : bench::Gain(grid[r][0].terminals,
-                                             grid[0][0].terminals)};
+  capacity.extra_cells = [](const vod::Grid& grid, std::size_t r) {
+    return vod::Cells{r == 0 ? "x1.00"
+                             : vod::Gain(grid[r][0].terminals,
+                                         grid[0][0].terminals)};
   };
-  bench::PrintSweep(capacity, bench::RunSweep(capacity));
+  vod::PrintSweep(capacity, bench::RunSweep(capacity));
   return 0;
 }

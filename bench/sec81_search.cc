@@ -8,17 +8,16 @@
 
 #include <cstdio>
 
-#include "sweep.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace spiffi;
   bench::InitHarness(argc, argv);
-  bench::Sweep spec;
-  spec.title = "visual search load";
-  spec.paper_ref = "Section 8.1";
+  bench::PrintHeader("visual search load", "Section 8.1");
+  vod::Sweep spec;
   spec.corner = {"workload"};
   spec.base = {"disk_sched=elevator", "replacement=love-prefetch",
-               bench::Token("server_memory_bytes", 512 * hw::kMiB)};
+               vod::Token("server_memory_bytes", 512 * hw::kMiB)};
   spec.rows = {{"sequential playback only", {}},
                {"1 search/video (show 1 s, skip 7 s)",
                 {"search_enabled=true", "searches_per_video_mean=1",
@@ -26,11 +25,11 @@ int main(int argc, char** argv) {
                  "search_skip_sec=7"}}};
   spec.cols = {{"max terminals", {}}};
   spec.extra = {"disk util @ cap"};
-  spec.extra_cells = [](const bench::Grid& grid, std::size_t r) {
-    return bench::Cells{
+  spec.extra_cells = [](const vod::Grid& grid, std::size_t r) {
+    return vod::Cells{
         vod::FmtPercent(grid[r][0].metrics.avg_disk_utilization)};
   };
-  bench::PrintSweep(spec, bench::RunSweep(spec));
+  vod::PrintSweep(spec, bench::RunSweep(spec));
   std::printf("\nSkipped segments are never read, so an 8x search costs "
               "roughly one block per\nshow+skip period (like normal "
               "playback) plus a re-prime when it ends — a modest\n"

@@ -3,18 +3,17 @@
 // "Experiments show that a 5 minute delay more than doubles the number of
 // terminals that may be supported glitch-free."
 
-#include "sweep.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace spiffi;
   bench::InitHarness(argc, argv);
   const bench::Preset preset = bench::ActivePreset();
-  bench::Sweep spec;
-  spec.title = "piggybacking terminals";
-  spec.paper_ref = "Section 8.2";
+  bench::PrintHeader("piggybacking terminals", "Section 8.2");
+  vod::Sweep spec;
   spec.corner = {"batching window"};
   spec.base = {"disk_sched=elevator", "replacement=love-prefetch",
-               bench::Token("server_memory_bytes", 512 * hw::kMiB)};
+               vod::Token("server_memory_bytes", 512 * hw::kMiB)};
   spec.search.step = preset == bench::Preset::kFull ? 5 : 25;
   for (double window : {0.0, 60.0, 300.0}) {
     // Piggybacked terminals watch from the beginning, so the steady-state
@@ -29,21 +28,21 @@ int main(int argc, char** argv) {
     // used to silently clip exactly the rows the experiment is about.
     spec.rows.push_back(
         {vod::FmtDouble(window / 60.0, 0) + " min",
-         {bench::Token("piggyback_window_sec", window),
-          bench::Token("start_window_sec", start_window),
-          bench::Token("warmup_seconds", start_window + window + 60.0)},
+         {vod::Token("piggyback_window_sec", window),
+          vod::Token("start_window_sec", start_window),
+          vod::Token("warmup_seconds", start_window + window + 60.0)},
          {.start_guess = window > 0.0 ? 400 : 200,
           .ceiling = 1200 + static_cast<int>(window / 60.0) * 600}});
   }
   spec.cols = {{"max terminals", {}}};
-  spec.format = [](const bench::Cell& cell) {
+  spec.format = [](const vod::Cell& cell) {
     return std::to_string(cell.terminals) + (cell.at_ceiling ? " (cap)" : "");
   };
   spec.extra = {"vs. none"};
-  spec.extra_cells = [](const bench::Grid& grid, std::size_t r) {
-    return bench::Cells{
-        bench::Gain(grid[r][0].terminals, grid[0][0].terminals)};
+  spec.extra_cells = [](const vod::Grid& grid, std::size_t r) {
+    return vod::Cells{
+        vod::Gain(grid[r][0].terminals, grid[0][0].terminals)};
   };
-  bench::PrintSweep(spec, bench::RunSweep(spec));
+  vod::PrintSweep(spec, bench::RunSweep(spec));
   return 0;
 }

@@ -9,7 +9,7 @@
 
 #include <vector>
 
-#include "sweep.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace spiffi;
@@ -19,20 +19,19 @@ int main(int argc, char** argv) {
 
   constexpr double kBatchWindowSec = 60.0;
 
-  bench::Sweep spec;
-  spec.title = "stream-sharing service tier";
-  spec.paper_ref = "Section 8.2 extended";
+  bench::PrintHeader("stream-sharing service tier", "Section 8.2 extended");
+  vod::Sweep spec;
   // Shared-mode terminals watch from the beginning; the steady-state
   // position spread must come from staggered starts (see
   // sec82_piggyback.cc), and the warmup must cover the spread plus the
   // batching delay.
   const double start_window = smoke ? 120.0 : 900.0;
   spec.base = {"disk_sched=elevator", "replacement=love-prefetch",
-               bench::Token("server_memory_bytes", 512 * hw::kMiB),
+               vod::Token("server_memory_bytes", 512 * hw::kMiB),
                "zipf_z=0.271",  // video-rental popularity skew
-               bench::Token("start_window_sec", start_window),
-               bench::Token("warmup_seconds",
-                            start_window + kBatchWindowSec + 60.0)};
+               vod::Token("start_window_sec", start_window),
+               vod::Token("warmup_seconds",
+                          start_window + kBatchWindowSec + 60.0)};
   spec.search = {.step = preset == bench::Preset::kFull ? 5 : 25,
                  .ceiling = 2400};
   // Shorter videos = higher request rate. Smoke trims the sweep to one
@@ -43,7 +42,7 @@ int main(int argc, char** argv) {
   spec.corner = {"video len", "req/term/hr"};
   for (double seconds : video_seconds) {
     spec.rows.push_back({vod::FmtDouble(seconds / 60.0, 0) + " min",
-                         {bench::Token("video_seconds", seconds)},
+                         {vod::Token("video_seconds", seconds)},
                          {},
                          {vod::FmtDouble(3600.0 / seconds, 1)}});
   }
@@ -54,16 +53,16 @@ int main(int argc, char** argv) {
   // pinned on popular prefixes.
   spec.cols = {{"capacity off", {"random_initial_position=false"}},
                {"capacity shared",
-                {bench::Token("piggyback_window_sec", kBatchWindowSec),
+                {vod::Token("piggyback_window_sec", kBatchWindowSec),
                  "patch_window_sec=45", "prefix_cache_fraction=0.25"}}};
-  spec.format = [](const bench::Cell& cell) {
+  spec.format = [](const vod::Cell& cell) {
     return std::to_string(cell.terminals) + (cell.at_ceiling ? " (cap)" : "");
   };
   spec.extra = {"gain"};
-  spec.extra_cells = [](const bench::Grid& grid, std::size_t r) {
-    return bench::Cells{
-        bench::Gain(grid[r][1].terminals, grid[r][0].terminals)};
+  spec.extra_cells = [](const vod::Grid& grid, std::size_t r) {
+    return vod::Cells{
+        vod::Gain(grid[r][1].terminals, grid[r][0].terminals)};
   };
-  bench::PrintSweep(spec, bench::RunSweep(spec));
+  vod::PrintSweep(spec, bench::RunSweep(spec));
   return 0;
 }

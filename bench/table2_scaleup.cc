@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "sweep.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace spiffi;
@@ -33,19 +33,18 @@ int main(int argc, char** argv) {
                                    {"real-time", 2.0, 512, realtime}};
   const std::vector<int> scale = {1, 2, 4};  // 16, 32, 64 disks
 
-  bench::Sweep spec;
-  spec.title = "scaleup to 32 and 64 disks";
-  spec.paper_ref = "Table 2";
+  bench::PrintHeader("scaleup to 32 and 64 disks", "Table 2");
+  vod::Sweep spec;
   spec.corner = {"sched", "term MB", "disks", "server MB"};
   spec.base = {"replacement=love-prefetch"};
   for (const Base& base : bases) {
     for (int s : scale) {
-      bench::SweepPoint point = bench::ScalePoint(s, base.server_mb);
+      vod::SweepPoint point = bench::ScalePoint(s, base.server_mb);
       point.label = base.sched;
       point.more_labels = {vod::FmtDouble(base.terminal_mb, 1),
                            std::to_string(16 * s),
                            std::to_string(base.server_mb * s)};
-      point.tokens.push_back(bench::Token(
+      point.tokens.push_back(vod::Token(
           "terminal_memory_bytes",
           static_cast<std::int64_t>(base.terminal_mb * hw::kMiB)));
       point.tokens.insert(point.tokens.end(), base.tokens.begin(),
@@ -55,8 +54,8 @@ int main(int argc, char** argv) {
   }
   spec.cols = {{"max terms", {}}};
   spec.extra = {"scaleup", "cpu util", "peak net"};
-  spec.extra_cells = [&scale](const bench::Grid& grid, std::size_t r) {
-    const bench::Cell& cell = grid[r][0];
+  spec.extra_cells = [&scale](const vod::Grid& grid, std::size_t r) {
+    const vod::Cell& cell = grid[r][0];
     // Efficiency relative to the same base at 16 disks.
     const int s = scale[r % scale.size()];
     const int base_capacity = grid[r - r % scale.size()][0].terminals;
@@ -68,10 +67,10 @@ int main(int argc, char** argv) {
                               (static_cast<double>(base_capacity) * s)
                         : 0.0);
     }
-    return bench::Cells{
+    return vod::Cells{
         scaleup, vod::FmtPercent(cell.metrics.avg_cpu_utilization),
         vod::FmtBytesPerSec(cell.metrics.peak_network_bytes_per_sec)};
   };
-  bench::PrintSweep(spec, bench::RunSweep(spec));
+  vod::PrintSweep(spec, bench::RunSweep(spec));
   return 0;
 }

@@ -5,7 +5,7 @@
 
 #include <vector>
 
-#include "sweep.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace spiffi;
@@ -18,14 +18,13 @@ int main(int argc, char** argv) {
   const std::vector<Option> options = {
       {16, 9.0, 4000}, {32, 4.5, 2500}, {64, 2.2, 1500}};
 
-  bench::Sweep spec;
-  spec.title = "disk cost per terminal";
-  spec.paper_ref = "Table 3";
+  bench::PrintHeader("disk cost per terminal", "Table 3");
+  vod::Sweep spec;
   spec.corner = {"disks", "capacity", "cost/disk", "cost/MB", "total cost"};
   spec.base = {"replacement=love-prefetch", "disk_sched=real-time",
                "prefetch=delayed"};
   for (const Option& option : options) {
-    bench::SweepPoint point = bench::ScalePoint(option.disks / 16, 512);
+    vod::SweepPoint point = bench::ScalePoint(option.disks / 16, 512);
     point.more_labels = {
         vod::FmtDouble(option.capacity_gb, 1) + " GB",
         "$" + std::to_string(option.cost_per_disk),
@@ -35,8 +34,8 @@ int main(int argc, char** argv) {
         "$" + std::to_string(option.disks * option.cost_per_disk)};
     // The library stays 64 videos in every case.
     point.tokens.push_back(
-        bench::Token("videos_per_disk", 64 / option.disks));
-    point.tokens.push_back(bench::Token(
+        vod::Token("videos_per_disk", 64 / option.disks));
+    point.tokens.push_back(vod::Token(
         "disk.capacity_bytes",
         static_cast<std::int64_t>(option.capacity_gb *
                                   static_cast<double>(hw::kGiB))));
@@ -44,15 +43,15 @@ int main(int argc, char** argv) {
   }
   spec.cols = {{"terminals", {}}};
   spec.extra = {"cost/terminal"};
-  spec.extra_cells = [&options](const bench::Grid& grid, std::size_t r) {
+  spec.extra_cells = [&options](const vod::Grid& grid, std::size_t r) {
     const int terminals = grid[r][0].terminals;
     const int total_cost = options[r].disks * options[r].cost_per_disk;
-    return bench::Cells{
+    return vod::Cells{
         "$" + vod::FmtDouble(
                   terminals > 0 ? static_cast<double>(total_cost) / terminals
                                 : 0.0,
                   0)};
   };
-  bench::PrintSweep(spec, bench::RunSweep(spec));
+  vod::PrintSweep(spec, bench::RunSweep(spec));
   return 0;
 }

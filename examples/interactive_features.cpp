@@ -8,49 +8,45 @@
 // and compares the load each places on the video server.
 
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 
-#include "vod/simulation.h"
+#include "vod/sweep.h"
 #include "vod/table.h"
 
 int main(int argc, char** argv) {
   using namespace spiffi;
+  const std::string terminals = argc > 1 ? argv[1] : "250";
+  std::printf("interactive features at %s terminals\n\n", terminals.c_str());
 
-  int terminals = argc > 1 ? std::atoi(argv[1]) : 250;
-  std::printf("interactive features at %d terminals\n\n", terminals);
-
-  vod::TextTable table({"scenario", "glitches", "disk util",
-                        "network avg", "videos completed"});
-
-  for (int scenario = 0; scenario < 3; ++scenario) {
-    vod::SimConfig config;
-    config.terminals = terminals;
-    config.server_memory_bytes = 512 * hw::kMiB;
-    config.replacement = server::ReplacementPolicy::kLovePrefetch;
-    const char* name = "plain playback";
-    if (scenario == 1) {
-      name = "with pauses (2 x 2 min avg)";
-      config.pause_enabled = true;
-    } else if (scenario == 2) {
-      name = "piggyback (5 min window)";
-      config.piggyback_window_sec = 300.0;
-      // Grouped starts replace the steady-state position spread; give the
-      // warmup time to cover the batching delay.
-      config.warmup_seconds = config.start_window_sec + 360.0;
-    }
-    std::string error = config.Validate();
-    if (!error.empty()) {
-      std::fprintf(stderr, "bad configuration: %s\n", error.c_str());
-      return 1;
-    }
-    vod::SimMetrics m = vod::RunSimulation(config);
-    table.AddRow({name, std::to_string(m.glitches),
-                  vod::FmtPercent(m.avg_disk_utilization),
-                  vod::FmtBytesPerSec(m.avg_network_bytes_per_sec),
-                  std::to_string(m.videos_completed)});
-    std::fprintf(stderr, "  %s done\n", name);
-  }
-  table.Print();
+  vod::Sweep spec;
+  spec.corner = {"scenario"};
+  spec.base = {"terminals=" + terminals,
+               vod::Token("server_memory_bytes", 512 * hw::kMiB),
+               "replacement=love-prefetch"};
+  spec.rows = {
+      {"plain playback", {}},
+      {"with pauses (2 x 2 min avg)", {"pause_enabled=true"}},
+      // Grouped starts replace the steady-state position spread; give
+      // the warmup time to cover the batching delay.
+      {"piggyback (5 min window)",
+       {"piggyback_window_sec=300",
+        vod::Token("warmup_seconds",
+                   vod::SimConfig().start_window_sec + 360.0)}},
+  };
+  spec.cols = {{"glitches", {}}};
+  spec.fixed_count = true;
+  spec.format = [](const vod::Cell& cell) {
+    return std::to_string(cell.metrics.glitches);
+  };
+  spec.extra = {"disk util", "network avg", "videos completed"};
+  spec.extra_cells = [](const vod::Grid& grid, std::size_t r) {
+    const vod::SimMetrics& m = grid[r][0].metrics;
+    return vod::Cells{vod::FmtPercent(m.avg_disk_utilization),
+                      vod::FmtBytesPerSec(m.avg_network_bytes_per_sec),
+                      std::to_string(m.videos_completed)};
+  };
+  // {.jobs = 0}: all cores.
+  vod::PrintSweep(spec, vod::RunSweep(spec, vod::SimConfig(), {.jobs = 0}));
   std::printf(
       "\nPauses cost the server nothing (paused terminals stop "
       "consuming). Piggybacking\ncuts disk load sharply: grouped "

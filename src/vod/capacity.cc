@@ -185,19 +185,6 @@ SimMetrics AggregateReplications(const std::vector<SimMetrics>& reps) {
   return a;
 }
 
-std::uint64_t GlitchesAt(SimConfig config, int terminals, int replications,
-                         SimMetrics* out_aggregate) {
-  SPIFFI_CHECK(replications > 0);
-  std::vector<SimMetrics> reps;
-  reps.reserve(replications);
-  for (const SimConfig& replication :
-       ReplicationConfigs(config, terminals, replications)) {
-    reps.push_back(RunSimulation(replication));
-  }
-  if (out_aggregate != nullptr) *out_aggregate = AggregateReplications(reps);
-  return SumGlitches(reps);
-}
-
 std::vector<CapacityResult> FindCapacities(
     const std::vector<CapacitySearch>& searches) {
   if (searches.empty()) return {};
@@ -225,6 +212,9 @@ std::vector<CapacityResult> FindCapacities(
         search.base, search.base.terminals, options.replications)));
     walks.push_back({&search, SearchState(options), {}, {}});
   }
+  // Runs cancelled along the walk. A worker may have popped one just
+  // before its cancel and still be constructing its Simulation.
+  std::vector<RunHandle> cancelled;
 
   for (;;) {
     // The outstanding set, in submission order: every live search's
@@ -261,7 +251,10 @@ std::vector<CapacityResult> FindCapacities(
       for (auto it = walk.inflight.begin(); it != walk.inflight.end();) {
         if (std::find(wanted.begin(), wanted.end(),
                       std::pair{&walk, it->first}) == wanted.end()) {
-          for (const RunHandle& run : it->second) runner.Cancel(run);
+          for (const RunHandle& run : it->second) {
+            runner.Cancel(run);
+            cancelled.push_back(run);
+          }
           it = walk.inflight.erase(it);
         } else {
           ++it;
@@ -300,6 +293,10 @@ std::vector<CapacityResult> FindCapacities(
     walk->state.Advance(glitches == 0);
     walk->result.max_terminals = walk->state.known_good;
   }
+
+  // Outlive every cancelled run, so none builds its library after the
+  // pins are gone.
+  for (const RunHandle& run : cancelled) runner.Wait(run, nullptr);
 
   std::vector<CapacityResult> results;
   results.reserve(walks.size());

@@ -70,18 +70,12 @@ struct CapacityResult {
 // aggregate of a single replication is that replication, bit for bit.
 SimMetrics AggregateReplications(const std::vector<SimMetrics>& reps);
 
-// Total glitches at `terminals`, summed over `replications` seeds
-// (config.seed, config.seed+1, ...), run one after another in the
-// calling thread. `out_aggregate` (optional) receives the aggregate of
-// all replications — not just the last one.
-std::uint64_t GlitchesAt(SimConfig config, int terminals, int replications,
-                         SimMetrics* out_aggregate = nullptr);
-
 // One result per search, in search order. Every search must resolve to
 // the same jobs (checked). The video library of every search's
 // replication seeds is pinned up front for the whole call
 // (PinLibraries), so searches with equal library inputs share one build
-// per seed.
+// per seed. The call returns only once every probe it cancelled has left
+// its worker, so none outlives the pins.
 std::vector<CapacityResult> FindCapacities(
     const std::vector<CapacitySearch>& searches);
 // The same on a caller's runner (shared with other work, or read for

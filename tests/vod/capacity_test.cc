@@ -1,6 +1,7 @@
 #include "vod/capacity.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -25,10 +26,20 @@ SimConfig TinyConfig() {
   return config;
 }
 
+// Total glitches at `terminals`, one run per seed from config.seed on.
+std::uint64_t Glitches(SimConfig config, int terminals, int replications = 1) {
+  config.terminals = terminals;
+  std::uint64_t total = 0;
+  for (int r = 0; r < replications; ++r, ++config.seed) {
+    total += RunSimulation(config).glitches;
+  }
+  return total;
+}
+
 TEST(CapacityTest, GlitchesAtMonotoneAtExtremes) {
   SimConfig config = TinyConfig();
-  EXPECT_EQ(GlitchesAt(config, 5, 1), 0u);
-  EXPECT_GT(GlitchesAt(config, 80, 1), 0u);
+  EXPECT_EQ(Glitches(config, 5), 0u);
+  EXPECT_GT(Glitches(config, 80), 0u);
 }
 
 TEST(CapacityTest, FindMaxTerminalsBracketsTheBoundary) {
@@ -87,8 +98,8 @@ TEST(CapacityTest, SearchRespectsMaxBound) {
 
 TEST(CapacityTest, ReplicationsSumGlitches) {
   SimConfig config = TinyConfig();
-  std::uint64_t one = GlitchesAt(config, 80, 1);
-  std::uint64_t three = GlitchesAt(config, 80, 3);
+  std::uint64_t one = Glitches(config, 80);
+  std::uint64_t three = Glitches(config, 80, 3);
   EXPECT_GE(three, one);  // more seeds, at least as many glitches
 }
 
@@ -105,7 +116,7 @@ TEST(CapacityTest, GlitchCurveMatchesDirectProbes) {
   EXPECT_EQ(curve[0].terminals, 10);
   EXPECT_EQ(curve[0].glitches, 0u);
   EXPECT_GT(curve[1].glitches, 0u);
-  EXPECT_EQ(curve[1].glitches, GlitchesAt(config, 90, 1));
+  EXPECT_EQ(curve[1].glitches, Glitches(config, 90));
 }
 
 // The replication aggregate of the stream-sharing, proxy, and resilience
@@ -119,8 +130,7 @@ void ExpectHandAggregate(const SimConfig& config, int terminals) {
   second.seed = config.seed + 1;
   const SimMetrics a = RunSimulation(first);
   const SimMetrics b = RunSimulation(second);
-  SimMetrics m;
-  GlitchesAt(config, terminals, 2, &m);
+  const SimMetrics m = AggregateReplications({a, b});
 
   EXPECT_EQ(m.share_groups, a.share_groups + b.share_groups);
   EXPECT_EQ(m.share_followers, a.share_followers + b.share_followers);

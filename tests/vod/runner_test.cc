@@ -7,6 +7,8 @@
 #include "vod/runner.h"
 
 #include <cstdint>
+#include <future>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -127,49 +129,54 @@ TEST(RunnerTest, CancelledPendingRunNeverExecutes) {
 
 TEST(RunnerTest, CancelledRunningRunStopsEarly) {
   ParallelRunner runner(1);
-  ParallelRunner::RunHandle run = runner.Submit(TinyConfig());
-  runner.Cancel(run);  // may catch it pending or mid-run; both must stop
+  // The run's setup holds it on the worker until the test has cancelled
+  // it, so Cancel always meets a running run.
+  std::promise<void> started;
+  std::promise<void> cancel_sent;
+  std::shared_future<void> cancelled = cancel_sent.get_future().share();
+  ParallelRunner::RunHandle run =
+      runner.Submit(TinyConfig(), [&](Simulation&) {
+        started.set_value();
+        cancelled.wait();
+        return std::shared_ptr<void>();
+      });
+  started.get_future().wait();
+  runner.Cancel(run);
+  cancel_sent.set_value();
   SimMetrics metrics;
   EXPECT_FALSE(runner.Wait(run, &metrics));
 }
 
 TEST(RunnerTest, GlitchesAtAggregatesAcrossReplications) {
-  // Regression: out_aggregate used to carry only the last replication,
-  // so at_capacity reflected one seed instead of the replication set.
-  SimConfig config = TinyConfig();
+  // Regression: a replication set's aggregate used to carry only the
+  // last replication, so at_capacity reflected one seed instead of the
+  // set.
   const int kTerminals = 80;  // overloaded: glitches expected
   const int kReps = 3;
+  std::vector<SimConfig> reps;
+  for (int r = 0; r < kReps; ++r) {
+    reps.push_back(TinyConfig());
+    reps.back().terminals = kTerminals;
+    reps.back().seed += static_cast<std::uint64_t>(r);
+  }
 
   std::uint64_t sum_direct = 0;
   std::uint64_t frames_direct = 0;
   std::vector<SimMetrics> singles;
-  for (int r = 0; r < kReps; ++r) {
-    SimConfig rep = config;
-    rep.seed = config.seed + static_cast<std::uint64_t>(r);
-    SimMetrics m;
-    GlitchesAt(rep, kTerminals, 1, &m);
-    sum_direct += m.glitches;
-    frames_direct += m.frames_displayed;
-    singles.push_back(m);
+  for (const SimConfig& rep : reps) {
+    singles.push_back(RunSimulation(rep));
+    sum_direct += singles.back().glitches;
+    frames_direct += singles.back().frames_displayed;
   }
 
-  SimMetrics aggregate;
-  std::uint64_t total = GlitchesAt(config, kTerminals, kReps, &aggregate);
-  EXPECT_EQ(total, sum_direct);
+  // The replications run on a runner aggregate in replication order.
+  ParallelRunner runner(4);
+  const SimMetrics aggregate = AggregateReplications(runner.RunAll(reps));
   EXPECT_EQ(aggregate.glitches, sum_direct);
   EXPECT_EQ(aggregate.frames_displayed, frames_direct);
   // ...and not just the last replication's view.
   EXPECT_NE(aggregate.glitches, singles.back().glitches);
-
-  // The replications run on a runner aggregate identically.
-  std::vector<SimConfig> reps;
-  for (int r = 0; r < kReps; ++r) {
-    reps.push_back(config);
-    reps.back().terminals = kTerminals;
-    reps.back().seed = config.seed + static_cast<std::uint64_t>(r);
-  }
-  ParallelRunner runner(4);
-  ExpectBitIdentical(aggregate, AggregateReplications(runner.RunAll(reps)));
+  ExpectBitIdentical(aggregate, AggregateReplications(singles));
 }
 
 TEST(RunnerTest, AggregateReplicationsOfOneIsIdentity) {
@@ -372,6 +379,20 @@ TEST(RunnerTest, LoneSearchKeepsItsSpeculativeSchedule) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].probes.size(), 5u);
   EXPECT_EQ(runner.SnapshotProgress().submitted, 10u);
+}
+
+// Every run the walk cancelled has left its worker by the time
+// FindCapacities returns. A worker that popped a speculative probe just
+// before its cancel still constructs that probe's Simulation, which must
+// happen while the search's library pins hold.
+TEST(RunnerTest, FindCapacitiesLeavesNoRunInFlight) {
+  CapacitySearchOptions options = Options(2, 120, 16, 8, 1);
+  options.jobs = 4;
+  ParallelRunner runner(4);
+  FindCapacities({{TinyConfig(), options}}, runner);
+  const ParallelRunner::FleetProgress fleet = runner.SnapshotProgress();
+  EXPECT_EQ(fleet.running, 0u);
+  EXPECT_EQ(fleet.pending, 0u);
 }
 
 TEST(RunnerTest, CapacitySearchUnderFaultPlanIdenticalSerialVsParallel) {
