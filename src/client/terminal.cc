@@ -1,6 +1,7 @@
 #include "client/terminal.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 
@@ -36,6 +37,8 @@ Terminal::Terminal(sim::Environment* env, int id,
       admission_(admission) {
   SPIFFI_CHECK(env != nullptr);
   SPIFFI_CHECK(params.memory_bytes >= params.block_bytes);
+  inflight_.resize(std::bit_ceil(static_cast<std::uint64_t>(
+      params.memory_bytes / params.block_bytes + 2)));
   env_->Schedule(start_time, this, kStartToken);
 }
 
@@ -282,7 +285,7 @@ void Terminal::ResetStreamAt(std::int64_t frame) {
   next_request_block_ = first_block_;
   contiguous_blocks_ = 0;
   arrived_out_of_order_.clear();
-  issue_time_.clear();
+  std::fill(inflight_.begin(), inflight_.end(), PendingRequest());
   search_blocks_pending_.clear();
   occupied_bytes_ = 0;
   inflight_bytes_ = 0;
@@ -392,8 +395,10 @@ void Terminal::IssueRequests() {
                         request);
 
     inflight_bytes_ += bytes;
-    PendingRequest& pending = issue_time_[next_request_block_];
-    pending = PendingRequest{env_->now(), request.deadline, trace_id};
+    PendingRequest& pending = AddPending(next_request_block_);
+    pending.issue_time = env_->now();
+    pending.deadline = request.deadline;
+    pending.trace_id = trace_id;
     pending.node = target_node;
     pending.last_send_time = env_->now();
     if (params_.retry_budget > 0) {
@@ -416,7 +421,7 @@ void Terminal::OnMessage(const Message& message) {
     OnSearchBlock(message);
     return;
   }
-  if (issue_time_.find(message.block) == issue_time_.end()) {
+  if (FindPending(message.block) == nullptr) {
     // Duplicate delivery: a retried request and the original both
     // completed. The first reply was accounted; drop the straggler
     // before it corrupts the buffer bookkeeping. Unreachable when
@@ -467,28 +472,35 @@ layout::BlockLocation Terminal::RouteForBlock(std::int64_t block) {
 }
 
 void Terminal::RecordArrival(const Message& message) {
-  auto it = issue_time_.find(message.block);
-  if (it == issue_time_.end()) return;
-  const PendingRequest& pending = it->second;
-  if (pending.retry_timer != 0) env_->Cancel(pending.retry_timer);
+  PendingRequest* pending = FindPending(message.block);
+  if (pending == nullptr) return;
+  if (pending->retry_timer != 0) env_->Cancel(pending->retry_timer);
   if (message.hops > 0) ++stats_.blocks_rerouted;
-  double response = env_->now() - pending.issue_time;
+  double response = env_->now() - pending->issue_time;
   stats_.response_time.Add(response);
   stats_.response_sketch.Add(response);
-  double slack = pending.deadline - env_->now();
+  double slack = pending->deadline - env_->now();
   stats_.deadline_slack.Add(slack);
   stats_.slack_sketch.Add(slack);
   if (slack < 0.0) {
     AttributeLateBlock(message, response,
-                       pending.attempts > 0
-                           ? pending.last_send_time - pending.issue_time
+                       pending->attempts > 0
+                           ? pending->last_send_time - pending->issue_time
                            : 0.0);
   }
   obs::TraceAsyncEnd(env_, obs::TraceCategory::kTerminal, "block_request",
-                     obs::Tracer::kTerminalsPid, pending.trace_id,
+                     obs::Tracer::kTerminalsPid, pending->trace_id,
                      {{"response_ms", response * 1e3},
                       {"slack_ms", slack * 1e3}});
-  issue_time_.erase(it);
+  *pending = PendingRequest();
+}
+
+Terminal::PendingRequest& Terminal::AddPending(std::int64_t block) {
+  PendingRequest& slot =
+      inflight_[static_cast<std::size_t>(block) & (inflight_.size() - 1)];
+  SPIFFI_CHECK(slot.block == -1);  // the span bound above held
+  slot.block = block;
+  return slot;
 }
 
 void Terminal::AttributeLateBlock(const Message& message, double response,
@@ -781,15 +793,15 @@ sim::SimTime Terminal::FirstRetryFireTime(sim::SimTime deadline) const {
 }
 
 void Terminal::ArmRetryTimer(std::int64_t block, sim::SimTime fire_time) {
-  auto it = issue_time_.find(block);
-  SPIFFI_DCHECK(it != issue_time_.end());
-  it->second.retry_timer = env_->Schedule(
+  PendingRequest* pending = FindPending(block);
+  SPIFFI_DCHECK(pending != nullptr);
+  pending->retry_timer = env_->Schedule(
       fire_time, this,
       kRetryToken | (static_cast<std::uint64_t>(block) << kTokenBits));
 }
 
 void Terminal::CancelRetryTimers() {
-  for (auto& [block, pending] : issue_time_) {
+  for (PendingRequest& pending : inflight_) {
     if (pending.retry_timer != 0) {
       env_->Cancel(pending.retry_timer);
       pending.retry_timer = 0;
@@ -798,9 +810,9 @@ void Terminal::CancelRetryTimers() {
 }
 
 void Terminal::OnRetryTimeout(std::int64_t block) {
-  auto it = issue_time_.find(block);
-  if (it == issue_time_.end()) return;  // reply won a same-tick race
-  PendingRequest& pending = it->second;
+  PendingRequest* found = FindPending(block);
+  if (found == nullptr) return;  // reply won a same-tick race
+  PendingRequest& pending = *found;
   pending.retry_timer = 0;
   // A timeout whose target node has died is not a lost message — the
   // whole stream's routing is stale. Migrate the session once instead

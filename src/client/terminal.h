@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "client/stream_share.h"
@@ -368,9 +367,10 @@ class Terminal final : public server::MessageSink,
   bool first_video_ = true;
 
   std::int64_t start_byte_ = 0;  // first byte actually consumed
-  // In-flight request bookkeeping, keyed by block: when it was issued,
-  // the deadline it carried, and the open trace span.
+  // In-flight request bookkeeping, one record per outstanding block:
+  // when it was issued, the deadline it carried, and the open trace span.
   struct PendingRequest {
+    std::int64_t block = -1;  // ring tag; -1 = free slot
     sim::SimTime issue_time = 0.0;
     sim::SimTime deadline = sim::kSimTimeMax;
     std::uint64_t trace_id = 0;
@@ -380,7 +380,22 @@ class Terminal final : public server::MessageSink,
     sim::SimTime last_send_time = 0.0;  // most recent (re)send
     sim::EventId retry_timer = 0;       // armed timeout, 0 = none
   };
-  std::unordered_map<std::int64_t, PendingRequest> issue_time_;
+  // The records live in a fixed ring indexed by block & (size - 1).
+  // IssueRequests keeps occupied + in-flight bytes within memory_bytes,
+  // and no block after the oldest outstanding one can be consumed, so
+  // the outstanding blocks span at most memory_bytes / block_bytes + 1
+  // blocks (the +1 is a video's short last block). A ring of
+  // bit_ceil(memory_bytes / block_bytes + 2) slots therefore never maps
+  // two outstanding blocks to one slot.
+  std::vector<PendingRequest> inflight_;
+  // The record of outstanding `block`, or nullptr.
+  PendingRequest* FindPending(std::int64_t block) {
+    PendingRequest& slot =
+        inflight_[static_cast<std::size_t>(block) & (inflight_.size() - 1)];
+    return slot.block == block ? &slot : nullptr;
+  }
+  // A fresh record for `block`, whose slot must be free.
+  PendingRequest& AddPending(std::int64_t block);
   std::set<std::int64_t> arrived_out_of_order_;
 
   sim::SimTime prime_start_ = 0.0;  // when the current prime began (trace)

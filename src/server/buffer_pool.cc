@@ -14,12 +14,12 @@ BufferPool::BufferPool(sim::Environment* env, std::int64_t num_pages,
   for (std::int64_t i = 0; i < num_pages; ++i) {
     free_.push_back(&pages_.emplace_back(env));
   }
-  table_.reserve(static_cast<std::size_t>(num_pages) * 2);
+  table_.Reserve(static_cast<std::size_t>(num_pages));
 }
 
 BufferPool::Page* BufferPool::Lookup(const PageKey& key) {
-  auto it = table_.find(key);
-  return it == table_.end() ? nullptr : it->second;
+  Page** page = table_.Find(key);
+  return page == nullptr ? nullptr : *page;
 }
 
 void BufferPool::RecordReference(Page* page, int terminal) {
@@ -101,7 +101,7 @@ BufferPool::Page* BufferPool::EvictFrom(int chain) {
        page = page->lru_next) {
     if (page->pin_count == 0 && !page->io_in_flight) {
       RemoveFromChain(page);
-      table_.erase(page->key);
+      table_.Erase(page->key);
       ++stats_.evictions;
       bool wasted = page->prefetched && !page->ever_referenced;
       if (wasted) ++stats_.wasted_prefetches;
@@ -142,7 +142,7 @@ BufferPool::Page* BufferPool::Allocate(const PageKey& key,
   page->ever_referenced = false;
   page->inflight_request = nullptr;
   page->urgent_deadline = sim::kSimTimeMax;
-  table_.emplace(key, page);
+  table_.Insert(key, page);
   obs::TraceCounter(env_, obs::TraceCategory::kBuffer, "pool_pages_in_use",
                     trace_pid_, obs::Tracer::kPoolTid,
                     static_cast<double>(pages_in_use()));

@@ -38,12 +38,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "hw/disk.h"
 #include "server/intrusive_chain.h"
 #include "sim/environment.h"
+#include "sim/flat_table.h"
 #include "sim/random.h"
 #include "sim/wait_list.h"
 
@@ -57,11 +57,16 @@ struct PageKey {
   bool operator==(const PageKey&) const = default;
 };
 
+// Hash functor for std containers and key traits for sim::FlatTable
+// (PageKey{}, video -1, marks a free slot).
 struct PageKeyHash {
+  static constexpr PageKey kEmpty{};
+  static std::uint64_t Hash(const PageKey& key) {
+    return sim::Hash64(static_cast<std::uint64_t>(key.video),
+                       static_cast<std::uint64_t>(key.block));
+  }
   std::size_t operator()(const PageKey& key) const {
-    return static_cast<std::size_t>(
-        sim::Hash64(static_cast<std::uint64_t>(key.video),
-                    static_cast<std::uint64_t>(key.block)));
+    return static_cast<std::size_t>(Hash(key));
   }
 };
 
@@ -203,7 +208,8 @@ class BufferPool {
   // pinned in place by its intrusive links and embedded WaitList).
   std::deque<Page> pages_;
   std::vector<Page*> free_;
-  std::unordered_map<PageKey, Page*, PageKeyHash> table_;
+  // Sized for every page in the constructor, so it never rehashes.
+  sim::FlatTable<PageKey, Page*, PageKeyHash> table_;
   // Intrusive chains: head = LRU (eviction) end, tail = MRU.
   IntrusiveChain<Page> chains_[3];
   sim::WaitList free_waiters_;

@@ -34,7 +34,7 @@ Prefetcher::Prefetcher(sim::Environment* env, PrefetchPolicy policy,
 
 void Prefetcher::Enqueue(const PrefetchTask& task) {
   if (policy_ == PrefetchPolicy::kNone) return;
-  if (!pending_.insert(task.key).second) {
+  if (!pending_.Insert(task.key)) {
     ++stats_.duplicates_dropped;
     obs::TraceInstant(env_, obs::TraceCategory::kPrefetch,
                       "prefetch_duplicate", trace_pid_,
@@ -100,7 +100,7 @@ sim::Process Prefetcher::Worker() {
       // The disk died after this task was enqueued. Background reads are
       // speculative — drop rather than park a worker on a dead drive
       // (the true request will re-route through a replica instead).
-      pending_.erase(task.key);
+      pending_.Erase(task.key);
       ++stats_.dropped_disk_down;
       obs::TraceInstant(env_, obs::TraceCategory::kPrefetch,
                         "prefetch_drop_disk_down", trace_pid_, trace_tid_,
@@ -110,7 +110,7 @@ sim::Process Prefetcher::Worker() {
 
     if (pool_->Lookup(task.key) != nullptr) {
       // A real request (or another worker) got there first.
-      pending_.erase(task.key);
+      pending_.Erase(task.key);
       ++stats_.already_cached;
       obs::TraceInstant(env_, obs::TraceCategory::kPrefetch,
                         "prefetch_cancel_cached", trace_pid_, trace_tid_,
@@ -127,7 +127,7 @@ sim::Process Prefetcher::Worker() {
       if (pool_->Lookup(task.key) != nullptr) break;  // raced; drop
     }
     if (page == nullptr) {
-      pending_.erase(task.key);
+      pending_.Erase(task.key);
       ++stats_.already_cached;
       continue;
     }
@@ -159,7 +159,7 @@ sim::Process Prefetcher::Worker() {
 
     (void)co_await pool_->Ready(page).Wait();
     pool_->Unpin(page);
-    pending_.erase(task.key);
+    pending_.Erase(task.key);
   }
 }
 

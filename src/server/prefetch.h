@@ -24,13 +24,13 @@
 #define SPIFFI_SERVER_PREFETCH_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "hw/cpu.h"
 #include "hw/disk.h"
 #include "server/buffer_pool.h"
 #include "sim/environment.h"
+#include "sim/flat_table.h"
 #include "sim/process.h"
 #include "sim/wait_list.h"
 
@@ -129,7 +129,9 @@ class Prefetcher {
 
   std::vector<QueuedTask> queue_;  // heap (see QueuedTask)
   std::uint64_t next_seq_ = 0;
-  std::unordered_set<PageKey, PageKeyHash> pending_;
+  // Keys queued or being read: 16-byte slots (the key alone), grown on
+  // demand.
+  sim::FlatSet<PageKey, PageKeyHash> pending_;
   sim::WaitList arrivals_;
   Stats stats_;
   std::int32_t trace_pid_ = 0;

@@ -7,9 +7,10 @@ namespace spiffi::sim {
 
 namespace internal {
 
-void ProcessFinished(Environment* env, std::coroutine_handle<> handle) {
+void ProcessFinished(Environment* env, ProcessLink* link,
+                     std::coroutine_handle<> handle) {
   SPIFFI_CHECK(env != nullptr);  // every process must be Spawn-ed
-  env->processes_.erase(handle.address());
+  env->Unlink(link);
   handle.destroy();
 }
 
@@ -25,24 +26,33 @@ Environment::~Environment() {
   DestroyLiveProcesses();
 }
 
+void Environment::Unlink(internal::ProcessLink* link) {
+  link->prev->next = link->next;
+  link->next->prev = link->prev;
+  --live_processes_;
+}
+
 void Environment::DestroyLiveProcesses() {
-  // Frames may spawn no further work while being destroyed (destructors
-  // only); copy the set because erase during iteration is not allowed.
-  auto frames = processes_;
-  processes_.clear();
-  for (void* address : frames) {
-    std::coroutine_handle<>::from_address(address).destroy();
+  // Destroying a frame runs destructors only: it neither finishes the
+  // process (no ProcessFinished) nor spawns another.
+  while (processes_.next != &processes_) {
+    internal::ProcessLink* link = processes_.next;
+    Unlink(link);
+    Process::Handle::from_promise(static_cast<Process::promise_type&>(*link))
+        .destroy();
   }
 }
 
 void Environment::Spawn(Process process) {
   SPIFFI_CHECK(process.valid());
   Process::Handle handle = process.Release();
-  handle.promise().env = this;
-  processes_.insert(handle.address());
-  if (processes_.size() > peak_processes_) {
-    peak_processes_ = processes_.size();
-  }
+  Process::promise_type& promise = handle.promise();
+  promise.env = this;
+  promise.prev = processes_.prev;
+  promise.next = &processes_;
+  processes_.prev->next = &promise;
+  processes_.prev = &promise;
+  if (++live_processes_ > peak_processes_) peak_processes_ = live_processes_;
   ScheduleResume(handle, now_);
 }
 

@@ -14,7 +14,6 @@
 #include <memory>
 #include <new>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -102,7 +101,7 @@ class Environment {
   bool stopped() const { return stopped_; }
 
   std::uint64_t events_fired() const { return calendar_.fired_count(); }
-  std::size_t live_processes() const { return processes_.size(); }
+  std::size_t live_processes() const { return live_processes_; }
 
   // --- Observability ---
 
@@ -158,6 +157,7 @@ class Environment {
 
  private:
   friend void internal::ProcessFinished(Environment* env,
+                                        internal::ProcessLink* link,
                                         std::coroutine_handle<> handle);
 
   // Calendar slot that resumes a coroutine and returns itself to a free
@@ -177,6 +177,7 @@ class Environment {
   void* AllocOneShotRaw();
   void FreeOneShotRaw(void* storage);
 
+  void Unlink(internal::ProcessLink* link);
   void DestroyLiveProcesses();
 
   Calendar calendar_;
@@ -184,7 +185,10 @@ class Environment {
   bool stopped_ = false;
   std::unique_ptr<obs::Tracer> tracer_;
   std::size_t peak_processes_ = 0;
-  std::unordered_set<void*> processes_;  // live coroutine frame addresses
+  // Sentinel of the circular list of live process frames, in spawn
+  // order, and its length.
+  internal::ProcessLink processes_{&processes_, &processes_};
+  std::size_t live_processes_ = 0;
   // All slots ever created (owned here, so slots still sitting in the
   // calendar at teardown are reclaimed); free_slots_ chains the idle ones.
   std::vector<std::unique_ptr<ResumeSlot>> all_slots_;

@@ -32,14 +32,23 @@ namespace spiffi::sim {
 class Environment;
 
 namespace internal {
+// Threads a spawned process onto its Environment's circular list of live
+// processes. The links live in the promise, so registering a process
+// allocates nothing beyond its frame.
+struct ProcessLink {
+  ProcessLink* prev = nullptr;
+  ProcessLink* next = nullptr;
+};
+
 // Called by the final awaiter; defined in environment.cc to avoid a
 // circular include.
-void ProcessFinished(Environment* env, std::coroutine_handle<> handle);
+void ProcessFinished(Environment* env, ProcessLink* link,
+                     std::coroutine_handle<> handle);
 }  // namespace internal
 
 class Process {
  public:
-  struct promise_type {
+  struct promise_type : internal::ProcessLink {
     // Set by Environment::Spawn before the first resumption.
     Environment* env = nullptr;
 
@@ -56,7 +65,7 @@ class Process {
       void await_suspend(std::coroutine_handle<promise_type> h) noexcept {
         // Deregisters and destroys the frame. After this call the
         // coroutine no longer exists; control returns to the run loop.
-        internal::ProcessFinished(h.promise().env, h);
+        internal::ProcessFinished(h.promise().env, &h.promise(), h);
       }
       void await_resume() noexcept {}
     };

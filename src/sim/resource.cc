@@ -17,17 +17,27 @@ Resource::Resource(Environment* env, int servers, std::string name)
 
 void Resource::UseAwaiter::await_suspend(std::coroutine_handle<> handle) {
   handle_ = handle;
-  resource_->queue_.push_back(this);
-  resource_->queue_weighted_.Set(
-      static_cast<double>(resource_->queue_.size()), resource_->env_->now());
-  resource_->Dispatch();
+  Resource* resource = resource_;
+  if (resource->queue_tail_ != nullptr) {
+    resource->queue_tail_->next_ = this;
+  } else {
+    resource->queue_head_ = this;
+  }
+  resource->queue_tail_ = this;
+  ++resource->queue_length_;
+  resource->queue_weighted_.Set(static_cast<double>(resource->queue_length_),
+                                resource->env_->now());
+  resource->Dispatch();
 }
 
 void Resource::Dispatch() {
-  while (busy_ < servers_ && !queue_.empty()) {
-    UseAwaiter* request = queue_.front();
-    queue_.pop_front();
-    queue_weighted_.Set(static_cast<double>(queue_.size()), env_->now());
+  while (busy_ < servers_ && queue_head_ != nullptr) {
+    UseAwaiter* request = queue_head_;
+    queue_head_ = request->next_;
+    if (queue_head_ == nullptr) queue_tail_ = nullptr;
+    request->next_ = nullptr;
+    --queue_length_;
+    queue_weighted_.Set(static_cast<double>(queue_length_), env_->now());
     ++busy_;
     utilization_.SetBusy(busy_, env_->now());
     service_tally_.Add(request->service_time_);

@@ -13,7 +13,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "sim/calendar.h"
@@ -46,6 +45,7 @@ class Resource {
     Resource* resource_;
     SimTime service_time_;
     std::coroutine_handle<> handle_;
+    UseAwaiter* next_ = nullptr;  // FCFS queue link
   };
 
   // co_await resource.Use(t): queues FCFS, holds one server for t seconds.
@@ -59,7 +59,7 @@ class Resource {
   const std::string& name() const { return name_; }
   int servers() const { return servers_; }
   int busy() const { return busy_; }
-  std::size_t queue_length() const { return queue_.size(); }
+  std::size_t queue_length() const { return queue_length_; }
   double AverageUtilization(SimTime now) const {
     return utilization_.Average(now);
   }
@@ -73,7 +73,11 @@ class Resource {
   int servers_;
   std::string name_;
   int busy_ = 0;
-  std::deque<UseAwaiter*> queue_;
+  // FCFS queue, linked through the waiting awaiters (each lives in its
+  // suspended coroutine's frame), so queueing never allocates.
+  UseAwaiter* queue_head_ = nullptr;
+  UseAwaiter* queue_tail_ = nullptr;
+  std::size_t queue_length_ = 0;
   Utilization utilization_;
   TimeWeighted queue_weighted_;
   Tally service_tally_;

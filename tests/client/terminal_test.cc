@@ -223,6 +223,45 @@ TEST_F(TerminalTest, MemoryLimitsOutstandingRequests) {
   EXPECT_EQ(fake_->requests.size(), 2u);
 }
 
+TEST_F(TerminalTest, InflightRingHoldsTheWidestOutstandingSpan) {
+  // Five-block videos whose last block is short, and memory for four
+  // full blocks plus the longer short tail: priming puts a whole video
+  // in flight at once, the widest span IssueRequests allows
+  // (memory_bytes / block_bytes + 1 blocks). The in-flight ring CHECKs
+  // that no two outstanding blocks share a slot.
+  constexpr double kSeconds = 4.5;
+  mpeg::VideoLibrary library(2, kSeconds, mpeg::MpegParams(),
+                             mpeg::ZipfDistribution(2, 0.0), 1);
+  std::int64_t tail = 0;
+  for (int v = 0; v < 2; ++v) {
+    ASSERT_EQ(library.NumBlocks(v, kBlock), 5);
+    tail = std::max(tail, library.video(v).total_bytes() - 4 * kBlock);
+  }
+  ASSERT_LT(tail, kBlock);
+  TerminalParams params;
+  params.memory_bytes = 4 * kBlock + tail;
+  params.retry_budget = 2;
+  Build(params, kSeconds);
+
+  // Hold every block: the timeouts re-send them while all five are
+  // outstanding.
+  for (std::int64_t block = 0; block < 5; ++block) {
+    fake_->held_blocks.insert(block);
+  }
+  env_.RunUntil(1.0);
+  ASSERT_EQ(terminal_->state(), Terminal::State::kPriming);
+  EXPECT_EQ(terminal_->inflight_bytes(),
+            library_->video(terminal_->current_video()).total_bytes());
+  EXPECT_GT(terminal_->stats().request_retries, 0u);
+
+  // Replies land newest first, the originals and the re-sends both.
+  std::reverse(fake_->held.begin(), fake_->held.end());
+  fake_->ReleaseHeld();
+  env_.RunUntil(30.0);
+  EXPECT_GT(terminal_->stats().duplicate_replies, 0u);
+  EXPECT_GE(terminal_->stats().videos_completed, 2u);
+}
+
 TEST_F(TerminalTest, ResponseTimeRecorded) {
   Build();
   env_.RunUntil(2.0);

@@ -3,9 +3,11 @@
 // This binary replaces the global operator new/delete with counting
 // versions, warms each hot path up to steady state, and then asserts
 // that the operations the simulator performs per event — calendar
-// Schedule/Cancel/FireNext, buffer-pool Touch and recycle, wait-list
-// notify, and network message delivery — perform exactly zero heap
-// allocations, and neither does a terminal's display tick. Any future
+// Schedule/Cancel/FireNext, buffer-pool Touch and recycle, a prefetch's
+// enqueue/issue/complete cycle, wait-list notify, and network message
+// delivery — perform exactly zero heap allocations, and neither does a
+// terminal's display tick. Spawning a process allocates its coroutine
+// frame and nothing more. Any future
 // change that reintroduces a per-event allocation fails here rather than
 // silently costing throughput.
 
@@ -19,7 +21,9 @@
 #include "layout/striping.h"
 #include "mpeg/zipf.h"
 #include "server/buffer_pool.h"
+#include "server/disk_sched.h"
 #include "server/message.h"
+#include "server/prefetch.h"
 #include "sim/calendar.h"
 #include "sim/environment.h"
 #include "sim/process.h"
@@ -177,10 +181,8 @@ TEST(AllocationTest, BufferPoolTouchAndRecycleAllocateNothing) {
   std::uint64_t after = g_allocations;
   EXPECT_EQ(after - before, 0u);
 
-  // Allocate/evict recycle. The LRU work itself is allocation-free; the
-  // only remaining churn is the page table's hash node (one erase + one
-  // emplace per recycled key), so the cycle is bounded at one allocation
-  // per iteration — no hidden per-event growth beyond it.
+  // Allocate/evict recycle: intrusive chain moves and a page table
+  // sized for every page up front.
   before = g_allocations;
   for (std::int64_t i = 256; i < 1256; ++i) {
     auto* page = pool.Allocate(server::PageKey{0, i}, i % 2 == 0);
@@ -190,7 +192,85 @@ TEST(AllocationTest, BufferPoolTouchAndRecycleAllocateNothing) {
     pool.Unpin(page);
   }
   after = g_allocations;
-  EXPECT_LE(after - before, 1000u);
+  EXPECT_EQ(after - before, 0u);
+}
+
+// Finishes pool pages the way a Node does when their disk read ends.
+class PoolCompleter final : public hw::DiskCompletionListener {
+ public:
+  explicit PoolCompleter(server::BufferPool* pool) : pool_(pool) {}
+  void OnDiskComplete(hw::DiskRequest* request) override {
+    pool_->Complete(static_cast<server::BufferPool::Page*>(request->context));
+  }
+
+ private:
+  server::BufferPool* pool_;
+};
+
+TEST(AllocationTest, PrefetchEnqueueIssueCompleteCycleAllocatesNothing) {
+  sim::Environment env;
+  env.ReserveCalendar(256);
+  server::BufferPool pool(&env, 64, server::ReplacementPolicy::kLovePrefetch);
+  hw::Cpu cpu(&env, 40.0, "cpu");
+  PoolCompleter completer(&pool);
+  server::DiskSchedParams sched;
+  sched.policy = server::DiskSchedPolicy::kRealTime;
+  hw::Disk disk(&env, hw::DiskParams(), server::MakeDiskScheduler(sched), 0,
+                &completer);
+  server::Prefetcher prefetcher(&env, server::PrefetchPolicy::kRealTime, 4,
+                                8.0, &pool, &cpu, &disk, hw::CpuCosts());
+  std::int64_t next_block = 0;
+  // One round queues 32 prefetches of fresh blocks and runs until all
+  // are read; the pool recycles its pages from the second round on.
+  auto round = [&] {
+    for (int i = 0; i < 32; ++i, ++next_block) {
+      server::PrefetchTask task;
+      task.key = server::PageKey{static_cast<int>(next_block % 3), next_block};
+      task.disk_offset = (next_block % 97) * 512 * 1024;
+      task.bytes = 512 * 1024;
+      task.est_deadline = env.now() + 1.0 + 0.01 * i;
+      prefetcher.Enqueue(task);
+    }
+    env.Run();
+  };
+
+  // Warmup: the pending set, the queue and the disk scheduler reach
+  // their peak sizes.
+  for (int i = 0; i < 4; ++i) round();
+  const std::uint64_t issued = prefetcher.stats().issued;
+
+  std::uint64_t before = g_allocations;
+  for (int i = 0; i < 20; ++i) round();
+  std::uint64_t after = g_allocations;
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_EQ(prefetcher.stats().issued - issued, 20u * 32u);
+}
+
+sim::Process Finisher(int* finished) {
+  ++*finished;
+  co_return;
+}
+
+TEST(AllocationTest, SpawnToCompletionAllocatesOnlyTheFrame) {
+  sim::Environment env;
+  env.ReserveCalendar(64);
+  int finished = 0;
+  constexpr int kBatch = 8;
+  auto batch = [&] {
+    for (int i = 0; i < kBatch; ++i) env.Spawn(Finisher(&finished));
+    EXPECT_EQ(env.live_processes(), static_cast<std::size_t>(kBatch));
+    env.Run();
+  };
+
+  // Warmup: the first batch creates the resume slots the others reuse.
+  batch();
+  std::uint64_t before = g_allocations;
+  for (int round = 0; round < 50; ++round) batch();
+  std::uint64_t after = g_allocations;
+  // One coroutine frame per process and nothing else.
+  EXPECT_EQ(after - before, 50u * kBatch);
+  EXPECT_EQ(finished, 51 * kBatch);
+  EXPECT_EQ(env.live_processes(), 0u);
 }
 
 sim::Process Waiter(sim::WaitList* list, int rounds) {
