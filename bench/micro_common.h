@@ -19,7 +19,6 @@
 #include "obs/kernel_profile.h"
 #include "sim/environment.h"
 #include "sim/process.h"
-#include "sim/semaphore.h"
 
 namespace spiffi::bench {
 
@@ -27,30 +26,15 @@ inline sim::Process ProfileHoldLoop(sim::Environment* env, int holds) {
   for (int i = 0; i < holds; ++i) co_await env->Hold(0.001);
 }
 
-inline sim::Process ProfileSemLoop(sim::Environment* env,
-                                   sim::Semaphore* sem, int rounds) {
-  for (int i = 0; i < rounds; ++i) {
-    co_await sem->Acquire();
-    co_await env->Hold(0.001);
-    sem->Release();
-  }
-}
-
 inline int RunKernelProfile(const std::string& name,
                             const std::string& path) {
   constexpr int kProcesses = 2000;
   constexpr int kHolds = 500;
-  constexpr int kContenders = 200;
-  constexpr int kRounds = 100;
 
   auto wall_start = std::chrono::steady_clock::now();
   sim::Environment env;
-  sim::Semaphore sem(&env, 1);
   for (int p = 0; p < kProcesses; ++p) {
     env.Spawn(ProfileHoldLoop(&env, kHolds));
-  }
-  for (int p = 0; p < kContenders; ++p) {
-    env.Spawn(ProfileSemLoop(&env, &sem, kRounds));
   }
   env.Run();
   double wall_seconds =

@@ -13,7 +13,6 @@
 #include "sim/environment.h"
 #include "sim/process.h"
 #include "sim/random.h"
-#include "sim/semaphore.h"
 
 namespace {
 
@@ -144,28 +143,6 @@ void BM_ProcessHoldLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * processes * kHolds);
 }
 BENCHMARK(BM_ProcessHoldLoop)->Arg(10)->Arg(100)->Arg(1000);
-
-// Semaphore contention: N processes sharing one unit.
-void BM_SemaphoreHandoff(benchmark::State& state) {
-  const int processes = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Environment env;
-    spiffi::sim::Semaphore sem(&env, 1);
-    for (int p = 0; p < processes; ++p) {
-      env.Spawn([](Environment* e, spiffi::sim::Semaphore* s) -> Process {
-        for (int i = 0; i < 20; ++i) {
-          co_await s->Acquire();
-          co_await e->Hold(0.001);
-          s->Release();
-        }
-      }(&env, &sem));
-    }
-    env.Run();
-    benchmark::DoNotOptimize(env.events_fired());
-  }
-  state.SetItemsProcessed(state.iterations() * processes * 20);
-}
-BENCHMARK(BM_SemaphoreHandoff)->Arg(10)->Arg(100);
 
 void BM_RngExponential(benchmark::State& state) {
   spiffi::sim::Rng rng(42);

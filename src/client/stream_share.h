@@ -94,11 +94,10 @@ class StreamShareManager {
         window_sec_(window_sec),
         patch_window_sec_(patch_window_sec) {}
 
-  // Called by a terminal that wants to start `video` now. The full form
+  // Called by a terminal that wants to start `video` now. A `member`
   // registers the caller for handoff; `duration_sec` bounds the group's
-  // lifetime (and the patch-join horizon). The anonymous form keeps the
-  // legacy piggyback semantics: no membership, no handoff.
-  Arrangement Arrange(int video) { return Arrange(video, -1, 0.0, nullptr); }
+  // lifetime (and the patch-join horizon). Arrange(video, -1, 0.0,
+  // nullptr) joins anonymously: no membership, no handoff.
   Arrangement Arrange(int video, int terminal, double duration_sec,
                       StreamShareMember* member);
 

@@ -369,41 +369,23 @@ void Terminal::IssueRequests() {
     if (occupied_bytes_ + inflight_bytes_ + bytes > params_.memory_bytes) {
       break;  // no room to buffer another block
     }
-    server::MessageSink* sink = ingress_;
-    int target_node = -1;
-    if (sink == nullptr) {
-      layout::BlockLocation loc = RouteForBlock(next_request_block_);
-      sink = server_->node_sink(loc.node);
-      target_node = loc.node;
-    }
-
-    Message request;
-    request.kind = Message::Kind::kReadRequest;
-    request.terminal = id_;
-    request.video = video_;
-    request.block = next_request_block_;
-    request.bytes = bytes;
-    request.deadline = DeadlineForBlock(next_request_block_);
-    request.reply_to = this;
-    request.cookie = epoch_;
+    const sim::SimTime deadline = DeadlineForBlock(next_request_block_);
     std::uint64_t trace_id = obs::TraceAsyncBegin(
         env_, obs::TraceCategory::kTerminal, "block_request",
         obs::Tracer::kTerminalsPid,
         {{"terminal", static_cast<double>(id_)},
          {"block", static_cast<double>(next_request_block_)}});
-    server::PostMessage(env_, network_, server::kControlMessageBytes, sink,
-                        request);
+    const int target_node = PostRequest(next_request_block_, bytes, deadline);
 
     inflight_bytes_ += bytes;
     PendingRequest& pending = AddPending(next_request_block_);
     pending.issue_time = env_->now();
-    pending.deadline = request.deadline;
+    pending.deadline = deadline;
     pending.trace_id = trace_id;
     pending.node = target_node;
     pending.last_send_time = env_->now();
     if (params_.retry_budget > 0) {
-      ArmRetryTimer(next_request_block_,
-                    FirstRetryFireTime(request.deadline));
+      ArmRetryTimer(next_request_block_, FirstRetryFireTime(deadline));
     }
     ++stats_.requests_sent;
     ++next_request_block_;
@@ -455,20 +437,39 @@ void Terminal::OnMessage(const Message& message) {
   if (state_ == State::kPriming) CheckPrimeComplete();
 }
 
-layout::BlockLocation Terminal::RouteForBlock(std::int64_t block) {
-  layout::BlockLocation loc = layout_->Locate(video_, block);
-  if (fault_ != nullptr && !fault_->LocationUp(loc)) {
-    for (const layout::BlockLocation& copy :
-         layout_->Replicas(video_, block)) {
-      if (fault_->LocationUp(copy)) {
-        ++stats_.requests_redirected;
-        return copy;
+int Terminal::PostRequest(std::int64_t block, std::int64_t bytes,
+                          sim::SimTime deadline) {
+  server::MessageSink* sink = ingress_;
+  int target_node = -1;
+  if (sink == nullptr) {
+    layout::BlockLocation loc = layout_->Locate(video_, block);
+    if (fault_ != nullptr && !fault_->LocationUp(loc)) {
+      for (const layout::BlockLocation& copy :
+           layout_->Replicas(video_, block)) {
+        if (fault_->LocationUp(copy)) {
+          ++stats_.requests_redirected;
+          loc = copy;
+          break;
+        }
       }
+      // Every copy is down: send to the primary, whose node will park
+      // the request until a repair.
     }
-    // Every copy is down: send to the primary, whose node will park the
-    // request until a repair.
+    target_node = loc.node;
+    sink = server_->node_sink(target_node);
   }
-  return loc;
+  Message request;
+  request.kind = Message::Kind::kReadRequest;
+  request.terminal = id_;
+  request.video = video_;
+  request.block = block;
+  request.bytes = bytes;
+  request.deadline = deadline;
+  request.reply_to = this;
+  request.cookie = epoch_;
+  server::PostMessage(env_, network_, server::kControlMessageBytes, sink,
+                      request);
+  return target_node;
 }
 
 void Terminal::RecordArrival(const Message& message) {
@@ -477,10 +478,8 @@ void Terminal::RecordArrival(const Message& message) {
   if (pending->retry_timer != 0) env_->Cancel(pending->retry_timer);
   if (message.hops > 0) ++stats_.blocks_rerouted;
   double response = env_->now() - pending->issue_time;
-  stats_.response_time.Add(response);
   stats_.response_sketch.Add(response);
   double slack = pending->deadline - env_->now();
-  stats_.deadline_slack.Add(slack);
   stats_.slack_sketch.Add(slack);
   if (slack < 0.0) {
     AttributeLateBlock(message, response,
@@ -698,25 +697,10 @@ void Terminal::StartSearchSegment() {
     search_blocks_pending_.insert(b);
   }
   for (std::int64_t b = b0; b <= b1; ++b) {
-    server::MessageSink* sink = ingress_;
-    if (sink == nullptr) {
-      layout::BlockLocation loc = RouteForBlock(b);
-      sink = server_->node_sink(loc.node);
-    }
-    Message request;
-    request.kind = Message::Kind::kReadRequest;
-    request.terminal = id_;
-    request.video = video_;
-    request.block = b;
-    request.bytes = BlockBytesAt(b);
     // Best effort: the picture is choppy by design, so the deadline is
     // one show+skip period out.
-    request.deadline =
-        env_->now() + search_show_sec_ + search_skip_sec_;
-    request.reply_to = this;
-    request.cookie = epoch_;
-    server::PostMessage(env_, network_, server::kControlMessageBytes, sink,
-                        request);
+    PostRequest(b, BlockBytesAt(b),
+                env_->now() + search_show_sec_ + search_skip_sec_);
     ++stats_.requests_sent;
   }
 }
@@ -834,27 +818,8 @@ void Terminal::OnRetryTimeout(std::int64_t block) {
   // than the original pick). The duplicate carries the same epoch
   // cookie and deadline; whichever reply lands first wins and the
   // straggler is dropped as a duplicate.
-  server::MessageSink* sink = ingress_;
-  int target_node = -1;
-  if (sink == nullptr) {
-    layout::BlockLocation loc = RouteForBlock(block);
-    sink = server_->node_sink(loc.node);
-    target_node = loc.node;
-  }
-  pending.node = target_node;
+  pending.node = PostRequest(block, BlockBytesAt(block), pending.deadline);
   pending.last_send_time = env_->now();
-
-  Message request;
-  request.kind = Message::Kind::kReadRequest;
-  request.terminal = id_;
-  request.video = video_;
-  request.block = block;
-  request.bytes = BlockBytesAt(block);
-  request.deadline = pending.deadline;
-  request.reply_to = this;
-  request.cookie = epoch_;
-  server::PostMessage(env_, network_, server::kControlMessageBytes, sink,
-                      request);
 
   // Bounded exponential backoff before the next attempt.
   double backoff = params_.retry_backoff_base_sec *

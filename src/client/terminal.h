@@ -33,7 +33,6 @@
 #include "server/server.h"
 #include "sim/environment.h"
 #include "sim/random.h"
-#include "sim/stats.h"
 
 namespace spiffi::vod {
 class AdmissionController;
@@ -114,14 +113,13 @@ class Terminal final : public server::MessageSink,
     std::uint64_t search_segments = 0;      // segments shown during search
     std::uint64_t search_frames = 0;        // frames shown during search
     std::uint64_t stale_replies = 0;        // replies to abandoned streams
-    sim::Tally response_time;  // request -> block arrival (seconds)
-    // Same data in a mergeable <=1% relative-error sketch; the
-    // percentiles SimMetrics reports come from here.
+    // Request -> block arrival (seconds), in a mergeable <=1%
+    // relative-error sketch; SimMetrics reads its sum and percentiles.
     obs::QuantileSketch response_sketch;
 
     // Deadline accounting, measured at block arrival. Slack is
-    // deadline - arrival time: positive means the block came early.
-    sim::Tally deadline_slack;          // seconds
+    // deadline - arrival time (seconds): positive means the block came
+    // early.
     obs::QuantileSketch slack_sketch;   // signed: late arrivals negative
     // Late blocks (slack < 0), attributed to the pipeline stage that
     // consumed the largest share of the response time — the terminal's
@@ -263,10 +261,13 @@ class Terminal final : public server::MessageSink,
   void DisplaySearchFrame();
   void OnSearchBlock(const server::Message& message);
 
-  // Where to send the request for `block`: the primary copy's node, or
-  // the first live replica when faults are active and the primary is
-  // down (client-side failover; the server re-routes stale picks).
-  layout::BlockLocation RouteForBlock(std::int64_t block);
+  // Posts a read request for `block` of the current video. It goes to
+  // the assigned proxy when there is one; otherwise to the primary
+  // copy's node, or to the first live replica when faults are active and
+  // the primary is down (client-side failover; the server re-routes
+  // stale picks). Returns the origin node targeted, -1 via a proxy.
+  int PostRequest(std::int64_t block, std::int64_t bytes,
+                  sim::SimTime deadline);
 
   // Accounts an arrived block against its pending-request record:
   // response time, deadline slack, lateness attribution, trace span end.

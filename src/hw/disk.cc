@@ -16,7 +16,7 @@ Disk::Disk(sim::Environment* env, const DiskParams& params,
       scheduler_(std::move(scheduler)),
       id_(id),
       listener_(listener),
-      pending_(env, 0),
+      arrivals_(env),
       recovered_(env) {
   SPIFFI_CHECK(env != nullptr);
   SPIFFI_CHECK(scheduler_ != nullptr);
@@ -39,7 +39,7 @@ void Disk::Submit(DiskRequest* request) {
   obs::TraceCounter(env_, obs::TraceCategory::kDisk, "disk_queue_len",
                     trace_pid_, trace_tid_,
                     static_cast<double>(scheduler_->size()));
-  pending_.Release();
+  arrivals_.NotifyOne();
 }
 
 std::int64_t Disk::ReadAheadBytes(const DiskRequest& request,
@@ -110,11 +110,11 @@ void Disk::SetServiceTimeScale(double scale) {
 
 sim::Process Disk::ServiceLoop() {
   for (;;) {
-    co_await pending_.Acquire();
-    // A failed disk holds its queue: the request already acquired is
-    // serviced first thing after recovery.
+    // The scheduler's size is the one count of queued requests: a loop
+    // that finds work picks it without suspending.
+    while (scheduler_->empty()) (void)co_await arrivals_.Wait();
+    // A failed disk holds its queue until recovery.
     while (failed_) (void)co_await recovered_.Wait();
-    SPIFFI_CHECK(!scheduler_->empty());
     sim::SimTime now = env_->now();
     DiskRequest* request = scheduler_->Pop(head_cylinder_, now);
     SPIFFI_CHECK(request != nullptr);
@@ -141,7 +141,7 @@ sim::Process Disk::ServiceLoop() {
         static_cast<double>(std::llabs(target_cylinder - head_cylinder_));
     seek_tally_.Add(seek_cylinders);
 
-    busy_.SetBusy(1, now);
+    busy_.SetBusy(true, now);
     {
       obs::ScopedSpan span(env_, obs::TraceCategory::kDisk, "disk_read",
                            trace_pid_, trace_tid_);
@@ -160,7 +160,7 @@ sim::Process Disk::ServiceLoop() {
     last_end_offset_ = request->disk_offset + request->bytes;
     last_service_end_ = env_->now();
 
-    busy_.SetBusy(0, env_->now());
+    busy_.SetBusy(false, env_->now());
     service_tally_.Add(service);
     cache_hit_bytes_ += static_cast<std::uint64_t>(cached);
     ++served_;

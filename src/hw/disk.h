@@ -30,7 +30,6 @@
 #include "hw/disk_params.h"
 #include "sim/environment.h"
 #include "sim/process.h"
-#include "sim/semaphore.h"
 #include "sim/stats.h"
 #include "sim/wait_list.h"
 
@@ -152,7 +151,7 @@ class Disk {
   const DiskParams& params() const { return params_; }
   const DiskScheduler& scheduler() const { return *scheduler_; }
   std::int64_t head_cylinder() const { return head_cylinder_; }
-  bool busy() const { return busy_.busy() > 0; }
+  bool busy() const { return busy_.busy(); }
   std::size_t queue_length() const { return scheduler_->size(); }
   std::uint64_t requests_served() const { return served_; }
   std::uint64_t cache_hit_bytes() const { return cache_hit_bytes_; }
@@ -185,7 +184,7 @@ class Disk {
   int id_;
   DiskCompletionListener* listener_;
 
-  sim::Semaphore pending_;  // counts queued requests; service loop waits
+  sim::WaitList arrivals_;   // idle service loop waits for a Submit
   sim::WaitList recovered_;  // service loop parks here while failed
 
   // Fault state.
@@ -201,7 +200,7 @@ class Disk {
   sim::SimTime last_service_end_ = 0.0;
 
   // Statistics.
-  sim::Utilization busy_{1};
+  sim::Utilization busy_;
   sim::Tally service_tally_;
   sim::Tally seek_tally_;
   sim::Tally queue_wait_tally_;

@@ -10,14 +10,14 @@ namespace spiffi::proxy {
 
 ProxyNode::ProxyNode(sim::Environment* env, const ProxyParams& params,
                      hw::Network* network, server::NodeDirectory* origin,
-                     const layout::TierRouter* router,
+                     const layout::Layout* layout,
                      const mpeg::VideoLibrary* library,
                      const fault::FaultState* fault)
     : env_(env),
       params_(params),
       network_(network),
       origin_(origin),
-      router_(router),
+      layout_(layout),
       fault_(fault),
       cache_(params.cache_pages, params.policy,
              [&] {
@@ -31,7 +31,7 @@ ProxyNode::ProxyNode(sim::Environment* env, const ProxyParams& params,
   SPIFFI_CHECK(env != nullptr);
   SPIFFI_CHECK(network != nullptr);
   SPIFFI_CHECK(origin != nullptr);
-  SPIFFI_CHECK(router != nullptr);
+  SPIFFI_CHECK(layout != nullptr);
   if (params_.policy != ProxyPolicy::kLru && params_.recompute_sec > 0.0) {
     env_->Spawn(RecomputeLoop());
   }
@@ -92,7 +92,7 @@ void ProxyNode::HandleRequest(const server::Message& message) {
       Waiter{message.reply_to, message.terminal, message.cookie});
 
   const int target_node =
-      PickOriginNode(message.terminal, message.video, message.block, -1);
+      PickOriginNode(message.video, message.block, -1);
 
   server::Message fwd = message;
   fwd.reply_to = this;
@@ -107,14 +107,14 @@ void ProxyNode::HandleRequest(const server::Message& message) {
   }
 }
 
-int ProxyNode::PickOriginNode(int terminal, int video, std::int64_t block,
+int ProxyNode::PickOriginNode(int video, std::int64_t block,
                               int avoid_node) const {
-  const layout::TierRoute route =
-      router_->RouteForBlock(terminal, video, block);
-  const int primary = route.origin.front().node;
+  const std::vector<layout::BlockLocation> copies =
+      layout_->Replicas(video, block);
+  const int primary = copies.front().node;
   if (fault_ == nullptr) return primary;
   int first_live = -1;
-  for (const layout::BlockLocation& loc : route.origin) {
+  for (const layout::BlockLocation& loc : copies) {
     if (!fault_->LocationUp(loc)) continue;
     if (first_live < 0) first_live = loc.node;
     if (loc.node != avoid_node) return loc.node;
@@ -183,8 +183,8 @@ sim::Process ProxyNode::ForwardWatchdog(server::PageKey key,
     if (forward.attempts >= params_.retry_budget) co_return;
     ++forward.attempts;
     ++stats_.forward_retries;
-    const int target = PickOriginNode(forward.request.terminal, key.video,
-                                      key.block, forward.last_node);
+    const int target =
+        PickOriginNode(key.video, key.block, forward.last_node);
     forward.last_node = target;
     obs::TraceInstant(env_, obs::TraceCategory::kProxy, "forward_retry",
                       trace_pid_, obs::Tracer::kCpuTid);

@@ -12,9 +12,9 @@
 //            origin; the request joins its waiter list and is answered
 //            by the same origin reply (the proxy-tier analogue of the
 //            buffer pool's I/O attach).
-//   miss     the request is forwarded to the origin located through the
-//            tier router (first live copy, primary first — the same
-//            failover order terminals use in the flat topology); the
+//   miss     the request is forwarded to the first live origin copy of
+//            the block, primary first, from Layout::Replicas() — the same
+//            failover order terminals use in the flat topology; the
 //            reply fills the cache and fans out to every waiter.
 //
 // The proxy charges no CPU (like terminals, it is modelled as dedicated
@@ -34,7 +34,7 @@
 
 #include "fault/state.h"
 #include "hw/network.h"
-#include "layout/routing.h"
+#include "layout/layout.h"
 #include "mpeg/video.h"
 #include "proxy/proxy_cache.h"
 #include "server/message.h"
@@ -76,7 +76,7 @@ class ProxyNode final : public server::MessageSink {
   // `fault` may be nullptr (forwards always target the primary copy).
   ProxyNode(sim::Environment* env, const ProxyParams& params,
             hw::Network* network, server::NodeDirectory* origin,
-            const layout::TierRouter* router,
+            const layout::Layout* layout,
             const mpeg::VideoLibrary* library,
             const fault::FaultState* fault = nullptr);
 
@@ -99,8 +99,7 @@ class ProxyNode final : public server::MessageSink {
   void HandleReply(const server::Message& message);
   // First live origin copy for the block (primary first), preferring a
   // node other than `avoid_node` so a retry lands on a fresh replica.
-  int PickOriginNode(int terminal, int video, std::int64_t block,
-                     int avoid_node) const;
+  int PickOriginNode(int video, std::int64_t block, int avoid_node) const;
   // Periodic popularity digestion for the rank/quota policies.
   sim::Process RecomputeLoop();
   // Re-forwards `key` while it stays pending, up to the retry budget.
@@ -130,7 +129,7 @@ class ProxyNode final : public server::MessageSink {
   ProxyParams params_;
   hw::Network* network_;
   server::NodeDirectory* origin_;
-  const layout::TierRouter* router_;
+  const layout::Layout* layout_;
   const fault::FaultState* fault_;
 
   ProxyCache cache_;

@@ -20,7 +20,7 @@ Node::Node(sim::Environment* env, const NodeConfig& config,
       layout_(layout),
       peers_(peers),
       fault_(fault),
-      cpu_(env, config.cpu_mips, "cpu-" + std::to_string(config.id)),
+      cpu_(env, config.cpu_mips),
       pool_(env, config.pool_pages, config.replacement) {
   SPIFFI_CHECK(env != nullptr);
   SPIFFI_CHECK(network != nullptr);

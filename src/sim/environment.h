@@ -88,7 +88,6 @@ class Environment {
     void OnEvent(std::uint64_t) override { handle.resume(); }
   };
   HoldAwaiter Hold(SimTime delay) { return HoldAwaiter(this, now_ + delay); }
-  HoldAwaiter HoldUntil(SimTime time) { return HoldAwaiter(this, time); }
 
   // Runs until the calendar is empty or Stop() is called.
   void Run();

@@ -1,52 +1,23 @@
 #include "sim/stats.h"
 
-#include <cmath>
-
 namespace spiffi::sim {
 
-void Tally::Add(double x) {
-  ++count_;
-  sum_ += x;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  if (x < min_) min_ = x;
-  if (x > max_) max_ = x;
-}
-
-void Tally::Reset() { *this = Tally(); }
-
-double Tally::mean() const { return count_ == 0 ? 0.0 : mean_; }
-
-double Tally::variance() const {
-  return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-}
-
-double Tally::stddev() const { return std::sqrt(variance()); }
-
-double Tally::ci_half_width(double z) const {
-  if (count_ < 2) return 0.0;
-  return z * stddev() / std::sqrt(static_cast<double>(count_));
-}
-
-void TimeWeighted::Set(double value, SimTime now) {
-  integral_ += value_ * (now - last_);
+void Utilization::SetBusy(bool busy, SimTime now) {
+  if (busy_) integral_ += now - last_;
   last_ = now;
-  value_ = value;
-  if (value > max_) max_ = value;
+  busy_ = busy;
 }
 
-void TimeWeighted::Reset(SimTime now) {
+void Utilization::Reset(SimTime now) {
   integral_ = 0.0;
   start_ = now;
   last_ = now;
-  max_ = value_;
 }
 
-double TimeWeighted::Average(SimTime now) const {
+double Utilization::Average(SimTime now) const {
   double window = now - start_;
-  if (window <= 0.0) return value_;
-  double integral = integral_ + value_ * (now - last_);
+  if (window <= 0.0) return busy_ ? 1.0 : 0.0;
+  double integral = busy_ ? integral_ + (now - last_) : integral_;
   return integral / window;
 }
 

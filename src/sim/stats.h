@@ -4,88 +4,49 @@
 #define SPIFFI_SIM_STATS_H_
 
 #include <cstdint>
-#include <limits>
 
 #include "sim/time.h"
 
 namespace spiffi::sim {
 
-// Accumulates point observations: count, mean, variance, min, max.
+// Accumulates point observations: count and sum.
 class Tally {
  public:
-  void Add(double x);
-  void Reset();
+  void Add(double x) {
+    ++count_;
+    sum_ += x;
+  }
+  void Reset() { *this = Tally(); }
 
   std::uint64_t count() const { return count_; }
   double sum() const { return sum_; }
-  double mean() const;
-  // Sample variance / standard deviation (n-1 denominator).
-  double variance() const;
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-  // Half-width of a confidence interval on the mean using a normal
-  // approximation; z defaults to the 90% two-sided quantile (1.645).
-  double ci_half_width(double z = 1.645) const;
+  double mean() const {
+    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
+  }
 
  private:
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
-  double mean_ = 0.0;  // running mean (Welford)
-  double m2_ = 0.0;    // running sum of squared deviations
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
 };
 
-// Integrates a piecewise-constant value over simulated time; used for
-// utilizations and queue lengths. Call Set(new_value, now) on every change
-// and Average(now) to read the time-weighted mean since the last Reset.
-class TimeWeighted {
- public:
-  explicit TimeWeighted(double initial_value = 0.0)
-      : value_(initial_value) {}
-
-  void Set(double value, SimTime now);
-  void Add(double delta, SimTime now) { Set(value_ + delta, now); }
-  // Restarts integration at `now`, keeping the current value. Used when a
-  // measurement window opens after warmup.
-  void Reset(SimTime now);
-
-  double value() const { return value_; }
-  double Average(SimTime now) const;
-  double max() const { return max_; }
-
- private:
-  double value_;
-  double integral_ = 0.0;
-  SimTime start_ = 0.0;
-  SimTime last_ = 0.0;
-  double max_ = 0.0;
-};
-
-// Tracks the busy fraction of a server with a known capacity: a
-// TimeWeighted over busy units, normalized by capacity.
+// Busy fraction of a single server over simulated time: integrates the
+// busy/idle step function. Call SetBusy(busy, now) on every change and
+// Average(now) to read the busy fraction since the last Reset.
 class Utilization {
  public:
-  explicit Utilization(int capacity = 1) : capacity_(capacity) {}
+  void SetBusy(bool busy, SimTime now);
+  // Restarts integration at `now`, keeping the current state. Used when
+  // a measurement window opens after warmup.
+  void Reset(SimTime now);
 
-  void SetBusy(int busy, SimTime now) {
-    busy_ = busy;
-    weighted_.Set(static_cast<double>(busy), now);
-  }
-  void Reset(SimTime now) { weighted_.Reset(now); }
-
-  int busy() const { return busy_; }
-  int capacity() const { return capacity_; }
-  // Mean fraction of capacity in use over the measurement window.
-  double Average(SimTime now) const {
-    return capacity_ == 0 ? 0.0 : weighted_.Average(now) / capacity_;
-  }
+  bool busy() const { return busy_; }
+  double Average(SimTime now) const;
 
  private:
-  int capacity_;
-  int busy_ = 0;
-  TimeWeighted weighted_;
+  bool busy_ = false;
+  double integral_ = 0.0;  // busy seconds since start_, up to last_
+  SimTime start_ = 0.0;
+  SimTime last_ = 0.0;
 };
 
 }  // namespace spiffi::sim

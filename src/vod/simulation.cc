@@ -330,12 +330,9 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
         env_.get(), config.piggyback_window_sec, config.patch_window_sec);
   }
 
-  // Tier routing is always resolvable (proxy hop == -1 when the tier is
-  // off); proxy nodes themselves exist only when configured, so a
-  // zero-proxy run schedules no proxy events and stays bit-identical to
-  // the flat topology.
-  router_ =
-      std::make_unique<layout::TierRouter>(layout_.get(), config.proxy_nodes);
+  // Proxy nodes exist only when configured, so a zero-proxy run
+  // schedules no proxy events and stays bit-identical to the flat
+  // topology.
   if (config.proxy_nodes > 0) {
     proxies_.reserve(config.proxy_nodes);
     for (int p = 0; p < config.proxy_nodes; ++p) {
@@ -350,7 +347,7 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
       proxy_params.retry_backoff_base_sec = config.retry_backoff_base_sec;
       proxies_.push_back(std::make_unique<proxy::ProxyNode>(
           env_.get(), proxy_params, network_.get(), server_.get(),
-          router_.get(), library_.get(), fault_state_.get()));
+          layout_.get(), library_.get(), fault_state_.get()));
     }
   }
 
@@ -377,9 +374,9 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
   for (int t = 0; t < config.terminals; ++t) {
     sim::Rng rng = master.Child(kTerminalStreamBase + t);
     sim::SimTime start = rng.Uniform(0.0, config.start_window_sec);
+    // Static terminal -> proxy assignment: terminal t uses proxy t % P.
     server::MessageSink* ingress =
-        proxies_.empty() ? nullptr
-                         : proxies_[router_->ProxyForTerminal(t)].get();
+        proxies_.empty() ? nullptr : proxies_[t % config.proxy_nodes].get();
     terminals_.push_back(std::make_unique<client::Terminal>(
         env_.get(), t, terminal_params, network_.get(),
         server_.get(), library_.get(), layout_.get(), rng, start,
@@ -620,7 +617,7 @@ void Simulation::RegisterMetrics() {
     double sum = 0.0;
     std::uint64_t total_blocks = 0;
     for (const auto& terminal : terminals_) {
-      sum += terminal->stats().response_time.sum();
+      sum += terminal->stats().response_sketch.sum();
       total_blocks += terminal->stats().blocks_received;
     }
     return total_blocks == 0 ? 0.0 : sum / total_blocks * 1e3;
@@ -647,8 +644,8 @@ void Simulation::RegisterMetrics() {
     double sum = 0.0;
     std::uint64_t count = 0;
     for (const auto& terminal : terminals_) {
-      sum += terminal->stats().deadline_slack.sum();
-      count += terminal->stats().deadline_slack.count();
+      sum += terminal->stats().slack_sketch.sum();
+      count += terminal->stats().slack_sketch.count();
     }
     return count == 0 ? 0.0 : sum / count * 1e3;
   });

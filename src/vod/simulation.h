@@ -22,7 +22,6 @@
 #include "fault/state.h"
 #include "hw/network.h"
 #include "layout/layout.h"
-#include "layout/routing.h"
 #include "mpeg/video.h"
 #include "obs/kernel_profile.h"
 #include "obs/metrics_registry.h"
@@ -143,8 +142,6 @@ class Simulation {
   int num_proxies() const { return static_cast<int>(proxies_.size()); }
   proxy::ProxyNode& proxy_node(int id) { return *proxies_[id]; }
   const proxy::ProxyNode& proxy_node(int id) const { return *proxies_[id]; }
-  // Always valid; resolves both hops (proxy == -1 when the tier is off).
-  const layout::TierRouter& tier_router() const { return *router_; }
   // Null unless config.admission_policy != AdmissionPolicy::kOff.
   const AdmissionController* admission() const { return admission_.get(); }
   const SimConfig& config() const { return config_; }
@@ -197,7 +194,6 @@ class Simulation {
   RebuildSink rebuild_sink_;
   std::unique_ptr<server::VideoServer> server_;
   std::unique_ptr<client::StreamShareManager> share_;
-  std::unique_ptr<layout::TierRouter> router_;
   std::vector<std::unique_ptr<proxy::ProxyNode>> proxies_;
   std::vector<std::unique_ptr<client::Terminal>> terminals_;
   obs::MetricsRegistry metrics_;

@@ -84,7 +84,7 @@ void TelemetryRecorder::RegisterChannels() {
     int busy = 0;
     server::VideoServer& server = sim->server();
     for (int n = 0; n < server.num_nodes(); ++n) {
-      if (server.node(n).cpu().resource().busy() > 0) ++busy;
+      if (server.node(n).cpu().busy()) ++busy;
     }
     return static_cast<double>(busy);
   });

@@ -163,7 +163,7 @@ TEST(StreamShareTest, ExpiredGroupsArePruned) {
   sim::Environment env;
   StreamShareManager manager(&env, 5.0, 0.0);
   // Anonymous groups (legacy piggyback callers) expire at start_time.
-  for (int v = 0; v < 8; ++v) manager.Arrange(v);
+  for (int v = 0; v < 8; ++v) manager.Arrange(v, -1, 0.0, nullptr);
   EXPECT_EQ(manager.open_group_count(), 8u);
   RunAt(&env, 100.0, [&] {
     EXPECT_EQ(manager.PruneExpired(), 8u);
@@ -181,7 +181,7 @@ TEST(StreamShareTest, AmortizedSweepBoundsOpenGroups) {
   env.Spawn([](sim::Environment* e,
                StreamShareManager* m) -> sim::Process {
     for (int v = 0; v < 1000; ++v) {
-      m->Arrange(v);
+      m->Arrange(v, -1, 0.0, nullptr);
       co_await e->Hold(10.0);  // each group is long expired by the next
     }
   }(&env, &manager));

@@ -265,10 +265,11 @@ TEST_F(TerminalTest, InflightRingHoldsTheWidestOutstandingSpan) {
 TEST_F(TerminalTest, ResponseTimeRecorded) {
   Build();
   env_.RunUntil(2.0);
-  EXPECT_GT(terminal_->stats().response_time.count(), 0u);
+  const obs::QuantileSketch& response = terminal_->stats().response_sketch;
+  EXPECT_GT(response.count(), 0u);
   // The fake server replies after reply_delay (10 ms) plus the request's
   // small wire delay.
-  EXPECT_NEAR(terminal_->stats().response_time.mean(), 0.010, 0.002);
+  EXPECT_NEAR(response.mean(), 0.010, 0.002);
 }
 
 TEST_F(TerminalTest, ResetStatsClearsCounters) {

@@ -1,5 +1,6 @@
 #include "hw/disk.h"
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -225,6 +226,65 @@ TEST_F(DiskTest, CachedBytesSkipMechanicalPath) {
               static_cast<double>(bytes) / params_.transfer_rate_bytes_per_sec,
               1e-12);
   EXPECT_GT(uncached, fully_cached);
+}
+
+// Pins the service loop's exact event sequence across its three ways of
+// waiting: a burst to an idle disk (one wakeup, the rest picked without
+// suspending), a failure with reads queued and more arriving while down,
+// and an arrival to a disk that failed while idle.
+TEST_F(DiskTest, HandoffSequenceThroughBurstFailureAndRecovery) {
+  Build();
+  // Distinct videos far apart: no read-ahead credit, every read seeks.
+  std::vector<DiskRequest*> reads;
+  for (int i = 0; i < 9; ++i) {
+    reads.push_back(Own(MakeRequest((i * 7 % 9) * 300 * params_.cylinder_bytes,
+                                    256 * kKiB, /*video=*/i)));
+  }
+  env_.Spawn([](sim::Environment* env, Disk* disk,
+                std::vector<DiskRequest*> r) -> sim::Process {
+    for (int i = 0; i < 3; ++i) disk->Submit(r[i]);
+    co_await env->Hold(1.0);
+    disk->Submit(r[3]);
+    co_await env->Hold(0.001);  // r[3] in service, two queued behind it
+    disk->Submit(r[4]);
+    disk->Submit(r[5]);
+    disk->SetFailed(true);
+    co_await env->Hold(0.5);
+    disk->Submit(r[6]);
+    disk->Submit(r[7]);
+    co_await env->Hold(0.5);
+    disk->SetFailed(false);
+    co_await env->Hold(1.0);  // queue drained, loop idle
+    disk->SetFailed(true);
+    disk->Submit(r[8]);
+    co_await env->Hold(0.25);
+    disk->SetFailed(false);
+  }(&env_, disk_.get(), reads));
+  env_.Run();
+
+  // Replays the loop's arithmetic: FCFS picks at max(free, available).
+  const double first_recovery = 1.0 + 0.001 + 0.5 + 0.5;
+  const double second_recovery = first_recovery + 1.0 + 0.25;
+  const double available[] = {0.0, 0.0, 0.0, 1.0, first_recovery,
+                              first_recovery, first_recovery,
+                              first_recovery, second_recovery};
+  ASSERT_EQ(collector_->completions.size(), reads.size());
+  std::int64_t head = 0;
+  double free_at = 0.0;
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    const DiskRequest& r = *reads[i];
+    const double start = std::max(free_at, available[i]);
+    free_at = start + disk_->ServiceTimeFrom(head, start, r.disk_offset,
+                                             r.bytes, 0);
+    head = (r.disk_offset + r.bytes - 1) / params_.cylinder_bytes;
+    EXPECT_EQ(collector_->completions[i].first, reads[i]) << i;
+    EXPECT_DOUBLE_EQ(collector_->completions[i].second, free_at) << i;
+  }
+  EXPECT_EQ(disk_->cache_hit_bytes(), 0u);
+  // 2 process starts + 6 script holds + 9 services + 5 loop wakeups
+  // (the two arrivals to an idle loop, r[8]'s arrival while down, and
+  // the two recoveries); reads that find the loop busy add none.
+  EXPECT_EQ(env_.events_fired(), 22u);
 }
 
 }  // namespace

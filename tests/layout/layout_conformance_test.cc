@@ -13,7 +13,6 @@
 #include "layout/layout.h"
 #include "layout/nonstriped.h"
 #include "layout/replicated.h"
-#include "layout/routing.h"
 #include "layout/striping.h"
 
 namespace spiffi::layout {
@@ -125,49 +124,6 @@ TEST_P(LayoutConformanceTest, ReplicasListPrimaryFirstAndDistinctDisks) {
       }
       // Copies exist to survive a disk loss: they must not share one.
       EXPECT_EQ(disks.size(), copies.size());
-    }
-  }
-}
-
-// Multi-tier resolver conformance: for every layout and proxy count,
-// TierRouter must preserve the flat topology's origin resolution
-// (primary first, all replicas) and assign terminals to proxies
-// statically and purely.
-TEST_P(LayoutConformanceTest, TierRouterPreservesOriginResolution) {
-  for (int proxies : {0, 1, 2, 3, 5}) {
-    TierRouter router(layout_.get(), proxies);
-    EXPECT_EQ(router.proxy_nodes(), proxies);
-    for (int t = 0; t < 7; ++t) {
-      for (int v = 0; v < kVideos; v += 3) {
-        for (std::int64_t b = 0; b < kBlocksPerVideo; b += 7) {
-          TierRoute route = router.RouteForBlock(t, v, b);
-          // The origin hop is exactly Replicas(): primary first, every
-          // copy, regardless of the proxy tier's size.
-          ASSERT_EQ(route.origin.size(),
-                    static_cast<std::size_t>(layout_->replica_count()));
-          EXPECT_EQ(route.origin.front(), layout_->Locate(v, b));
-          EXPECT_EQ(route.origin, layout_->Replicas(v, b));
-          // The proxy hop is the static assignment (-1 when flat).
-          EXPECT_EQ(route.proxy, proxies == 0 ? -1 : t % proxies);
-          EXPECT_EQ(route.proxy, router.ProxyForTerminal(t));
-          if (proxies > 0) {
-            EXPECT_GE(route.proxy, 0);
-            EXPECT_LT(route.proxy, proxies);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST_P(LayoutConformanceTest, TierRouteIsAPureFunction) {
-  TierRouter router(layout_.get(), 3);
-  for (int t = 0; t < 5; ++t) {
-    for (int v = 0; v < kVideos; v += 3) {
-      TierRoute a = router.RouteForBlock(t, v, 11);
-      TierRoute b = router.RouteForBlock(t, v, 11);
-      EXPECT_EQ(a.proxy, b.proxy);
-      EXPECT_EQ(a.origin, b.origin);
     }
   }
 }

@@ -211,7 +211,7 @@ TEST(AllocationTest, PrefetchEnqueueIssueCompleteCycleAllocatesNothing) {
   sim::Environment env;
   env.ReserveCalendar(256);
   server::BufferPool pool(&env, 64, server::ReplacementPolicy::kLovePrefetch);
-  hw::Cpu cpu(&env, 40.0, "cpu");
+  hw::Cpu cpu(&env, 40.0);
   PoolCompleter completer(&pool);
   server::DiskSchedParams sched;
   sched.policy = server::DiskSchedPolicy::kRealTime;

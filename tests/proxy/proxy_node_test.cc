@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "layout/routing.h"
 #include "layout/striping.h"
 #include "mpeg/zipf.h"
 #include "proxy/proxy_node.h"
@@ -56,6 +55,27 @@ TEST(ProxyNodeTest, AllTrafficFlowsThroughTheProxyTier) {
                 static_cast<std::uint64_t>(metrics.terminals) * 8);
   // Playback still works end to end.
   EXPECT_GT(metrics.frames_displayed, 0u);
+}
+
+TEST(ProxyNodeTest, TerminalTUsesProxyTModP) {
+  vod::SimConfig config = ProxyConfig();
+  config.proxy_nodes = 3;
+  config.request_retry_budget = 0;  // no re-sends: one reference per send
+  // A zero-delay wire delivers each request in the instant it is sent,
+  // so none straddles the warmup reset or the end of the run.
+  config.network.wire_delay_base_sec = 0.0;
+  config.network.wire_delay_per_byte_sec = 0.0;
+  vod::Simulation simulation(config);
+  simulation.Run();
+  ASSERT_EQ(simulation.num_proxies(), 3);
+  std::uint64_t sent[3] = {0, 0, 0};
+  for (int t = 0; t < simulation.num_terminals(); ++t) {
+    sent[t % 3] += simulation.terminal(t).stats().requests_sent;
+  }
+  for (int p = 0; p < 3; ++p) {
+    EXPECT_GT(sent[p], 0u) << p;
+    EXPECT_EQ(simulation.proxy_node(p).stats().references, sent[p]) << p;
+  }
 }
 
 TEST(ProxyNodeTest, CacheHitsOffloadTheOrigin) {
@@ -214,7 +234,6 @@ TEST(ProxyNodeTest, StaleWatchdogDoesNotRetryANewerForwardOfTheSameBlock) {
   layout::StripedLayout layout(
       1, 1, kBlock,
       std::vector<std::int64_t>{library.NumBlocks(0, kBlock)});
-  layout::TierRouter router(&layout, 1);
   FakeOrigin origin(&env);
   CountingSink terminal;
 
@@ -224,7 +243,7 @@ TEST(ProxyNodeTest, StaleWatchdogDoesNotRetryANewerForwardOfTheSameBlock) {
   params.retry_budget = 2;
   params.retry_min_timeout_sec = 1.0;
   params.retry_backoff_base_sec = 1.0;
-  ProxyNode proxy(&env, params, &network, &origin, &router, &library);
+  ProxyNode proxy(&env, params, &network, &origin, &layout, &library);
 
   bool finished = false;
   env.Spawn([](sim::Environment* e, ProxyNode* p, FakeOrigin* o,

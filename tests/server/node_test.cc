@@ -211,7 +211,7 @@ TEST_F(NodeTest, CpuCostsAreCharged) {
   env_.Run();
   // receive + start I/O + send = 2200 + 20000 + 6800 instructions at
   // 40 MIPS = 0.725 ms of CPU busy time.
-  double busy = node_->cpu().resource().service_tally().sum();
+  double busy = node_->cpu().service_tally().sum();
   EXPECT_NEAR(busy, 29000.0 / 40e6, 1e-9);
 }
 

@@ -34,7 +34,7 @@ class PrefetchTest : public ::testing::Test {
              double max_advance = 8.0, std::int64_t pool_pages = 16) {
     pool_ = std::make_unique<BufferPool>(&env_, pool_pages,
                                          ReplacementPolicy::kLovePrefetch);
-    cpu_ = std::make_unique<hw::Cpu>(&env_, 40.0, "cpu");
+    cpu_ = std::make_unique<hw::Cpu>(&env_, 40.0);
     completer_ = std::make_unique<PoolCompleter>(pool_.get());
     DiskSchedParams sched;
     sched.policy = DiskSchedPolicy::kFcfs;

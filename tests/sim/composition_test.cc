@@ -1,5 +1,5 @@
-// Composition tests: the kernel primitives (processes, semaphores,
-// resources, wait lists) cooperating in one simulation, plus
+// Composition tests: the kernel primitives (processes, holds, wait
+// lists) and the CPU's FCFS queue cooperating in one simulation, plus
 // event-trace-level determinism of the whole ensemble.
 
 #include <deque>
@@ -7,22 +7,19 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "hw/cpu.h"
 #include "sim/environment.h"
 #include "sim/process.h"
-#include "sim/resource.h"
-#include "sim/semaphore.h"
 #include "sim/wait_list.h"
 
 namespace spiffi::sim {
 namespace {
 
-// A tiny producer/consumer pipeline: producers acquire a token, "compute"
-// on a shared CPU, and queue results for a consumer.
+// A tiny producer/consumer pipeline: producers "compute" on a shared
+// CPU and queue results for a consumer.
 struct Pipeline {
-  explicit Pipeline(Environment* env)
-      : tokens(env, 2), cpu(env, 1, "cpu"), arrived(env) {}
-  Semaphore tokens;
-  Resource cpu;
+  explicit Pipeline(Environment* env) : cpu(env, 40.0), arrived(env) {}
+  hw::Cpu cpu;
   std::deque<int> results;
   WaitList arrived;  // notified once per queued result
   std::vector<std::string> log;
@@ -30,11 +27,9 @@ struct Pipeline {
 
 Process Producer(Environment* env, Pipeline* p, int id, int items) {
   for (int i = 0; i < items; ++i) {
-    co_await p->tokens.Acquire();
-    co_await p->cpu.Use(0.01);
+    co_await p->cpu.Execute(400'000);  // 10 ms at 40 MIPS
     p->results.push_back(id * 100 + i);
     p->arrived.NotifyOne();
-    p->tokens.Release();
     co_await env->Hold(0.05);
   }
 }
@@ -117,12 +112,12 @@ TEST(CompositionTest, WaitListRaceUnderChurn) {
 // without corrupting state; the run can be resumed.
 TEST(CompositionTest, StopInsideResourceUseResumable) {
   Environment env;
-  Resource cpu(&env, 1, "cpu");
+  hw::Cpu cpu(&env, 40.0);
   std::vector<int> done;
   for (int i = 0; i < 5; ++i) {
-    env.Spawn([](Environment* e, Resource* r, std::vector<int>* log,
+    env.Spawn([](Environment* e, hw::Cpu* c, std::vector<int>* log,
                  int id) -> Process {
-      co_await r->Use(1.0);
+      co_await c->Execute(40'000'000);  // one second
       log->push_back(id);
       if (id == 1) e->Stop();
     }(&env, &cpu, &done, i));
@@ -131,34 +126,6 @@ TEST(CompositionTest, StopInsideResourceUseResumable) {
   EXPECT_EQ(done, (std::vector<int>{0, 1}));
   env.Run();  // resume where we left off
   EXPECT_EQ(done, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-// Heavily contended semaphore with randomized hold times stays fair
-// (FIFO) and conserves its count.
-TEST(CompositionTest, SemaphoreConservesUnderContention) {
-  Environment env;
-  Semaphore sem(&env, 3);
-  int active = 0;
-  int max_active = 0;
-  int completed = 0;
-  for (int i = 0; i < 60; ++i) {
-    env.Spawn([](Environment* e, Semaphore* s, int* act, int* max_act,
-                 int* done, int id) -> Process {
-      co_await e->Hold(0.001 * (id % 17));
-      co_await s->Acquire();
-      ++*act;
-      if (*act > *max_act) *max_act = *act;
-      co_await e->Hold(0.01 + 0.001 * (id % 5));
-      --*act;
-      s->Release();
-      ++*done;
-    }(&env, &sem, &active, &max_active, &completed, i));
-  }
-  env.Run();
-  EXPECT_EQ(completed, 60);
-  EXPECT_EQ(max_active, 3);
-  EXPECT_EQ(active, 0);
-  EXPECT_EQ(sem.available(), 3);
 }
 
 }  // namespace
