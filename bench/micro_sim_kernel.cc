@@ -192,7 +192,8 @@ BENCHMARK(BM_FrameDrawBatch);
 // variant's label names the kernel variant the CPU selected.
 void BM_FrameWindowTick(benchmark::State& state, bool use_window) {
   const spiffi::mpeg::FrameModel model{spiffi::mpeg::MpegParams()};
-  const spiffi::mpeg::Video video(0, 7, &model, 3600.0);
+  const spiffi::mpeg::Video video(0, 7, &model, 3600.0,
+                                  spiffi::mpeg::kDefaultBlockBytes);
   spiffi::mpeg::FrameWindow window;
   std::int64_t frame = 0;
   std::int64_t consumed = 0;
@@ -215,52 +216,36 @@ void BM_FrameWindowTick(benchmark::State& state, bool use_window) {
 BENCHMARK_CAPTURE(BM_FrameWindowTick, window, true);
 BENCHMARK_CAPTURE(BM_FrameWindowTick, scalar, false);
 
-// Locating the GOP that holds a byte of a one-hour video (7,200 GOPs)
-// for uniformly random bytes: std::upper_bound over the GOP boundaries
-// (`upper_bound`) against Video::GopOfByte's proportional guess, gallop
-// and bisection (`interpolated`); `full` is the whole
-// Video::FrameOfByte, the GOP search plus the scalar walk of the GOP's
-// frames. items/sec is queries/sec.
-enum class GopSearch { kUpperBound, kInterpolated, kFull };
-
-void BM_FrameOfByte(benchmark::State& state, GopSearch search) {
-  const spiffi::mpeg::FrameModel model{spiffi::mpeg::MpegParams()};
-  const spiffi::mpeg::Video video(0, 7, &model, 3600.0);
-  const int gop = model.params().gop_frames();
-  std::vector<std::int64_t> gop_prefix;
-  for (std::int64_t f = 0; f <= video.frame_count(); f += gop) {
-    gop_prefix.push_back(video.CumulativeBytesAtFrame(f));
-  }
+// A block deadline's playback time, VideoLibrary::BlockPlaybackTime,
+// for uniformly random blocks of a paper-scale library (256 one-hour
+// videos at 512 KiB blocks): one load from the video's block-start
+// index. items/sec is queries/sec.
+void BM_BlockPlaybackTime(benchmark::State& state) {
+  constexpr int kVideos = 256;
+  const spiffi::mpeg::VideoLibrary library(
+      kVideos, 3600.0, spiffi::mpeg::MpegParams(),
+      spiffi::mpeg::ZipfDistribution(kVideos, 1.0), 7,
+      spiffi::mpeg::kDefaultBlockBytes);
   spiffi::sim::Rng rng(11);
-  std::vector<std::int64_t> bytes(4096);
-  for (std::int64_t& byte : bytes) {
-    byte = static_cast<std::int64_t>(
-        rng.UniformInt(static_cast<std::uint64_t>(video.total_bytes())));
+  struct Query {
+    int video;
+    std::int64_t block;
+  };
+  std::vector<Query> queries(4096);
+  for (Query& query : queries) {
+    query.video = static_cast<int>(rng.UniformInt(kVideos));
+    query.block = static_cast<std::int64_t>(rng.UniformInt(
+        static_cast<std::uint64_t>(library.NumBlocks(query.video))));
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    const std::int64_t byte = bytes[i++ & (bytes.size() - 1)];
-    std::int64_t answer;
-    switch (search) {
-      case GopSearch::kUpperBound:
-        answer = std::upper_bound(gop_prefix.begin(), gop_prefix.end(),
-                                  byte) -
-                 gop_prefix.begin() - 1;
-        break;
-      case GopSearch::kInterpolated:
-        answer = video.GopOfByte(byte);
-        break;
-      case GopSearch::kFull:
-        answer = video.FrameOfByte(byte);
-        break;
-    }
-    benchmark::DoNotOptimize(answer);
+    const Query& query = queries[i++ & (queries.size() - 1)];
+    benchmark::DoNotOptimize(
+        library.BlockPlaybackTime(query.video, query.block));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_CAPTURE(BM_FrameOfByte, upper_bound, GopSearch::kUpperBound);
-BENCHMARK_CAPTURE(BM_FrameOfByte, interpolated, GopSearch::kInterpolated);
-BENCHMARK_CAPTURE(BM_FrameOfByte, full, GopSearch::kFull);
+BENCHMARK(BM_BlockPlaybackTime);
 
 }  // namespace
 

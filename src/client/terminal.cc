@@ -24,6 +24,7 @@ Terminal::Terminal(sim::Environment* env, int id,
                    vod::AdmissionController* admission)
     : env_(env),
       frames_per_second_(library->frame_model().params().frames_per_second),
+      block_bytes_(library->block_bytes()),
       params_(params),
       id_(id),
       network_(network),
@@ -36,9 +37,9 @@ Terminal::Terminal(sim::Environment* env, int id,
       ingress_(ingress),
       admission_(admission) {
   SPIFFI_CHECK(env != nullptr);
-  SPIFFI_CHECK(params.memory_bytes >= params.block_bytes);
+  SPIFFI_CHECK(params.memory_bytes >= block_bytes_);
   inflight_.resize(std::bit_ceil(static_cast<std::uint64_t>(
-      params.memory_bytes / params.block_bytes + 2)));
+      params.memory_bytes / block_bytes_ + 2)));
   env_->Schedule(start_time, this, kStartToken);
 }
 
@@ -46,21 +47,17 @@ double Terminal::ConsumedPlaybackTime() const {
   return static_cast<double>(next_frame_) / frames_per_second_;
 }
 
-std::int64_t Terminal::BlockBytesAt(std::int64_t block) const {
-  std::int64_t start = block * params_.block_bytes;
-  return std::min(params_.block_bytes, video_bytes_ - start);
-}
-
 std::int64_t Terminal::ContiguousBytes() const {
-  return std::min((first_block_ + contiguous_blocks_) * params_.block_bytes,
+  return std::min((first_block_ + contiguous_blocks_) * block_bytes_,
                   video_bytes_);
 }
 
 sim::SimTime Terminal::DeadlineForBlock(std::int64_t block) const {
-  // The first byte of the block that will actually be consumed (the
-  // starting block is consumed from the starting position, not byte 0).
-  double block_time = vid_->PlaybackTimeOfByte(
-      std::max(block * params_.block_bytes, start_byte_));
+  // The frame holding the first byte of the block that will actually be
+  // consumed (the starting block is consumed from the starting frame, not
+  // from its own first byte).
+  double block_time = vid_->PlaybackTimeOfFrame(
+      std::max(vid_->BlockStartFrame(block), start_frame_));
   switch (state_) {
     case State::kPlaying:
       return anchor_ + block_time;
@@ -279,9 +276,10 @@ void Terminal::ResetStreamAt(std::int64_t frame) {
   CancelRetryTimers();
   next_frame_ = frame;
   frame_window_.Invalidate();
+  start_frame_ = frame;
   start_byte_ = vid_->CumulativeBytesAtFrame(frame);
   consumed_bytes_ = start_byte_;
-  first_block_ = start_byte_ / params_.block_bytes;
+  first_block_ = start_byte_ / block_bytes_;
   next_request_block_ = first_block_;
   contiguous_blocks_ = 0;
   arrived_out_of_order_.clear();
@@ -299,7 +297,7 @@ void Terminal::StartVideo(int video, std::int64_t start_frame) {
   pending_video_ = -1;
   vid_ = &library_->video(video);
   video_bytes_ = vid_->total_bytes();
-  num_blocks_ = library_->NumBlocks(video, params_.block_bytes);
+  num_blocks_ = library_->NumBlocks(video);
 
   ResetStreamAt(start_frame);
 
@@ -312,7 +310,7 @@ void Terminal::StartVideo(int video, std::int64_t start_frame) {
         std::clamp<std::int64_t>(frames, 1, vid_->frame_count());
     std::int64_t last_byte =
         vid_->CumulativeBytesAtFrame(patch_limit_frame_) - 1;
-    patch_limit_block_ = last_byte / params_.block_bytes + 1;
+    patch_limit_block_ = last_byte / block_bytes_ + 1;
     ++stats_.patches_started;
   }
   pending_patch_seconds_ = 0.0;
@@ -365,7 +363,7 @@ void Terminal::IssueRequests() {
     return;
   }
   while (next_request_block_ < RequestableBlocks()) {
-    std::int64_t bytes = BlockBytesAt(next_request_block_);
+    std::int64_t bytes = vid_->BlockBytes(next_request_block_);
     if (occupied_bytes_ + inflight_bytes_ + bytes > params_.memory_bytes) {
       break;  // no room to buffer another block
     }
@@ -417,7 +415,7 @@ void Terminal::OnMessage(const Message& message) {
   if (message.block == first_block_) {
     // The part of the starting block before the starting position is
     // never displayed; do not let it occupy buffer space forever.
-    occupied_bytes_ -= start_byte_ - first_block_ * params_.block_bytes;
+    occupied_bytes_ -= start_byte_ - first_block_ * block_bytes_;
   }
   ++stats_.blocks_received;
   RecordArrival(message);
@@ -533,7 +531,7 @@ void Terminal::CheckPrimeComplete() {
   if (inflight_bytes_ != 0) return;
   bool exhausted = next_request_block_ >= RequestableBlocks();
   bool full = !exhausted &&
-              occupied_bytes_ + BlockBytesAt(next_request_block_) >
+              occupied_bytes_ + vid_->BlockBytes(next_request_block_) >
                   params_.memory_bytes;
   if (exhausted || full) BeginDisplay();
 }
@@ -620,7 +618,7 @@ void Terminal::HandleGlitch() {
   // fail fast instead of glitching in a zero-time loop.
   SPIFFI_CHECK(!(inflight_bytes_ == 0 &&
                  next_request_block_ < RequestableBlocks() &&
-                 occupied_bytes_ + BlockBytesAt(next_request_block_) >
+                 occupied_bytes_ + vid_->BlockBytes(next_request_block_) >
                      params_.memory_bytes));
   CheckPrimeComplete();  // everything may already have arrived
 }
@@ -690,8 +688,8 @@ void Terminal::StartSearchSegment() {
       vid_->CumulativeBytesAtFrame(search_segment_start_);
   std::int64_t last_byte =
       vid_->CumulativeBytesAtFrame(search_segment_end_) - 1;
-  std::int64_t b0 = first_byte / params_.block_bytes;
-  std::int64_t b1 = last_byte / params_.block_bytes;
+  std::int64_t b0 = first_byte / block_bytes_;
+  std::int64_t b1 = last_byte / block_bytes_;
   SPIFFI_DCHECK(search_blocks_pending_.empty());
   for (std::int64_t b = b0; b <= b1; ++b) {
     search_blocks_pending_.insert(b);
@@ -699,7 +697,7 @@ void Terminal::StartSearchSegment() {
   for (std::int64_t b = b0; b <= b1; ++b) {
     // Best effort: the picture is choppy by design, so the deadline is
     // one show+skip period out.
-    PostRequest(b, BlockBytesAt(b),
+    PostRequest(b, vid_->BlockBytes(b),
                 env_->now() + search_show_sec_ + search_skip_sec_);
     ++stats_.requests_sent;
   }
@@ -818,7 +816,7 @@ void Terminal::OnRetryTimeout(std::int64_t block) {
   // than the original pick). The duplicate carries the same epoch
   // cookie and deadline; whichever reply lands first wins and the
   // straggler is dropped as a duplicate.
-  pending.node = PostRequest(block, BlockBytesAt(block), pending.deadline);
+  pending.node = PostRequest(block, vid_->BlockBytes(block), pending.deadline);
   pending.last_send_time = env_->now();
 
   // Bounded exponential backoff before the next attempt.

@@ -42,7 +42,6 @@ namespace spiffi::client {
 
 struct TerminalParams {
   std::int64_t memory_bytes = 2 * 1024 * 1024;
-  std::int64_t block_bytes = 512 * 1024;
   bool pause_enabled = false;
   double pauses_per_video_mean = 2.0;     // Poisson mean (§8.1: "twice")
   double pause_duration_mean_sec = 120.0; // exponential mean ("2 minutes")
@@ -299,7 +298,6 @@ class Terminal final : public server::MessageSink,
   sim::SimTime DeadlineForBlock(std::int64_t block) const;
   // Bytes [0, boundary) have arrived contiguously.
   std::int64_t ContiguousBytes() const;
-  std::int64_t BlockBytesAt(std::int64_t block) const;
   // Playback time of the consumption point (frame-aligned).
   double ConsumedPlaybackTime() const;
 
@@ -316,8 +314,9 @@ class Terminal final : public server::MessageSink,
   std::int64_t consumed_bytes_ = 0;
   sim::SimTime anchor_ = 0.0;
   // The library's frame rate, read once (the same double every tick
-  // divides by).
+  // divides by), and its read block size.
   double frames_per_second_;
+  const std::int64_t block_bytes_;
   // Buffer accounting and the request frontier. Blocks before
   // first_block_ (the block containing the starting position) are never
   // requested; contiguous_blocks_ counts arrived blocks from first_block_
@@ -339,8 +338,7 @@ class Terminal final : public server::MessageSink,
   // Visual search (§8.1): upcoming search positions per video,
   // descending.
   std::vector<double> search_at_;
-  // memory_bytes and block_bytes, the only fields a tick reads, lead
-  // the struct.
+  // memory_bytes, the only field a tick reads, leads the struct.
   TerminalParams params_;
   // Sizes of the frames from next_frame_ on. Invalidated by
   // ResetStreamAt, which every video change, jump, search, failover and
@@ -367,7 +365,8 @@ class Terminal final : public server::MessageSink,
 
   bool first_video_ = true;
 
-  std::int64_t start_byte_ = 0;  // first byte actually consumed
+  std::int64_t start_frame_ = 0;  // first frame actually consumed
+  std::int64_t start_byte_ = 0;   // and its first byte
   // In-flight request bookkeeping, one record per outstanding block:
   // when it was issued, the deadline it carried, and the open trace span.
   struct PendingRequest {
@@ -384,9 +383,9 @@ class Terminal final : public server::MessageSink,
   // The records live in a fixed ring indexed by block & (size - 1).
   // IssueRequests keeps occupied + in-flight bytes within memory_bytes,
   // and no block after the oldest outstanding one can be consumed, so
-  // the outstanding blocks span at most memory_bytes / block_bytes + 1
+  // the outstanding blocks span at most memory_bytes / block_bytes_ + 1
   // blocks (the +1 is a video's short last block). A ring of
-  // bit_ceil(memory_bytes / block_bytes + 2) slots therefore never maps
+  // bit_ceil(memory_bytes / block_bytes_ + 2) slots therefore never maps
   // two outstanding blocks to one slot.
   std::vector<PendingRequest> inflight_;
   // The record of outstanding `block`, or nullptr.

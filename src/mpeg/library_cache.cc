@@ -21,7 +21,7 @@ auto Fields(const LibraryKey& key) {
   return std::tie(key.count, key.duration_seconds, p.frames_per_second,
                   p.bits_per_second, p.i_per_gop, p.p_per_gop, p.b_per_gop,
                   p.i_size_weight, p.p_size_weight, p.b_size_weight,
-                  key.zipf_z, key.seed);
+                  key.zipf_z, key.seed, key.block_bytes);
 }
 
 struct KeyLess {
@@ -76,7 +76,7 @@ std::shared_ptr<const VideoLibrary> SharedLibrary(const LibraryKey& key) {
   lock.unlock();
   auto library = std::make_shared<const VideoLibrary>(
       key.count, key.duration_seconds, key.params,
-      ZipfDistribution(key.count, key.zipf_z), key.seed);
+      ZipfDistribution(key.count, key.zipf_z), key.seed, key.block_bytes);
   std::uint64_t draws = 0;  // one per frame of every video
   for (int id = 0; id < library->count(); ++id) {
     draws += static_cast<std::uint64_t>(library->video(id).frame_count());

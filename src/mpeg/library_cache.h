@@ -5,7 +5,9 @@
 // and frame sizes is repeated"), and nothing mutates it after
 // construction. So every simulation whose inputs agree can share one
 // instance — in particular every probe of a capacity search, which
-// differ only in their terminal count.
+// differ only in their terminal count. The read block size is one of
+// those inputs, so a sweep over stripe sizes builds one library per
+// size.
 //
 // Entries are weak: the cache never keeps a library alive by itself. A
 // library lives while some holder (a Simulation, or a pin that a
@@ -31,13 +33,16 @@
 namespace spiffi::mpeg {
 
 // Every input of the VideoLibrary constructor; the popularity
-// distribution is ZipfDistribution(count, zipf_z).
+// distribution is ZipfDistribution(count, zipf_z). The block size is
+// part of the key because each video indexes where its blocks start:
+// runs that differ only in stripe size get libraries of their own.
 struct LibraryKey {
   int count = 0;
   double duration_seconds = 0.0;
   MpegParams params;
   double zipf_z = 0.0;
   std::uint64_t seed = 0;
+  std::int64_t block_bytes = kDefaultBlockBytes;
 };
 
 // The library for `key`: the live shared instance when one exists,

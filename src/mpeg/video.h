@@ -1,24 +1,32 @@
-// A simulated video: a deterministic sequence of MPEG frames with helpers
-// for mapping byte positions to playback times (used for deadlines).
+// A simulated video: a deterministic sequence of MPEG frames, cut into
+// fixed-size read blocks, with an index of where each block starts in
+// the frame sequence (used for block deadlines).
 
 #ifndef SPIFFI_MPEG_VIDEO_H_
 #define SPIFFI_MPEG_VIDEO_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "mpeg/frame_model.h"
 #include "mpeg/zipf.h"
+#include "sim/check.h"
 #include "sim/random.h"
 
 namespace spiffi::mpeg {
 
+// Read block size a VideoLibrary gets when none is given: the default
+// stripe size of vod::SimConfig (stripe_bytes, "also the read size").
+inline constexpr std::int64_t kDefaultBlockBytes = 512 * 1024;
+
 class Video {
  public:
-  // `seed` fixes the frame sequence; replaying the video repeats it.
+  // `seed` fixes the frame sequence; replaying the video repeats it. The
+  // video is read in blocks of `block_bytes` (the last one short).
   Video(int id, std::uint64_t seed, const FrameModel* model,
-        double duration_seconds);
+        double duration_seconds, std::int64_t block_bytes);
 
   int id() const { return id_; }
   std::int64_t frame_count() const { return frame_count_; }
@@ -37,35 +45,62 @@ class Video {
   int DrawFrameSizes(std::int64_t first, int n, std::int32_t* out) const;
 
   // Bytes of all frames before `index` (== total_bytes at frame_count).
+  // Walks forward from the last block that starts at or before the
+  // frame, so it draws at most one block's worth of frames.
   std::int64_t CumulativeBytesAtFrame(std::int64_t index) const;
 
-  // Playback time (seconds from the start of the video) at which `byte`
-  // is consumed, i.e. the display time of the frame containing it.
-  // Bytes at or past the end map to the video duration.
-  double PlaybackTimeOfByte(std::int64_t byte) const;
+  // Playback time (seconds from the start of the video) at which frame
+  // `frame` is displayed; frame_count and past map to the duration.
+  double PlaybackTimeOfFrame(std::int64_t frame) const {
+    if (frame >= frame_count_) return duration_seconds_;
+    return static_cast<double>(frame) / model_->params().frames_per_second;
+  }
 
-  // Index of the frame containing `byte` (frame_count for EOF).
-  std::int64_t FrameOfByte(std::int64_t byte) const;
-
-  // Index of the GOP containing `byte`, 0 <= byte < total_bytes: the g
-  // with CumulativeBytesAtFrame(g * gop) <= byte < that of GOP g + 1,
-  // which is std::upper_bound over the GOP boundaries minus one. Guesses
-  // g from byte / total_bytes, gallops to a bracket, then bisects it.
-  std::int64_t GopOfByte(std::int64_t byte) const;
+  // --- Read blocks: block b holds bytes [b * block_bytes, ...) ---
+  std::int64_t block_bytes() const { return block_bytes_; }
+  std::int64_t num_blocks() const {
+    return static_cast<std::int64_t>(block_start_.size());
+  }
+  // Bytes of `block`, 0 <= block < num_blocks (the last block is short).
+  std::int64_t BlockBytes(std::int64_t block) const {
+    SPIFFI_DCHECK(block >= 0 && block < num_blocks());
+    return std::min(block_bytes_, total_bytes_ - block * block_bytes_);
+  }
+  // The frame holding `block`'s first byte: the f with
+  // CumulativeBytesAtFrame(f) <= block * block_bytes < that of f + 1.
+  std::int64_t BlockStartFrame(std::int64_t block) const {
+    SPIFFI_DCHECK(block >= 0 && block < num_blocks());
+    return block_start_[block].frame;
+  }
+  // Bytes of BlockStartFrame(block) that lie before the block:
+  // block * block_bytes - CumulativeBytesAtFrame(BlockStartFrame(block)).
+  std::int64_t BlockLeadBytes(std::int64_t block) const {
+    SPIFFI_DCHECK(block >= 0 && block < num_blocks());
+    return block_start_[block].lead;
+  }
 
  private:
   friend class VideoLibrary;
   struct Undrawn {};
 
-  // Sizes the video and reserves its GOP table without drawing a frame;
-  // DrawFrames() then fills the table without allocating. VideoLibrary
-  // allocates every video on its calling thread this way, so its helper
-  // threads only draw: memory a helper allocated would sit in that
-  // thread's own malloc arena and raise peak RSS.
+  // Sizes the video and reserves its block table without drawing a
+  // frame; DrawFrames() then fills the table without allocating.
+  // VideoLibrary allocates every video on its calling thread this way,
+  // so its helper threads only draw: memory a helper allocated would
+  // sit in that thread's own malloc arena and raise peak RSS.
   Video(int id, std::uint64_t seed, const FrameModel* model,
-        double duration_seconds, Undrawn);
-  // Draws every frame through FrameModel::DrawRun, 960 at a time.
+        double duration_seconds, std::int64_t block_bytes, Undrawn);
+  // Draws every frame through FrameModel::DrawRun, 960 at a time, and
+  // records where each block starts.
   void DrawFrames() noexcept;
+
+  // Where a block's first byte lies in the frame sequence. A frame index
+  // below 2^31 and a lead below one frame's size (kMaxMeanFrameBytes)
+  // both fit an int32; the build CHECKs them.
+  struct BlockStart {
+    std::int32_t frame;
+    std::int32_t lead;
+  };
 
   int id_;
   std::uint64_t seed_;
@@ -73,13 +108,13 @@ class Video {
   double duration_seconds_;
   std::int64_t frame_count_;
   std::int64_t total_bytes_;
+  std::int64_t block_bytes_;
   std::int64_t fallback_draws_ = 0;  // DrawFrames' exact-path draws
-  // Cumulative bytes at each GOP boundary: gop_prefix_[g] = bytes of all
-  // frames before GOP g. Size = num_gops + 1. Keeps per-video memory tiny
-  // (one entry per half-second) while byte->time queries stay O(log).
-  std::vector<std::int64_t> gop_prefix_;
-  // GOPs per byte, num_gops / total_bytes: GopOfByte's first guess.
-  double gops_per_byte_ = 0.0;
+  // One entry per read block, 8 bytes each: 3,600 entries for a one-hour
+  // video at 512 KiB blocks (29 KB). Memory scales as total_bytes /
+  // block_bytes, so 128 KiB blocks take four times that, twice the
+  // 8-byte-per-GOP table this index replaced.
+  std::vector<BlockStart> block_start_;
 };
 
 // The library of videos offered by the server plus the popularity
@@ -93,10 +128,12 @@ class Video {
 // filled by id, so the library is bit-identical at any thread count.
 class VideoLibrary {
  public:
-  // Creates `count` videos of `duration_seconds` each; popularity follows
-  // `popularity` (video 0 is the most popular rank).
+  // Creates `count` videos of `duration_seconds` each, read in blocks of
+  // `block_bytes`; popularity follows `popularity` (video 0 is the most
+  // popular rank).
   VideoLibrary(int count, double duration_seconds, const MpegParams& params,
-               const ZipfDistribution& popularity, std::uint64_t seed);
+               const ZipfDistribution& popularity, std::uint64_t seed,
+               std::int64_t block_bytes = kDefaultBlockBytes);
 
   int count() const { return static_cast<int>(videos_.size()); }
   // Threads that built the videos, the calling thread included.
@@ -106,19 +143,29 @@ class VideoLibrary {
   std::int64_t fallback_draws() const { return fallback_draws_; }
   const Video& video(int id) const { return *videos_[id]; }
   const FrameModel& frame_model() const { return model_; }
+  // Size of every read block (the last block of a video is short).
+  std::int64_t block_bytes() const { return block_bytes_; }
 
   // Draws a video id according to the popularity distribution.
   int Select(sim::Rng* rng) const { return popularity_.Sample(rng); }
 
-  // Number of read blocks of `block_bytes` needed to cover the video.
-  std::int64_t NumBlocks(int id, std::int64_t block_bytes) const;
+  // Number of read blocks needed to cover the video.
+  std::int64_t NumBlocks(int id) const { return video(id).num_blocks(); }
+
+  // Bytes of `block` of the video (the last block is short).
+  std::int64_t BlockBytes(int id, std::int64_t block) const {
+    return video(id).BlockBytes(block);
+  }
 
   // Playback time at which the first byte of `block` is consumed.
-  double BlockPlaybackTime(int id, std::int64_t block,
-                           std::int64_t block_bytes) const;
+  double BlockPlaybackTime(int id, std::int64_t block) const {
+    const Video& v = video(id);
+    return v.PlaybackTimeOfFrame(v.BlockStartFrame(block));
+  }
 
  private:
   FrameModel model_;
+  std::int64_t block_bytes_;
   std::vector<std::unique_ptr<Video>> videos_;
   ZipfDistribution popularity_;
   int build_threads_ = 1;

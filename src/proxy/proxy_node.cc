@@ -23,7 +23,7 @@ ProxyNode::ProxyNode(sim::Environment* env, const ProxyParams& params,
              [&] {
                std::vector<std::int64_t> blocks(library->count());
                for (int v = 0; v < library->count(); ++v) {
-                 blocks[v] = library->NumBlocks(v, params.block_bytes);
+                 blocks[v] = library->NumBlocks(v);
                }
                return blocks;
              }()),

@@ -50,7 +50,6 @@ struct ProxyParams {
   std::int64_t cache_pages = 256;  // in stripe blocks
   ProxyPolicy policy = ProxyPolicy::kLru;
   double recompute_sec = 30.0;  // re-rank / re-quota period
-  std::int64_t block_bytes = 512 * 1024;
   // Forward retry (0 = off). When on, each miss forward is covered by a
   // watchdog that re-forwards to the next live origin copy after a
   // timeout, with bounded exponential backoff between attempts.

@@ -91,7 +91,7 @@ void Node::RecomputePrefixQuotas() {
         static_cast<double>(video_refs_[v]) / static_cast<double>(total);
     prefix_quota_[v] =
         std::min(static_cast<std::int64_t>(share * budget_blocks),
-                 library_->NumBlocks(v, config_.block_bytes));
+                 library_->NumBlocks(v));
   }
 
   // Shrunk quotas release their pages back to normal eviction...
@@ -121,20 +121,13 @@ void Node::RecomputePrefixQuotas() {
       PrefetchTask task;
       task.key = PageKey{v, b};
       task.disk_offset = loc.offset;
-      task.bytes = BlockBytes(v, b);
+      task.bytes = library_->BlockBytes(v, b);
       task.terminal = -1;
       task.est_deadline = env_->now() + config_.prefix_recompute_sec;
       prefetchers_[loc.disk_local]->Enqueue(task);
       --room;
     }
   }
-}
-
-std::int64_t Node::BlockBytes(int video, std::int64_t block) const {
-  std::int64_t total = library_->video(video).total_bytes();
-  std::int64_t start = block * config_.block_bytes;
-  SPIFFI_DCHECK(start < total);
-  return std::min(config_.block_bytes, total - start);
 }
 
 void Node::OnMessage(const Message& message) {
@@ -202,14 +195,14 @@ void Node::TriggerPrefetch(int video, std::int64_t block,
   PrefetchTask task;
   task.key = key;
   task.disk_offset = loc.offset;
-  task.bytes = BlockBytes(video, next);
+  task.bytes = library_->BlockBytes(video, next);
   task.terminal = terminal;
   // Estimate the deadline the anticipated true request will carry: the
   // reference's deadline shifted by the playback time between the blocks.
   if (reference_deadline < sim::kSimTimeMax) {
     double gap =
-        library_->BlockPlaybackTime(video, next, config_.block_bytes) -
-        library_->BlockPlaybackTime(video, block, config_.block_bytes);
+        library_->BlockPlaybackTime(video, next) -
+        library_->BlockPlaybackTime(video, block);
     task.est_deadline = reference_deadline + gap;
   }
   prefetchers_[loc.disk_local]->Enqueue(task);
@@ -350,7 +343,7 @@ sim::Process Node::HandleRead(Message message) {
     request.video = message.video;
     request.block = message.block;
     request.disk_offset = loc.offset;
-    request.bytes = BlockBytes(message.video, message.block);
+    request.bytes = library_->BlockBytes(message.video, message.block);
     request.deadline = std::min(message.deadline, page->urgent_deadline);
     request.terminal = message.terminal;
     request.context = page;
@@ -372,7 +365,7 @@ sim::Process Node::HandleRead(Message message) {
   reply.terminal = message.terminal;
   reply.video = message.video;
   reply.block = message.block;
-  reply.bytes = BlockBytes(message.video, message.block);
+  reply.bytes = library_->BlockBytes(message.video, message.block);
   reply.cookie = message.cookie;
   reply.hops = message.hops;
   timing.reply_sent = env_->now();

@@ -53,7 +53,6 @@ struct NodeConfig {
   PrefetchTrigger prefetch_trigger = PrefetchTrigger::kOnMiss;
   int prefetch_workers = 1;
   double max_advance_prefetch_sec = 8.0;
-  std::int64_t block_bytes = 512 * 1024;
   // Degraded-read tuning (mirrors fault::FaultPlan; only consulted when
   // a fault state is attached): maximum re-route forwards per request,
   // and the recovery re-check period while no replica is alive.
@@ -141,9 +140,6 @@ class Node final : public MessageSink, public hw::DiskCompletionListener {
   // true request is expected to carry.
   void TriggerPrefetch(int video, std::int64_t block,
                        sim::SimTime reference_deadline, int terminal);
-
-  // Actual bytes of a read block (the last block of a video is short).
-  std::int64_t BlockBytes(int video, std::int64_t block) const;
 
   sim::Environment* env_;
   NodeConfig config_;

@@ -131,6 +131,7 @@ std::shared_ptr<const mpeg::VideoLibrary> SharedLibraryFor(
   key.params = config.mpeg;
   key.zipf_z = config.zipf_z;
   key.seed = sim::Rng(config.seed).Child(kLibraryStream).NextU64();
+  key.block_bytes = config.stripe_bytes;
   return mpeg::SharedLibrary(key);
 }
 
@@ -162,7 +163,7 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
   if (config.placement == VideoPlacement::kStriped) {
     std::vector<std::int64_t> blocks(config.num_videos());
     for (int v = 0; v < config.num_videos(); ++v) {
-      blocks[v] = library_->NumBlocks(v, config.stripe_bytes);
+      blocks[v] = library_->NumBlocks(v);
     }
     layout_ = std::make_unique<layout::StripedLayout>(
         config.num_nodes, config.disks_per_node, config.stripe_bytes,
@@ -170,7 +171,7 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
   } else if (config.placement == VideoPlacement::kReplicatedStriped) {
     std::vector<std::int64_t> blocks(config.num_videos());
     for (int v = 0; v < config.num_videos(); ++v) {
-      blocks[v] = library_->NumBlocks(v, config.stripe_bytes);
+      blocks[v] = library_->NumBlocks(v);
     }
     layout_ = std::make_unique<layout::ReplicatedStripedLayout>(
         config.num_nodes, config.disks_per_node, config.stripe_bytes,
@@ -215,7 +216,6 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
   node_config.prefetch_trigger = config.effective_prefetch_trigger();
   node_config.prefetch_workers = config.effective_prefetch_workers();
   node_config.max_advance_prefetch_sec = config.max_advance_prefetch_sec;
-  node_config.block_bytes = config.stripe_bytes;
   node_config.fault_hop_budget = config.fault_plan.reroute_hop_budget;
   node_config.fault_recheck_sec = config.fault_plan.recheck_sec;
   node_config.prefix_cache_fraction = config.prefix_cache_fraction;
@@ -341,7 +341,6 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
       proxy_params.cache_pages = config.proxy_cache_pages;
       proxy_params.policy = config.proxy_policy;
       proxy_params.recompute_sec = config.proxy_recompute_sec;
-      proxy_params.block_bytes = config.stripe_bytes;
       proxy_params.retry_budget = config.request_retry_budget;
       proxy_params.retry_min_timeout_sec = config.retry_min_timeout_sec;
       proxy_params.retry_backoff_base_sec = config.retry_backoff_base_sec;
@@ -354,7 +353,6 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
   // Terminals, with staggered starts.
   client::TerminalParams terminal_params;
   terminal_params.memory_bytes = config.terminal_memory_bytes;
-  terminal_params.block_bytes = config.stripe_bytes;
   terminal_params.pause_enabled = config.pause_enabled;
   terminal_params.pauses_per_video_mean = config.pauses_per_video_mean;
   terminal_params.pause_duration_mean_sec = config.pause_duration_mean_sec;
@@ -402,9 +400,7 @@ sim::Process Simulation::RebuildDisk(int disk_global) {
   std::uint64_t bytes_read = 0;
   bool completed = true;
   for (int v = 0; v < config_.num_videos() && completed; ++v) {
-    const std::int64_t blocks =
-        library_->NumBlocks(v, config_.stripe_bytes);
-    const std::int64_t total = library_->video(v).total_bytes();
+    const std::int64_t blocks = library_->NumBlocks(v);
     for (std::int64_t b = 0; b < blocks; ++b) {
       if (!fault_state_->node_up(node) ||
           !fault_state_->disk_up(disk_global)) {
@@ -426,8 +422,7 @@ sim::Process Simulation::RebuildDisk(int disk_global) {
         }
       }
       if (!owned) continue;
-      const std::int64_t bytes = std::min<std::int64_t>(
-          config_.stripe_bytes, total - b * config_.stripe_bytes);
+      const std::int64_t bytes = library_->BlockBytes(v, b);
       if (peer != nullptr) {
         server::Message request;
         request.kind = server::Message::Kind::kReadRequest;

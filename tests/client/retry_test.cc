@@ -97,10 +97,11 @@ class RetryTest : public ::testing::Test {
   void Build(TerminalParams params) {
     mpeg::ZipfDistribution popularity(2, 0.0);
     library_ = std::make_unique<mpeg::VideoLibrary>(
-        2, /*video_seconds=*/30.0, mpeg::MpegParams(), popularity, 1);
+        2, /*video_seconds=*/30.0, mpeg::MpegParams(), popularity, 1,
+        kBlock);
     std::vector<std::int64_t> blocks;
     for (int v = 0; v < 2; ++v) {
-      blocks.push_back(library_->NumBlocks(v, kBlock));
+      blocks.push_back(library_->NumBlocks(v));
     }
     layout_ = std::make_unique<layout::StripedLayout>(1, 1, kBlock,
                                                       std::move(blocks));

@@ -53,10 +53,10 @@ class SearchTest : public ::testing::Test {
              double video_seconds = 120.0) {
     mpeg::ZipfDistribution popularity(1, 0.0);
     library_ = std::make_unique<mpeg::VideoLibrary>(
-        1, video_seconds, mpeg::MpegParams(), popularity, 1);
+        1, video_seconds, mpeg::MpegParams(), popularity, 1, kBlock);
     layout_ = std::make_unique<layout::StripedLayout>(
         1, 1, kBlock,
-        std::vector<std::int64_t>{library_->NumBlocks(0, kBlock)});
+        std::vector<std::int64_t>{library_->NumBlocks(0)});
     network_ = std::make_unique<hw::Network>(&env_, hw::NetworkParams());
     fake_ = std::make_unique<EchoServer>(&env_);
     params.random_initial_position = false;

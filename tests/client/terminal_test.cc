@@ -82,10 +82,10 @@ class TerminalTest : public ::testing::Test {
              StreamShareManager* share = nullptr) {
     mpeg::ZipfDistribution popularity(2, 0.0);
     library_ = std::make_unique<mpeg::VideoLibrary>(
-        2, video_seconds, mpeg::MpegParams(), popularity, 1);
+        2, video_seconds, mpeg::MpegParams(), popularity, 1, kBlock);
     std::vector<std::int64_t> blocks;
     for (int v = 0; v < 2; ++v) {
-      blocks.push_back(library_->NumBlocks(v, kBlock));
+      blocks.push_back(library_->NumBlocks(v));
     }
     layout_ = std::make_unique<layout::StripedLayout>(1, 1, kBlock,
                                                       std::move(blocks));
@@ -231,10 +231,10 @@ TEST_F(TerminalTest, InflightRingHoldsTheWidestOutstandingSpan) {
   // that no two outstanding blocks share a slot.
   constexpr double kSeconds = 4.5;
   mpeg::VideoLibrary library(2, kSeconds, mpeg::MpegParams(),
-                             mpeg::ZipfDistribution(2, 0.0), 1);
+                             mpeg::ZipfDistribution(2, 0.0), 1, kBlock);
   std::int64_t tail = 0;
   for (int v = 0; v < 2; ++v) {
-    ASSERT_EQ(library.NumBlocks(v, kBlock), 5);
+    ASSERT_EQ(library.NumBlocks(v), 5);
     tail = std::max(tail, library.video(v).total_bytes() - 4 * kBlock);
   }
   ASSERT_LT(tail, kBlock);
@@ -288,15 +288,15 @@ TEST(TerminalDeathTest, ZeroTimeGlitchLoopFailsFast) {
   auto run = [] {
     sim::Environment env;
     mpeg::ZipfDistribution popularity(1, 0.0);
-    mpeg::VideoLibrary library(1, 10.0, mpeg::MpegParams(), popularity, 1);
     constexpr std::int64_t kTinyBlock = 4096;
+    mpeg::VideoLibrary library(1, 10.0, mpeg::MpegParams(), popularity, 1,
+                               kTinyBlock);
     layout::StripedLayout layout(
         1, 1, kTinyBlock,
-        std::vector<std::int64_t>{library.NumBlocks(0, kTinyBlock)});
+        std::vector<std::int64_t>{library.NumBlocks(0)});
     hw::Network network(&env, hw::NetworkParams());
     FakeServer fake(&env, &network);
     TerminalParams params;
-    params.block_bytes = kTinyBlock;
     params.memory_bytes = 2 * kTinyBlock;  // far below one I-frame
     params.random_initial_position = false;
     Terminal terminal(&env, 0, params, &network, &fake, &library, &layout,
@@ -311,10 +311,10 @@ TEST_F(TerminalTest, PiggybackFollowerSendsNoRequests) {
   // must follow the first and never touch the server.
   mpeg::ZipfDistribution popularity(1, 0.0);  // one video: guaranteed match
   library_ = std::make_unique<mpeg::VideoLibrary>(
-      1, 20.0, mpeg::MpegParams(), popularity, 1);
+      1, 20.0, mpeg::MpegParams(), popularity, 1, kBlock);
   layout_ = std::make_unique<layout::StripedLayout>(
       1, 1, kBlock,
-      std::vector<std::int64_t>{library_->NumBlocks(0, kBlock)});
+      std::vector<std::int64_t>{library_->NumBlocks(0)});
   network_ = std::make_unique<hw::Network>(&env_, hw::NetworkParams());
   fake_ = std::make_unique<FakeServer>(&env_, network_.get());
   StreamShareManager manager(&env_, 5.0);
@@ -345,10 +345,10 @@ TEST_F(TerminalTest, DeferredAdmissionAfterFollowEndReentersTheGate) {
   // deferred retry must instead go back through ChooseNextVideo.
   mpeg::ZipfDistribution popularity(1, 0.0);  // one video: guaranteed match
   library_ = std::make_unique<mpeg::VideoLibrary>(
-      1, 20.0, mpeg::MpegParams(), popularity, 1);
+      1, 20.0, mpeg::MpegParams(), popularity, 1, kBlock);
   layout_ = std::make_unique<layout::StripedLayout>(
       1, 1, kBlock,
-      std::vector<std::int64_t>{library_->NumBlocks(0, kBlock)});
+      std::vector<std::int64_t>{library_->NumBlocks(0)});
   network_ = std::make_unique<hw::Network>(&env_, hw::NetworkParams());
   fake_ = std::make_unique<FakeServer>(&env_, network_.get());
   StreamShareManager manager(&env_, 5.0);

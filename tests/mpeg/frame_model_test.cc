@@ -149,7 +149,7 @@ TEST(FrameModelTest, TableDrivenDrawMatchesPerTypeDraw) {
     }
     // A one-hour video: 108,000 frames drawn GOP by GOP by its
     // constructor, and again one by one through FrameBytes.
-    Video video(0, 77, &model, 3600.0);
+    Video video(0, 77, &model, 3600.0, kDefaultBlockBytes);
     ASSERT_GE(video.frame_count(), 100000);
     std::int64_t cumulative = 0;
     for (std::int64_t f = 0; f < video.frame_count(); ++f) {

@@ -7,7 +7,8 @@ namespace {
 
 class FrameWindowTest : public ::testing::Test {
  protected:
-  FrameWindowTest() : model_(MpegParams()), video_(0, 5, &model_, 30.0) {}
+  FrameWindowTest()
+      : model_(MpegParams()), video_(0, 5, &model_, 30.0, kDefaultBlockBytes) {}
   FrameModel model_;
   Video video_;  // 900 frames: 14 whole windows and a 4-frame tail
 };
@@ -54,7 +55,7 @@ TEST_F(FrameWindowTest, InvalidateRedrawsFromTheNewFrame) {
     ASSERT_EQ(window.Peek(video_, f), video_.FrameBytes(f)) << "frame " << f;
     window.Advance();
   }
-  const Video other(1, 6, &model_, 30.0);
+  const Video other(1, 6, &model_, 30.0, kDefaultBlockBytes);
   window.Invalidate();
   for (std::int64_t f = 100; f < 110; ++f) {
     ASSERT_EQ(window.Peek(other, f), other.FrameBytes(f)) << "frame " << f;

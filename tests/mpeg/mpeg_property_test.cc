@@ -1,5 +1,6 @@
 // Parameterized property tests for the MPEG video substrate.
 
+#include <algorithm>
 #include <cmath>
 
 #include "gtest/gtest.h"
@@ -55,36 +56,44 @@ class VideoPropertyTest : public ::testing::TestWithParam<double> {
   FrameModel model_;
 };
 
+// The byte -> frame mapping at block starts: about 200 blocks per
+// video, each starting inside the frame its index names, in order.
 TEST_P(VideoPropertyTest, ByteToFrameMappingIsMonotoneAndConsistent) {
-  Video video(0, 99, &model_, GetParam());
-  std::int64_t total = video.total_bytes();
-  std::int64_t step = std::max<std::int64_t>(1, total / 200);
+  const std::int64_t block_bytes = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(GetParam() *
+                                   model_.params().bytes_per_second()) /
+             200);
+  Video video(0, 99, &model_, GetParam(), block_bytes);
   std::int64_t prev_frame = 0;
-  for (std::int64_t byte = 0; byte < total; byte += step) {
-    std::int64_t frame = video.FrameOfByte(byte);
+  for (std::int64_t b = 0; b < video.num_blocks(); ++b) {
+    const std::int64_t byte = b * block_bytes;
+    const std::int64_t frame = video.BlockStartFrame(b);
     EXPECT_GE(frame, prev_frame);
-    // The byte lies inside the frame's extent.
-    EXPECT_LE(video.CumulativeBytesAtFrame(frame), byte);
+    // The byte lies inside the frame's extent, lead bytes into it.
+    const std::int64_t start = video.CumulativeBytesAtFrame(frame);
+    EXPECT_LE(start, byte);
     EXPECT_GT(video.CumulativeBytesAtFrame(frame + 1), byte);
+    EXPECT_EQ(video.BlockLeadBytes(b), byte - start);
     prev_frame = frame;
   }
 }
 
 TEST_P(VideoPropertyTest, PlaybackTimeCoversDuration) {
-  Video video(0, 7, &model_, GetParam());
-  EXPECT_DOUBLE_EQ(video.PlaybackTimeOfByte(0), 0.0);
-  double at_end = video.PlaybackTimeOfByte(video.total_bytes());
+  constexpr std::int64_t kBlock = 64 * 1024;
+  Video video(0, 7, &model_, GetParam(), kBlock);
+  EXPECT_DOUBLE_EQ(video.PlaybackTimeOfFrame(video.BlockStartFrame(0)), 0.0);
+  double at_end = video.PlaybackTimeOfFrame(video.frame_count());
   EXPECT_DOUBLE_EQ(at_end, video.duration_seconds());
   // One second of playback is about bytes_per_second() of data.
   double rate = model_.params().bytes_per_second();
-  std::int64_t half = video.total_bytes() / 2;
-  double t_half = video.PlaybackTimeOfByte(half);
-  EXPECT_NEAR(t_half, static_cast<double>(half) / rate,
+  std::int64_t half = video.num_blocks() / 2;
+  double t_half = video.PlaybackTimeOfFrame(video.BlockStartFrame(half));
+  EXPECT_NEAR(t_half, static_cast<double>(half * kBlock) / rate,
               video.duration_seconds() * 0.1);
 }
 
 TEST_P(VideoPropertyTest, TotalBytesMatchSumOfFrames) {
-  Video video(0, 13, &model_, GetParam());
+  Video video(0, 13, &model_, GetParam(), kDefaultBlockBytes);
   std::int64_t sum = 0;
   for (std::int64_t f = 0; f < video.frame_count(); ++f) {
     sum += video.FrameBytes(f);

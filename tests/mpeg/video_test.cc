@@ -19,18 +19,18 @@ class VideoTest : public ::testing::Test {
 };
 
 TEST_F(VideoTest, FrameCountMatchesDuration) {
-  Video v(0, 1, &model_, 60.0);
+  Video v(0, 1, &model_, 60.0, kDefaultBlockBytes);
   EXPECT_EQ(v.frame_count(), 1800);  // 60 s at 30 fps
 }
 
 TEST_F(VideoTest, TotalBytesNearNominalRate) {
-  Video v(0, 1, &model_, 600.0);
+  Video v(0, 1, &model_, 600.0, kDefaultBlockBytes);
   double nominal = 600.0 * model_.params().bytes_per_second();
   EXPECT_NEAR(static_cast<double>(v.total_bytes()) / nominal, 1.0, 0.05);
 }
 
 TEST_F(VideoTest, CumulativeBytesMonotone) {
-  Video v(0, 1, &model_, 30.0);
+  Video v(0, 1, &model_, 30.0, kDefaultBlockBytes);
   std::int64_t prev = 0;
   for (std::int64_t f = 0; f <= v.frame_count(); f += 97) {
     std::int64_t cum = v.CumulativeBytesAtFrame(f);
@@ -41,45 +41,41 @@ TEST_F(VideoTest, CumulativeBytesMonotone) {
 }
 
 TEST_F(VideoTest, CumulativeBytesMatchesManualSum) {
-  Video v(0, 7, &model_, 10.0);
+  Video v(0, 7, &model_, 10.0, kDefaultBlockBytes);
   std::int64_t sum = 0;
   for (std::int64_t f = 0; f < 45; ++f) sum += v.FrameBytes(f);
   EXPECT_EQ(v.CumulativeBytesAtFrame(45), sum);
 }
 
-TEST_F(VideoTest, FrameOfByteInverseOfCumulative) {
-  Video v(0, 3, &model_, 30.0);
-  for (std::int64_t f = 0; f < v.frame_count(); f += 13) {
-    std::int64_t start = v.CumulativeBytesAtFrame(f);
-    EXPECT_EQ(v.FrameOfByte(start), f);
-    EXPECT_EQ(v.FrameOfByte(start + v.FrameBytes(f) - 1), f);
-  }
-}
-
 TEST_F(VideoTest, PlaybackTimeMonotoneInByte) {
-  Video v(0, 3, &model_, 60.0);
+  // Blocks of about a fiftieth of the video: their playback times, the
+  // display times of the frames holding their first bytes, never fall.
+  Video v(0, 3, &model_, 60.0, 600 * 1000);
+  ASSERT_GE(v.num_blocks(), 50);
   double prev = -1.0;
-  for (std::int64_t b = 0; b < v.total_bytes(); b += v.total_bytes() / 50) {
-    double t = v.PlaybackTimeOfByte(b);
+  for (std::int64_t b = 0; b < v.num_blocks(); ++b) {
+    double t = v.PlaybackTimeOfFrame(v.BlockStartFrame(b));
     EXPECT_GE(t, prev);
     prev = t;
   }
 }
 
 TEST_F(VideoTest, PlaybackTimeOfEndIsDuration) {
-  Video v(0, 3, &model_, 60.0);
-  EXPECT_DOUBLE_EQ(v.PlaybackTimeOfByte(v.total_bytes()), 60.0);
-  EXPECT_DOUBLE_EQ(v.PlaybackTimeOfByte(v.total_bytes() + 1000), 60.0);
+  Video v(0, 3, &model_, 60.0, kDefaultBlockBytes);
+  EXPECT_DOUBLE_EQ(v.PlaybackTimeOfFrame(v.frame_count()), 60.0);
+  EXPECT_DOUBLE_EQ(v.PlaybackTimeOfFrame(v.frame_count() + 1000), 60.0);
 }
 
 TEST_F(VideoTest, FirstByteNeededAtTimeZero) {
-  Video v(0, 3, &model_, 60.0);
-  EXPECT_DOUBLE_EQ(v.PlaybackTimeOfByte(0), 0.0);
+  Video v(0, 3, &model_, 60.0, kDefaultBlockBytes);
+  EXPECT_EQ(v.BlockStartFrame(0), 0);
+  EXPECT_EQ(v.BlockLeadBytes(0), 0);
+  EXPECT_DOUBLE_EQ(v.PlaybackTimeOfFrame(v.BlockStartFrame(0)), 0.0);
 }
 
 TEST_F(VideoTest, SameSeedReproducesStream) {
-  Video a(0, 42, &model_, 30.0);
-  Video b(1, 42, &model_, 30.0);
+  Video a(0, 42, &model_, 30.0, kDefaultBlockBytes);
+  Video b(1, 42, &model_, 30.0, kDefaultBlockBytes);
   for (std::int64_t f = 0; f < a.frame_count(); f += 7) {
     EXPECT_EQ(a.FrameBytes(f), b.FrameBytes(f));
   }
@@ -95,26 +91,31 @@ TEST(VideoLibraryTest, BuildsRequestedCount) {
 
 TEST(VideoLibraryTest, NumBlocksCoversVideo) {
   ZipfDistribution zipf(4, 1.0);
-  VideoLibrary lib(4, 60.0, MpegParams(), zipf, 1);
-  std::int64_t block_bytes = 512 * 1024;
-  std::int64_t blocks = lib.NumBlocks(0, block_bytes);
-  EXPECT_GE(blocks * block_bytes, lib.video(0).total_bytes());
-  EXPECT_LT((blocks - 1) * block_bytes, lib.video(0).total_bytes());
+  for (std::int64_t block_bytes : {4096, 300000, 512 * 1024}) {
+    VideoLibrary lib(4, 60.0, MpegParams(), zipf, 1, block_bytes);
+    EXPECT_EQ(lib.block_bytes(), block_bytes);
+    const std::int64_t total = lib.video(0).total_bytes();
+    const std::int64_t blocks = lib.NumBlocks(0);
+    EXPECT_GE(blocks * block_bytes, total);
+    EXPECT_LT((blocks - 1) * block_bytes, total);
+    EXPECT_EQ(lib.BlockBytes(0, 0), block_bytes);
+    EXPECT_EQ(lib.BlockBytes(0, blocks - 1),
+              total - (blocks - 1) * block_bytes);
+  }
 }
 
 TEST(VideoLibraryTest, BlockPlaybackTimesSpreadOverDuration) {
   ZipfDistribution zipf(2, 1.0);
-  VideoLibrary lib(2, 60.0, MpegParams(), zipf, 1);
-  std::int64_t block_bytes = 512 * 1024;
-  std::int64_t blocks = lib.NumBlocks(0, block_bytes);
-  EXPECT_DOUBLE_EQ(lib.BlockPlaybackTime(0, 0, block_bytes), 0.0);
-  double late = lib.BlockPlaybackTime(0, blocks - 1, block_bytes);
+  VideoLibrary lib(2, 60.0, MpegParams(), zipf, 1, 512 * 1024);
+  std::int64_t blocks = lib.NumBlocks(0);
+  EXPECT_DOUBLE_EQ(lib.BlockPlaybackTime(0, 0), 0.0);
+  double late = lib.BlockPlaybackTime(0, blocks - 1);
   EXPECT_GT(late, 55.0);
   EXPECT_LE(late, 60.0);
   // Consecutive blocks are roughly one second of video apart (512 KiB at
   // 4 Mbit/s ~ 1 s).
-  double t10 = lib.BlockPlaybackTime(0, 10, block_bytes);
-  double t11 = lib.BlockPlaybackTime(0, 11, block_bytes);
+  double t10 = lib.BlockPlaybackTime(0, 10);
+  double t11 = lib.BlockPlaybackTime(0, 11);
   EXPECT_GT(t11 - t10, 0.3);
   EXPECT_LT(t11 - t10, 3.0);
 }
@@ -161,6 +162,11 @@ TEST(VideoLibraryTest, ParallelBuildMatchesSerialBuild) {
       ASSERT_EQ(a.CumulativeBytesAtFrame(f), b.CumulativeBytesAtFrame(f))
           << "video " << id << " frame " << f;
     }
+    ASSERT_EQ(a.num_blocks(), b.num_blocks()) << "video " << id;
+    for (std::int64_t block = 0; block < a.num_blocks(); ++block) {
+      ASSERT_EQ(a.BlockStartFrame(block), b.BlockStartFrame(block));
+      ASSERT_EQ(a.BlockLeadBytes(block), b.BlockLeadBytes(block));
+    }
   }
 }
 
@@ -172,19 +178,25 @@ TEST(VideoLibraryTest, KernelBuildMatchesScalarBuild) {
   VideoLibrary lib(kVideos, 3600.0, MpegParams(),
                    ZipfDistribution(kVideos, 1.0), 6);
   EXPECT_GT(lib.fallback_draws(), 0);
-  const int gop = lib.frame_model().params().gop_frames();
+  const std::int64_t block_bytes = lib.block_bytes();
   for (int id = 0; id < kVideos; ++id) {
     const Video& video = lib.video(id);
     std::int64_t cumulative = 0;
+    std::int64_t block = 0;
     for (std::int64_t f = 0; f < video.frame_count(); ++f) {
-      if (f % gop == 0) {
-        // At a GOP boundary this is the video's GOP prefix entry.
-        ASSERT_EQ(video.CumulativeBytesAtFrame(f), cumulative)
-            << "video " << id << " frame " << f;
+      const std::int64_t end = cumulative + video.FrameBytes(f);
+      // Every block that starts inside frame f.
+      for (; block * block_bytes < end; ++block) {
+        ASSERT_EQ(video.BlockStartFrame(block), f)
+            << "video " << id << " block " << block;
+        ASSERT_EQ(video.BlockLeadBytes(block),
+                  block * block_bytes - cumulative)
+            << "video " << id << " block " << block;
       }
-      cumulative += video.FrameBytes(f);
+      cumulative = end;
     }
     ASSERT_EQ(video.total_bytes(), cumulative) << "video " << id;
+    ASSERT_EQ(video.num_blocks(), block) << "video " << id;
   }
 }
 
@@ -205,92 +217,70 @@ TEST(VideoLibraryTest, BuildThreadsFollowCoresAndVideoCount) {
   }
 }
 
-// --- FrameOfByte / GopOfByte against a std::upper_bound reference ---
+// --- The block table against a scalar FrameBytes walk ---
 
-// The byte -> frame mapping by its plain definition: GOP boundaries
-// summed from FrameBytes, std::upper_bound over them, then a walk of
-// the GOP's frames.
-class FrameOfByteReference {
- public:
-  explicit FrameOfByteReference(const Video& video) : video_(video) {
-    const int gop = MpegParams().gop_frames();
-    std::int64_t cumulative = 0;
-    for (std::int64_t f = 0; f < video.frame_count(); ++f) {
-      if (f % gop == 0) gop_prefix_.push_back(cumulative);
-      frame_start_.push_back(cumulative);
-      cumulative += video.FrameBytes(f);
+// Checks every block start and lead of `video`, CumulativeBytesAtFrame
+// at every frame, and the block count and sizes, against the frames'
+// sizes summed one FrameBytes at a time.
+void ExpectBlockTableMatchesWalk(const Video& video) {
+  const std::int64_t block_bytes = video.block_bytes();
+  std::int64_t cumulative = 0;  // bytes before frame f
+  std::int64_t block = 0;       // next block whose start is unchecked
+  for (std::int64_t f = 0; f < video.frame_count(); ++f) {
+    ASSERT_EQ(video.CumulativeBytesAtFrame(f), cumulative) << "frame " << f;
+    const std::int64_t end = cumulative + video.FrameBytes(f);
+    for (; block * block_bytes < end; ++block) {
+      ASSERT_LT(block, video.num_blocks());
+      ASSERT_EQ(video.BlockStartFrame(block), f) << "block " << block;
+      ASSERT_EQ(video.BlockLeadBytes(block),
+                block * block_bytes - cumulative)
+          << "block " << block;
     }
-    gop_prefix_.push_back(cumulative);
-    frame_start_.push_back(cumulative);
+    cumulative = end;
   }
+  ASSERT_EQ(video.total_bytes(), cumulative);
+  ASSERT_EQ(video.CumulativeBytesAtFrame(video.frame_count()), cumulative);
+  ASSERT_EQ(video.num_blocks(), block);
+  // Every block is full but the last, which holds the remainder.
+  for (std::int64_t b = 0; b + 1 < video.num_blocks(); ++b) {
+    ASSERT_EQ(video.BlockBytes(b), block_bytes) << "block " << b;
+  }
+  const std::int64_t last = video.num_blocks() - 1;
+  EXPECT_EQ(video.BlockBytes(last), cumulative - last * block_bytes);
+  EXPECT_GT(video.BlockBytes(last), 0);
+}
 
-  std::int64_t Gop(std::int64_t byte) const {
-    return std::upper_bound(gop_prefix_.begin(), gop_prefix_.end(), byte) -
-           gop_prefix_.begin() - 1;
-  }
-  std::int64_t Frame(std::int64_t byte) const {
-    if (byte >= video_.total_bytes()) return video_.frame_count();
-    const int gop = MpegParams().gop_frames();
-    std::int64_t cumulative = gop_prefix_[Gop(byte)];
-    for (std::int64_t f = Gop(byte) * gop;; ++f) {
-      cumulative += video_.FrameBytes(f);
-      if (byte < cumulative) return f;
-    }
-  }
-  // Every byte where an answer changes, one either side, and the ends.
-  std::vector<std::int64_t> Probes() const {
-    std::vector<std::int64_t> bytes = {0, 1, video_.total_bytes() - 1,
-                                       video_.total_bytes(),
-                                       video_.total_bytes() + 1};
-    for (std::int64_t start : frame_start_) {
-      for (std::int64_t byte : {start - 1, start, start + 1}) {
-        if (byte >= 0) bytes.push_back(byte);
-      }
-    }
-    return bytes;
-  }
+// Block sizes from 4 KiB, where several blocks start inside one frame,
+// to 1 MiB, and 300,000 bytes, which is not a power of two.
+constexpr std::int64_t kBlockSizes[] = {4 * 1024, 128 * 1024, 300000,
+                                        512 * 1024, 1024 * 1024};
 
- private:
-  const Video& video_;
-  std::vector<std::int64_t> gop_prefix_;   // bytes before each GOP
-  std::vector<std::int64_t> frame_start_;  // bytes before each frame
-};
-
-void ExpectMatchesReference(const Video& video) {
-  const FrameOfByteReference reference(video);
-  const double fps = MpegParams().frames_per_second;
-  for (std::int64_t byte : reference.Probes()) {
-    const std::int64_t frame = reference.Frame(byte);
-    ASSERT_EQ(video.FrameOfByte(byte), frame) << "byte " << byte;
-    if (byte < video.total_bytes()) {
-      ASSERT_EQ(video.GopOfByte(byte), reference.Gop(byte)) << "byte " << byte;
+TEST_F(VideoTest, BlockTableMatchesScalarWalk) {
+  for (std::int64_t block_bytes : kBlockSizes) {
+    for (std::uint64_t seed : {1ULL, 42ULL, 0xdeadbeefcafef00dULL}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "block_bytes " << block_bytes << ", seed " << seed);
+      Video video(0, seed, &model_, 300.0, block_bytes);
+      ExpectBlockTableMatchesWalk(video);
     }
-    const double time = frame >= video.frame_count()
-                            ? video.duration_seconds()
-                            : static_cast<double>(frame) / fps;
-    ASSERT_EQ(video.PlaybackTimeOfByte(byte), time) << "byte " << byte;
   }
 }
 
-// Ten-minute videos: the proportional guess drifts tens of GOPs from the
-// answer, so the gallop runs both ways and over long distances.
-TEST_F(VideoTest, FrameOfByteMatchesUpperBoundReference) {
-  for (std::uint64_t seed : {1ULL, 7ULL, 42ULL, 0xdeadbeefcafef00dULL}) {
-    Video video(0, seed, &model_, 600.0);
-    ExpectMatchesReference(video);
-  }
-}
-
-TEST_F(VideoTest, FrameOfByteMatchesReferenceOnOneGopVideo) {
-  for (std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
-    Video video(0, seed, &model_, 0.5);
-    ASSERT_EQ(video.frame_count(), model_.params().gop_frames());
-    ExpectMatchesReference(video);
+// A one-GOP video is shorter than a 1 MiB block: one short block.
+TEST_F(VideoTest, BlockTableMatchesScalarWalkOnOneGopVideo) {
+  for (std::int64_t block_bytes : kBlockSizes) {
+    for (std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "block_bytes " << block_bytes << ", seed " << seed);
+      Video video(0, seed, &model_, 0.5, block_bytes);
+      ASSERT_EQ(video.frame_count(), model_.params().gop_frames());
+      ExpectBlockTableMatchesWalk(video);
+    }
   }
 }
 
 TEST_F(VideoTest, DrawFrameSizesMatchesFrameBytes) {
-  Video video(0, 9, &model_, 60.0);
+  Video video(0, 9, &model_, 60.0, kDefaultBlockBytes);
   std::int32_t sizes[kDrawBlock];
   for (std::int64_t first : {0, 7, 15, 64, 1000}) {
     for (int n : {0, 1, 17, kDrawBlock - 1, kDrawBlock}) {

@@ -355,9 +355,9 @@ TEST(AllocationTest, TerminalDisplayTickAllocatesNothing) {
   constexpr std::int64_t kBlock = 512 * 1024;
   mpeg::VideoLibrary library(1, /*duration_seconds=*/10.0,
                              mpeg::MpegParams(),
-                             mpeg::ZipfDistribution(1, 0.0), 1);
+                             mpeg::ZipfDistribution(1, 0.0), 1, kBlock);
   layout::StripedLayout layout(
-      1, 1, kBlock, std::vector<std::int64_t>{library.NumBlocks(0, kBlock)});
+      1, 1, kBlock, std::vector<std::int64_t>{library.NumBlocks(0)});
   hw::Network network(&env, hw::NetworkParams{});
   InstantServer server;
   client::TerminalParams params;

@@ -229,17 +229,17 @@ TEST(ProxyNodeTest, StaleWatchdogDoesNotRetryANewerForwardOfTheSameBlock) {
   sim::Environment env;
   hw::Network network(&env, hw::NetworkParams());
   mpeg::ZipfDistribution popularity(1, 0.0);
-  mpeg::VideoLibrary library(1, 30.0, mpeg::MpegParams(), popularity, 1);
   constexpr std::int64_t kBlock = 512 * 1024;
+  mpeg::VideoLibrary library(1, 30.0, mpeg::MpegParams(), popularity, 1,
+                             kBlock);
   layout::StripedLayout layout(
       1, 1, kBlock,
-      std::vector<std::int64_t>{library.NumBlocks(0, kBlock)});
+      std::vector<std::int64_t>{library.NumBlocks(0)});
   FakeOrigin origin(&env);
   CountingSink terminal;
 
   ProxyParams params;
   params.cache_pages = 1;  // one page: the second miss evicts the first
-  params.block_bytes = kBlock;
   params.retry_budget = 2;
   params.retry_min_timeout_sec = 1.0;
   params.retry_backoff_base_sec = 1.0;

@@ -26,17 +26,16 @@ class MemoryPressureTest : public ::testing::Test {
   void Build(std::int64_t pool_pages, PrefetchPolicy prefetch) {
     mpeg::ZipfDistribution popularity(4, 0.0);
     library_ = std::make_unique<mpeg::VideoLibrary>(
-        4, 120.0, mpeg::MpegParams(), popularity, 1);
+        4, 120.0, mpeg::MpegParams(), popularity, 1, kBlock);
     std::vector<std::int64_t> blocks;
     for (int v = 0; v < 4; ++v) {
-      blocks.push_back(library_->NumBlocks(v, kBlock));
+      blocks.push_back(library_->NumBlocks(v));
     }
     layout_ = std::make_unique<layout::StripedLayout>(1, 2, kBlock,
                                                       std::move(blocks));
     network_ = std::make_unique<hw::Network>(&env_, hw::NetworkParams());
     NodeConfig config;
     config.disks_per_node = 2;
-    config.block_bytes = kBlock;
     config.pool_pages = pool_pages;
     config.prefetch = prefetch;
     config.prefetch_workers = 4;

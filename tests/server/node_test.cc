@@ -33,10 +33,10 @@ class NodeTest : public ::testing::Test {
   void Build(NodeConfig config = NodeConfig()) {
     mpeg::ZipfDistribution popularity(4, 1.0);
     library_ = std::make_unique<mpeg::VideoLibrary>(
-        4, /*duration=*/120.0, mpeg::MpegParams(), popularity, 1);
+        4, /*duration=*/120.0, mpeg::MpegParams(), popularity, 1, kBlock);
     std::vector<std::int64_t> blocks;
     for (int v = 0; v < 4; ++v) {
-      blocks.push_back(library_->NumBlocks(v, kBlock));
+      blocks.push_back(library_->NumBlocks(v));
     }
     // One node, two disks.
     layout_ = std::make_unique<layout::StripedLayout>(1, 2, kBlock,
@@ -44,7 +44,6 @@ class NodeTest : public ::testing::Test {
     network_ = std::make_unique<hw::Network>(&env_, hw::NetworkParams());
     config.id = 0;
     config.disks_per_node = 2;
-    config.block_bytes = kBlock;
     node_ = std::make_unique<Node>(&env_, config, network_.get(),
                                    library_.get(), layout_.get());
     terminal_ = std::make_unique<FakeTerminal>(&env_);
@@ -185,7 +184,7 @@ TEST_F(NodeTest, NoPrefetchPastEndOfVideo) {
   NodeConfig config;
   config.prefetch = PrefetchPolicy::kFifo;
   Build(config);
-  std::int64_t last = library_->NumBlocks(0, kBlock) - 1;
+  std::int64_t last = library_->NumBlocks(0) - 1;
   SendRead(0, last);
   env_.Run();
   EXPECT_EQ(terminal_->replies.size(), 1u);
@@ -194,7 +193,7 @@ TEST_F(NodeTest, NoPrefetchPastEndOfVideo) {
 
 TEST_F(NodeTest, LastBlockReplyIsShort) {
   Build();
-  std::int64_t last = library_->NumBlocks(0, kBlock) - 1;
+  std::int64_t last = library_->NumBlocks(0) - 1;
   SendRead(0, last);
   env_.Run();
   ASSERT_EQ(terminal_->replies.size(), 1u);

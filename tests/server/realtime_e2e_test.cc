@@ -32,10 +32,10 @@ class RealTimeE2eTest : public ::testing::Test {
   void Build(DiskSchedPolicy policy) {
     mpeg::ZipfDistribution popularity(2, 0.0);
     library_ = std::make_unique<mpeg::VideoLibrary>(
-        2, 120.0, mpeg::MpegParams(), popularity, 1);
+        2, 120.0, mpeg::MpegParams(), popularity, 1, kBlock);
     std::vector<std::int64_t> blocks;
     for (int v = 0; v < 2; ++v) {
-      blocks.push_back(library_->NumBlocks(v, kBlock));
+      blocks.push_back(library_->NumBlocks(v));
     }
     // One node, ONE disk so everything contends on one arm.
     layout_ = std::make_unique<layout::StripedLayout>(1, 1, kBlock,
@@ -43,7 +43,6 @@ class RealTimeE2eTest : public ::testing::Test {
     network_ = std::make_unique<hw::Network>(&env_, hw::NetworkParams());
     NodeConfig config;
     config.disks_per_node = 1;
-    config.block_bytes = kBlock;
     config.sched.policy = policy;
     config.sched.realtime_classes = 3;
     config.sched.realtime_spacing_sec = 2.0;

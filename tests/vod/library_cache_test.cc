@@ -126,6 +126,7 @@ TEST(LibraryCacheTest, EveryConstructorInputIsPartOfTheKey) {
   vary([](LibraryKey& k) { k.params.i_size_weight = 9; });
   vary([](LibraryKey& k) { k.params.p_size_weight = 4; });
   vary([](LibraryKey& k) { k.params.b_size_weight = 3; });
+  vary([](LibraryKey& k) { k.block_bytes = 256 * 1024; });
 
   const auto base = SharedLibrary(base_key);
   EXPECT_EQ(SharedLibrary(base_key), base);
@@ -145,6 +146,26 @@ TEST(LibraryCacheTest, SimulationKeyIgnoresTerminalsButNotSeed) {
   EXPECT_EQ(SharedLibraryFor(config), pinned);
   config.seed += 1;
   EXPECT_NE(SharedLibraryFor(config), pinned);
+}
+
+// The stripe size is the library's read block size: configs that differ
+// only in it get libraries of their own, each indexed at its own size.
+TEST(LibraryCacheTest, SimulationKeyFollowsStripeBytes) {
+  SimConfig config = TinyConfig();
+  const auto pinned = SharedLibraryFor(config);
+  EXPECT_EQ(pinned->block_bytes(), config.stripe_bytes);
+  SimConfig other = config;
+  other.stripe_bytes = 256 * 1024;
+  const auto other_library = SharedLibraryFor(other);
+  EXPECT_NE(other_library, pinned);
+  EXPECT_EQ(other_library->block_bytes(), other.stripe_bytes);
+  EXPECT_EQ(SharedLibraryFor(config), pinned);
+  // Same frames, cut into twice the blocks.
+  EXPECT_EQ(other_library->video(0).total_bytes(),
+            pinned->video(0).total_bytes());
+  EXPECT_EQ(other_library->NumBlocks(0),
+            (pinned->video(0).total_bytes() + other.stripe_bytes - 1) /
+                other.stripe_bytes);
 }
 
 TEST(LibraryCacheTest, LibraryDiesWithItsLastHolder) {
@@ -186,7 +207,8 @@ TEST(LibraryCacheTest, SharedLibraryRunMatchesFreshBuild) {
 
 // One library build per replication seed for a whole search, at any
 // job count — not one per probe — and for a whole batch of searches
-// whose configs differ in no library input.
+// per library key: configs that differ in no library input share one,
+// and a stripe size of its own adds one per seed.
 class SearchBuildsTest
     : public ::testing::TestWithParam<std::pair<int, int>> {};
 
@@ -209,14 +231,17 @@ TEST_P(SearchBuildsTest, OneBuildPerReplication) {
   real_time.prefetch = server::PrefetchPolicy::kDelayed;
   SimConfig small_memory = TinyConfig();
   small_memory.server_memory_bytes = 64LL * 1024 * 1024;
+  SimConfig small_stripe = TinyConfig();
+  small_stripe.stripe_bytes = 256 * 1024;
   CapacitySearchOptions coarse = options;
   coarse.start_guess = 40;
   coarse.step = 16;
   before = Builds();
   const std::vector<CapacityResult> batch = FindCapacities(
-      {{TinyConfig(), coarse}, {real_time, options}, {small_memory, options}});
-  ASSERT_EQ(batch.size(), 3u);
-  EXPECT_EQ(Builds() - before, static_cast<std::uint64_t>(replications));
+      {{TinyConfig(), coarse}, {real_time, options}, {small_memory, options},
+       {small_stripe, coarse}});
+  ASSERT_EQ(batch.size(), 4u);
+  EXPECT_EQ(Builds() - before, static_cast<std::uint64_t>(2 * replications));
 }
 
 INSTANTIATE_TEST_SUITE_P(LibraryCache, SearchBuildsTest,
@@ -240,20 +265,28 @@ TEST(LibraryCacheTest, SerialGlitchCurveBuildsOneLibraryPerSeed) {
 }
 
 // A RunAll batch builds one library per distinct library key and seed,
-// however its runs interleave the keys, at any job count.
+// however its runs interleave the keys, at any job count; the stripe
+// size is part of the key.
 class RunAllBuildsTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RunAllBuildsTest, OneBuildPerLibraryKeyAndSeed) {
-  constexpr int kKeys = 3;
+  struct Key {
+    double zipf_z;
+    std::int64_t stripe_bytes;
+  };
+  constexpr Key kKeys[] = {
+      {1.0, 512 * 1024}, {0.5, 512 * 1024}, {0.0, 512 * 1024},
+      {1.0, 256 * 1024}};
   constexpr int kSeeds = 2;
   std::vector<SimConfig> batch;
   for (int terminals : {5, 10}) {
     for (int seed = 0; seed < kSeeds; ++seed) {
-      for (double zipf_z : {1.0, 0.5, 0.0}) {
+      for (const Key& key : kKeys) {
         SimConfig config = TinyConfig();
         config.terminals = terminals;
         config.seed += static_cast<std::uint64_t>(seed);
-        config.zipf_z = zipf_z;
+        config.zipf_z = key.zipf_z;
+        config.stripe_bytes = key.stripe_bytes;
         batch.push_back(config);
       }
     }
@@ -261,7 +294,7 @@ TEST_P(RunAllBuildsTest, OneBuildPerLibraryKeyAndSeed) {
   const std::uint64_t before = Builds();
   ParallelRunner runner(GetParam());
   ASSERT_EQ(runner.RunAll(batch).size(), batch.size());
-  EXPECT_EQ(Builds() - before, static_cast<std::uint64_t>(kKeys * kSeeds));
+  EXPECT_EQ(Builds() - before, std::size(kKeys) * kSeeds);
 }
 
 INSTANTIATE_TEST_SUITE_P(LibraryCache, RunAllBuildsTest,
