@@ -8,7 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "micro_common.h"
 #include "server/buffer_pool.h"
 #include "sim/environment.h"
 
@@ -119,12 +118,4 @@ BENCHMARK(BM_PoolPrefetchLifecycle)->Arg(1024)->Arg(16384);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  int profile_rc = spiffi::bench::MaybeRunProfileMode(argc, argv);
-  if (profile_rc >= 0) return profile_rc;
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

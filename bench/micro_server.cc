@@ -1,56 +1,18 @@
-// Microbenchmarks for the server building blocks: buffer pool operations,
-// disk scheduler pops, and a whole small simulation per second of
-// simulated time.
+// Microbenchmarks for the disk schedulers: one pop and one push per
+// iteration against a queue held at a fixed depth.
 
 #include <benchmark/benchmark.h>
 
-#include "micro_common.h"
-
+#include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "server/buffer_pool.h"
+#include "hw/disk.h"
 #include "server/disk_sched.h"
-#include "vod/simulation.h"
 
 namespace {
 
 using namespace spiffi;
-
-void BM_BufferPoolAllocateCompleteEvict(benchmark::State& state) {
-  sim::Environment env;
-  server::BufferPool pool(&env, 1024,
-                          server::ReplacementPolicy::kLovePrefetch);
-  std::int64_t block = 0;
-  for (auto _ : state) {
-    server::PageKey key{0, block++};
-    server::BufferPool::Page* page = pool.Allocate(key, block % 2 == 0);
-    pool.Complete(page);
-    pool.Touch(page, static_cast<int>(block % 7));
-    pool.Unpin(page);
-    benchmark::DoNotOptimize(page);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BufferPoolAllocateCompleteEvict);
-
-void BM_BufferPoolLookupHit(benchmark::State& state) {
-  sim::Environment env;
-  server::BufferPool pool(&env, 4096,
-                          server::ReplacementPolicy::kGlobalLru);
-  for (std::int64_t b = 0; b < 4096; ++b) {
-    auto* page = pool.Allocate(server::PageKey{0, b}, false);
-    pool.Complete(page);
-    pool.Unpin(page);
-  }
-  std::int64_t b = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pool.Lookup(server::PageKey{0, b}));
-    b = (b + 997) % 4096;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BufferPoolLookupHit);
 
 template <typename MakeSched>
 void SchedulerChurn(benchmark::State& state, MakeSched make) {
@@ -99,33 +61,6 @@ void BM_GssPop(benchmark::State& state) {
 }
 BENCHMARK(BM_GssPop)->Arg(16)->Arg(128);
 
-// End-to-end: cost of one simulated second of a 2x2 disk system with 20
-// terminals (the integration-test configuration).
-void BM_SimulatedSecond(benchmark::State& state) {
-  for (auto _ : state) {
-    vod::SimConfig config;
-    config.num_nodes = 2;
-    config.disks_per_node = 2;
-    config.video_seconds = 120.0;
-    config.server_memory_bytes = 256LL * 1024 * 1024;
-    config.terminals = 20;
-    config.start_window_sec = 2.0;
-    config.warmup_seconds = 2.0;
-    config.measure_seconds = 8.0;
-    vod::SimMetrics m = vod::RunSimulation(config);
-    benchmark::DoNotOptimize(m.events_simulated);
-  }
-}
-BENCHMARK(BM_SimulatedSecond)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  int profile_rc = spiffi::bench::MaybeRunProfileMode(argc, argv);
-  if (profile_rc >= 0) return profile_rc;
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "micro_common.h"
 #include "mpeg/draw_kernel.h"
 #include "mpeg/frame_model.h"
 #include "mpeg/frame_window.h"
@@ -249,12 +248,4 @@ BENCHMARK(BM_BlockPlaybackTime);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  int profile_rc = spiffi::bench::MaybeRunProfileMode(argc, argv);
-  if (profile_rc >= 0) return profile_rc;
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

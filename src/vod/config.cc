@@ -27,6 +27,11 @@ std::string SimConfig::Validate() const {
       !error.empty()) {
     return error;
   }
+  if (!(estimated_block_index_entries() <= kMaxBlockIndexEntries)) {
+    return "the video library's block index would exceed "
+           "kMaxBlockIndexEntries; raise stripe_bytes or shrink the "
+           "library";
+  }
   if (terminal_memory_bytes < stripe_bytes) {
     return "terminal memory must hold at least one stripe block";
   }

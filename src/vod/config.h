@@ -4,6 +4,7 @@
 #ifndef SPIFFI_VOD_CONFIG_H_
 #define SPIFFI_VOD_CONFIG_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -21,6 +22,12 @@
 #include "server/prefetch.h"
 
 namespace spiffi::vod {
+
+// Validate() rejects a configuration whose video library would need more
+// block-start entries (8 bytes each, one per stripe block) than this:
+// 512 MB of index. Paper scale, 256 one-hour videos at 512 KiB, needs
+// about 0.9 M.
+inline constexpr std::int64_t kMaxBlockIndexEntries = std::int64_t{1} << 26;
 
 // kReplicatedStriped stores `replica_count` chained-declustered copies
 // of every stripe block (layout::ReplicatedStripedLayout); the extra
@@ -169,6 +176,13 @@ struct SimConfig {
            static_cast<std::size_t>(total_disks()) *
                (16 + static_cast<std::size_t>(effective_prefetch_workers())) +
            static_cast<std::size_t>(num_nodes) * 8 + 1024;
+  }
+  // num_videos() x ceil(video bytes / stripe_bytes), taking a video's
+  // bytes at the nominal MPEG rate. A double, so that absurd configs
+  // compare instead of overflowing.
+  double estimated_block_index_entries() const {
+    return num_videos() *
+           std::ceil(video_seconds * mpeg.bytes_per_second() / stripe_bytes);
   }
   std::int64_t pool_pages_per_node() const {
     return server_memory_bytes / num_nodes / stripe_bytes;

@@ -343,6 +343,10 @@ std::string ReferenceValidate(const SimConfig& c) {
   if (c.zipf_z < 0.0) return "zipf_z must be non-negative";
   if (c.stripe_bytes <= 0) return "stripe_bytes must be positive";
   if (c.terminals <= 0) return "terminals must be positive";
+  // Added after the freeze with the video library's block-start index.
+  if (!(c.estimated_block_index_entries() <= kMaxBlockIndexEntries)) {
+    return "block index too large";
+  }
   if (c.terminal_memory_bytes < c.stripe_bytes) {
     return "terminal memory must hold at least one stripe block";
   }

@@ -193,9 +193,46 @@ TEST(SimConfigTest, RejectsOverflowingDerivedCounts) {
   EXPECT_EQ(c.Validate(),
             "videos_per_disk * num_nodes * disks_per_node overflows int");
 
+  // The largest library whose count fits an int passes both overflow
+  // checks; only its block index is too large.
   c = SimConfig{};
   c.videos_per_disk = std::numeric_limits<int>::max() / c.total_disks();
+  EXPECT_EQ(c.Validate(),
+            "the video library's block index would exceed "
+            "kMaxBlockIndexEntries; raise stripe_bytes or shrink the "
+            "library");
+}
+
+TEST(SimConfigTest, RejectsABlockIndexTooLargeToBuild) {
+  // The video library keeps one 8-byte block-start entry per block.
+  // Paper scale (64 disks, 256 one-hour videos) at 512 KiB is 921,600
+  // entries; at 4 KiB it would be 117,964,800 (~0.94 GB).
+  SimConfig c;
+  c.disks_per_node = 16;
+  EXPECT_EQ(c.estimated_block_index_entries(), 921600);
   EXPECT_EQ(c.Validate(), "");
+  c.stripe_bytes = 4 * 1024;
+  EXPECT_EQ(c.estimated_block_index_entries(), 117964800);
+  EXPECT_EQ(c.Validate(),
+            "the video library's block index would exceed "
+            "kMaxBlockIndexEntries; raise stripe_bytes or shrink the "
+            "library");
+
+  // A partial last block counts as a block; the limit itself passes.
+  c = SimConfig{};
+  c.videos_per_disk = 1;
+  c.num_nodes = 1;
+  c.disks_per_node = 1;
+  c.stripe_bytes = 1024;
+  c.server_memory_bytes = 4 * 1024;
+  c.video_seconds = (kMaxBlockIndexEntries - 0.5) * 1024 /
+                    c.mpeg.bytes_per_second();
+  EXPECT_EQ(c.estimated_block_index_entries(), kMaxBlockIndexEntries);
+  EXPECT_EQ(c.Validate(), "");
+  c.video_seconds = (kMaxBlockIndexEntries + 0.5) * 1024 /
+                    c.mpeg.bytes_per_second();
+  EXPECT_EQ(c.estimated_block_index_entries(), kMaxBlockIndexEntries + 1);
+  EXPECT_NE(c.Validate(), "");
 }
 
 TEST(SimConfigTest, ValidatesReplicatedPlacement) {

@@ -17,6 +17,16 @@ test p. The verdict column applies the gain rule: the change wins at
 least nine tenths of the pairs and the medians differ by more than the
 parent's IQR.
 
+With `--micro FILTER` it compares the google-benchmark microbenchmarks
+instead: both trees build MICRO_BINARIES in Release, each binary runs
+MICRO_PAIRS times per side with `--benchmark_filter=FILTER`, alternating
+which side runs first, and each benchmark's `items_per_second` is paired
+by name and summarized as above, one table per binary. It exits 1 when a
+binary fails or the side prints no results, or when a benchmark on both
+sides has a gated loss: the change's median more than MICRO_BOUND below
+the parent's and the change losing at least nine tenths of the pairs. A
+benchmark found on one side only is listed but not gated.
+
 Build and run output go to --work-dir (default .ab_build/ at the
 repository root). Every run's metrics are echoed to stderr as it ends.
 """
@@ -170,15 +180,15 @@ def snapshot_worktree(dest):
         raise RuntimeError("snapshot of the working tree failed")
 
 
-def claim_target(tree, target_dir):
-    """Empties `target_dir` if its perfbench build was configured from a
-    different source tree (cmake would keep building that one)."""
-    cache = target_dir / "perfbench" / "CMakeCache.txt"
+def claim_build_dir(source, build_dir):
+    """Empties `build_dir` if it was configured from a different source
+    tree (cmake would keep building that one)."""
+    cache = build_dir / "CMakeCache.txt"
     if not cache.exists():
         return
-    home = f"CMAKE_HOME_DIRECTORY:INTERNAL={tree.resolve() / 'perfbench'}"
+    home = f"CMAKE_HOME_DIRECTORY:INTERNAL={source.resolve()}"
     if home not in cache.read_text().splitlines():
-        shutil.rmtree(target_dir)
+        shutil.rmtree(build_dir)
 
 
 def run_perfbench(tree, target_dir, workload, seed, seconds, shrink=False):
@@ -202,6 +212,148 @@ def run_perfbench(tree, target_dir, workload, seed, seconds, shrink=False):
     return result
 
 
+# --- Microbenchmarks -------------------------------------------------------
+
+MICRO_BINARIES = ("micro_sim_kernel", "micro_buffer_pool", "micro_server")
+MICRO_PAIRS = 10
+# Seconds per benchmark. A plain double: google-benchmark 1.7 rejects the
+# 1.8-only "0.1s" and "10x" forms, and 1.8 still reads a bare number as
+# seconds.
+MICRO_MIN_TIME = "0.1"
+MICRO_BOUND = 0.15
+
+
+def parse_micro(returncode, stdout):
+    """{benchmark name: items_per_second} from one binary's
+    `--benchmark_format=json` run. Aggregate rows (mean, median, stddev
+    of repetitions) and rows without a rate are skipped. Raises
+    RuntimeError on a non-zero exit or output that is not a benchmark
+    report."""
+    if returncode != 0:
+        raise RuntimeError(f"exited with status {returncode}")
+    try:
+        rows = json.loads(stdout)["benchmarks"]
+    except (json.JSONDecodeError, KeyError, TypeError):
+        raise RuntimeError("printed no benchmark report") from None
+    return {row["name"]: float(row["items_per_second"]) for row in rows
+            if row.get("run_type") != "aggregate"
+            and "items_per_second" in row}
+
+
+def micro_gate(parent, change):
+    """Pairs two sides' samples ({name: [rate per pair]}) by benchmark.
+    Returns (rows, gated, one_side): summarize() per shared benchmark,
+    the shared benchmarks with a gated loss, and the benchmarks found on
+    one side only."""
+    rows = {name: summarize(parent[name], change[name], "higher")
+            for name in parent if name in change}
+    gated = [name for name, s in rows.items()
+             if s["change_median"] < (1.0 - MICRO_BOUND) * s["parent_median"]
+             and 10 * s["losses"] >= 9 * s["pairs"]]
+    one_side = sorted(set(parent) ^ set(change))
+    return rows, gated, one_side
+
+
+def build_micro(tree, build_dir):
+    """Configures `tree` in Release under `build_dir` and builds
+    MICRO_BINARIES."""
+    claim_build_dir(tree, build_dir)
+    for cmd in (["cmake", "-S", str(tree), "-B", str(build_dir), "-G",
+                 "Ninja", "-DCMAKE_BUILD_TYPE=Release"],
+                ["cmake", "--build", str(build_dir), "--target",
+                 *MICRO_BINARIES]):
+        if subprocess.run(cmd, stdout=subprocess.DEVNULL).returncode != 0:
+            raise RuntimeError(f"{tree.name}: {' '.join(cmd)} failed")
+
+
+def list_micro(binary, micro_filter):
+    """Names of `binary`'s benchmarks matching the filter. (A binary whose
+    filter matches nothing prints no report at all, so only binaries
+    with a match are run.)"""
+    proc = subprocess.run(
+        [str(binary), f"--benchmark_filter={micro_filter}",
+         "--benchmark_list_tests=true"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{binary}: exited with status {proc.returncode}")
+    return proc.stdout.split()
+
+
+def run_micro(binary, micro_filter):
+    proc = subprocess.run(
+        [str(binary), f"--benchmark_filter={micro_filter}",
+         f"--benchmark_min_time={MICRO_MIN_TIME}",
+         "--benchmark_format=json"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    try:
+        rates = parse_micro(proc.returncode, proc.stdout)
+    except RuntimeError as error:
+        raise RuntimeError(f"{binary}: {error}") from None
+    if not rates:
+        raise RuntimeError(f"{binary}: printed no results")
+    return rates
+
+
+def main_micro(work, parent_rev, micro_filter):
+    parent_sha = export_rev(parent_rev, work / "parent")
+    snapshot_worktree(work / "change")
+    sides = {"parent": (work / "parent", work / "micro-parent"),
+             "change": (work / "change", work / "micro-change")}
+    log(f"micro: parent {parent_sha[:12]} vs the working tree; "
+        f"nproc={len(os.sched_getaffinity(0))} pairs={MICRO_PAIRS} "
+        f"filter={micro_filter!r}")
+
+    def binary_path(side, binary):
+        return sides[side][1] / "bench" / binary
+
+    # samples[binary][side][benchmark] = rates, one per pair.
+    samples = {b: {side: {} for side in sides} for b in MICRO_BINARIES}
+    try:
+        matched = set()  # (binary, side) with at least one match
+        for side, (tree, build_dir) in sides.items():
+            log(f"building {side} in {build_dir}")
+            build_micro(tree, build_dir)
+            for binary in MICRO_BINARIES:
+                if list_micro(binary_path(side, binary), micro_filter):
+                    matched.add((binary, side))
+        if not matched:
+            raise RuntimeError(f"no benchmark matches {micro_filter!r}")
+        for i in range(MICRO_PAIRS):
+            order = ("parent", "change") if i % 2 == 0 else ("change",
+                                                              "parent")
+            for binary in MICRO_BINARIES:
+                for side in order:
+                    if (binary, side) not in matched:
+                        continue
+                    rates = run_micro(binary_path(side, binary),
+                                      micro_filter)
+                    for name, rate in rates.items():
+                        samples[binary][side].setdefault(name, []).append(
+                            rate)
+            log(f"pair {i + 1}/{MICRO_PAIRS} done")
+    except RuntimeError as error:
+        log(str(error))
+        return 1
+
+    failed = []
+    for binary in MICRO_BINARIES:
+        rows, gated, one_side = micro_gate(samples[binary]["parent"],
+                                           samples[binary]["change"])
+        if not rows and not one_side:
+            continue
+        print(format_table(binary, rows))
+        for name in one_side:
+            side = "parent" if name in samples[binary]["parent"] else "change"
+            print(f"- `{name}`: {side} only, not gated")
+        print()
+        failed += [(binary, name, rows[name]) for name in gated]
+    for binary, name, s in failed:
+        print(f"GATED LOSS: {binary} `{name}` at {s['ratio']:.3f}x the "
+              f"parent's median (bound {1 - MICRO_BOUND:.2f}x), lost "
+              f"{s['losses']}/{s['pairs']} pairs")
+    return 1 if failed else 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True,
@@ -212,9 +364,14 @@ def main():
                         help='seed list, e.g. "1-10" or "3,7,11"')
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--work-dir", default=str(ROOT / ".ab_build"))
+    parser.add_argument("--micro", metavar="FILTER",
+                        help="compare the microbenchmarks matching this "
+                             "google-benchmark filter instead")
     args = parser.parse_args()
 
     work = Path(args.work_dir).resolve()
+    if args.micro is not None:
+        return main_micro(work, args.parent, args.micro)
     workloads = args.workloads.split(",")
     seeds = parse_seeds(args.seeds)
     with open(ROOT / "BENCHMARK.json") as f:
@@ -234,7 +391,7 @@ def main():
         # on the tiny configurations before timing anything.
         for name, (tree, target) in sides.items():
             log(f"building {name} in {target}")
-            claim_target(tree, target)
+            claim_build_dir(tree / "perfbench", target / "perfbench")
             for workload in workloads:
                 run_perfbench(tree, target, workload, 1, 1, shrink=True)
 

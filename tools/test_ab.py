@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Tests for ab.py's statistics. Run from the repository root:
+"""Tests for ab.py's statistics and its microbenchmark gate. Run from
+the repository root:
 
     python3 tools/test_ab.py
 """
 
+import json
 import sys
 import unittest
 from pathlib import Path
@@ -79,6 +81,68 @@ class SummarizeTest(unittest.TestCase):
     def test_rejects_unpaired_samples(self):
         with self.assertRaises(ValueError):
             ab.summarize([1.0, 2.0], [1.0], "lower")
+
+
+# Ten items_per_second samples around 100 spread by +/-12%.
+SPREAD = [112.0, 88.0, 105.0, 95.0, 100.0, 108.0, 92.0, 110.0, 90.0, 102.0]
+
+
+class MicroGateTest(unittest.TestCase):
+    def test_aa_spread_passes(self):
+        _, gated, _ = ab.micro_gate({"BM_A": SPREAD},
+                                    {"BM_A": SPREAD[::-1]})
+        self.assertEqual(gated, [])
+
+    def test_steady_quarter_drop_fails(self):
+        rows, gated, _ = ab.micro_gate(
+            {"BM_A": SPREAD}, {"BM_A": [0.75 * r for r in SPREAD]})
+        self.assertEqual(gated, ["BM_A"])
+        self.assertEqual(rows["BM_A"]["losses"], 10)
+        self.assertAlmostEqual(rows["BM_A"]["ratio"], 0.75)
+
+    def test_drop_needs_nine_tenths_of_the_pairs(self):
+        # The median is 20% down, but the change lost only 8 of 10.
+        rows, gated, _ = ab.micro_gate(
+            {"BM_A": [100.0] * 10}, {"BM_A": [80.0] * 8 + [120.0] * 2})
+        self.assertAlmostEqual(rows["BM_A"]["ratio"], 0.80)
+        self.assertEqual(rows["BM_A"]["losses"], 8)
+        self.assertEqual(gated, [])
+
+    def test_drop_needs_more_than_the_bound(self):
+        # Every pair lost, by 10%: inside the 15% bound.
+        _, gated, _ = ab.micro_gate({"BM_A": [100.0] * 10},
+                                    {"BM_A": [90.0] * 10})
+        self.assertEqual(gated, [])
+
+    def test_one_side_benchmarks_are_listed_not_gated(self):
+        rows, gated, one_side = ab.micro_gate(
+            {"BM_A": SPREAD, "BM_Old": SPREAD},
+            {"BM_A": SPREAD, "BM_New": [1.0] * 10})
+        self.assertEqual(list(rows), ["BM_A"])
+        self.assertEqual(one_side, ["BM_New", "BM_Old"])
+        self.assertEqual(gated, [])
+
+
+class ParseMicroTest(unittest.TestCase):
+    REPORT = json.dumps({"context": {}, "benchmarks": [
+        {"name": "BM_A/64", "run_type": "iteration",
+         "items_per_second": 5.0e6},
+        {"name": "BM_A/64_mean", "run_type": "aggregate",
+         "aggregate_name": "mean", "items_per_second": 4.0e6},
+        {"name": "BM_B", "run_type": "iteration", "real_time": 1.0},
+    ]})
+
+    def test_skips_aggregates_and_rows_without_a_rate(self):
+        self.assertEqual(ab.parse_micro(0, self.REPORT), {"BM_A/64": 5.0e6})
+
+    def test_nonzero_exit_fails(self):
+        with self.assertRaises(RuntimeError):
+            ab.parse_micro(1, self.REPORT)
+
+    def test_empty_or_garbled_output_fails(self):
+        for stdout in ("", "error: expected to be a double\n", "[]"):
+            with self.assertRaises(RuntimeError):
+                ab.parse_micro(0, stdout)
 
 
 class SeedTest(unittest.TestCase):
